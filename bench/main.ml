@@ -1649,11 +1649,6 @@ let ho_events_per_sec c =
 let ho_minor_words_per_event c =
   if c.ho_events = 0 then 0.0 else c.ho_minor_words /. float_of_int c.ho_events
 
-(* --trace-limit N: bounded trace retention for the host cells' machines
-   (exercises the ring store; simulated output is unaffected because the
-   host cells run untraced either way). *)
-let host_trace_limit : int option ref = ref None
-
 (* Cell 1: the standard 1000-group scale run (the scale bench's base
    config at one mid-curve load point, admission off). *)
 let host_scale_offered = 400_000.0
@@ -1669,7 +1664,6 @@ let host_scale_cell () =
             lg_workers_per_group = 16;
             lg_arrival = Loadgen.Poisson;
             lg_offered_cps = host_scale_offered;
-            lg_trace_limit = !host_trace_limit;
           }
       in
       (r.Loadgen.r_events, r.Loadgen.r_makespan))
@@ -1683,7 +1677,7 @@ let host_stress_yields = 4
 
 let host_stress_cell () =
   measure_host_cell "dispatch-16k-fibers" (fun () ->
-      let machine = Machine.create ?trace_limit:!host_trace_limit () in
+      let machine = Machine.create () in
       let exec = machine.Machine.exec in
       let ros = Array.of_list (Mv_hw.Topology.ros_cores machine.Machine.topo) in
       let nros = Array.length ros in
@@ -1898,15 +1892,6 @@ let () =
              ^ " (want two or more comma-separated positive core counts, e.g. 2,2)");
             exit 2);
         take_jobs acc rest
-    (* --trace-limit N: bounded trace retention on the host section's
-       machines (0 retains nothing). *)
-    | "--trace-limit" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some l when l >= 0 -> host_trace_limit := Some l
-        | _ ->
-            prerr_endline ("bench: bad --trace-limit " ^ n);
-            exit 2);
-        take_jobs acc rest
     | a :: rest -> take_jobs (a :: acc) rest
     | [] -> List.rev acc
   in
@@ -1920,13 +1905,12 @@ let () =
         printf "machine: 2 sockets x 4 cores @ 2.2 GHz (simulated)\n";
         List.iter (fun (_, f) -> f ()) sections
       end
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name sections with
-          | Some f -> f ()
-          | None -> printf "unknown section %s (try --list)\n" name)
-        names);
+  | names -> (
+      match List.find_opt (fun name -> not (List.mem_assoc name sections)) names with
+      | Some name ->
+          prerr_endline ("bench: unknown section " ^ name ^ " (try --list)");
+          exit 2
+      | None -> List.iter (fun name -> (List.assoc name sections) ()) names));
   if json && (wants "fig2" || wants "fabric") then write_fabric_json "BENCH_fabric.json";
   if json && wants "mempath" then write_mempath_json "BENCH_mempath.json";
   if json && wants "scale" then write_scale_json "BENCH_scale.json";

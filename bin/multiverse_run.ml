@@ -17,20 +17,16 @@ let parse_fault_sites spec =
   | Ok sites -> sites
   | Error msg -> failwith msg
 
+type mode = Native | Virtual | Multiverse
+
 let options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology ~hrt_cores
-    ~partitions ~placement ~work_stealing ~trace_limit =
+    ~partitions ~placement ~work_stealing =
   let sockets, cores_per_socket = topology in
   {
     Toolchain.mv_channel =
       (if sync_channel then Mv_hvm.Event_channel.Sync else Mv_hvm.Event_channel.Async);
     mv_symbol_cache = symbol_cache;
-    mv_porting =
-      (match porting with
-      | "none" -> Runtime.no_porting
-      | "mmap" -> { Runtime.port_mmap = true; port_signals = false; port_faults = false }
-      | "faults" -> { Runtime.port_mmap = true; port_signals = false; port_faults = true }
-      | "full" -> Runtime.full_porting
-      | other -> failwith ("unknown porting level: " ^ other));
+    mv_porting = porting;
     mv_faults = faults;
     mv_huge_pages = huge_pages;
     mv_sockets = sockets;
@@ -39,24 +35,22 @@ let options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topolog
     mv_partitions = partitions;
     mv_placement = placement;
     mv_work_stealing = work_stealing;
-    mv_trace_limit = trace_limit;
   }
 
 let run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-    ~hrt_cores ~partitions ~placement ~work_stealing ~trace_limit ~stats ~quiet prog =
+    ~hrt_cores ~partitions ~placement ~work_stealing ~stats ~quiet prog =
   let options =
     options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology ~hrt_cores
-      ~partitions ~placement ~work_stealing ~trace_limit
+      ~partitions ~placement ~work_stealing
   in
   (* A fault run keeps the trace on so the injected faults and the
      resilience reactions can be shown afterwards. *)
   let trace = Fault_plan.enabled faults in
   let rs =
     match mode with
-    | "native" -> Toolchain.run_native ~huge_pages ~topology ~hrt_cores ?trace_limit prog
-    | "virtual" -> Toolchain.run_virtual ~huge_pages ~topology ~hrt_cores ?trace_limit prog
-    | "multiverse" -> Toolchain.run_multiverse ~trace ~options (Toolchain.hybridize prog)
-    | other -> failwith ("unknown mode: " ^ other)
+    | Native -> Toolchain.run_native ~huge_pages ~topology ~hrt_cores prog
+    | Virtual -> Toolchain.run_virtual ~huge_pages ~topology ~hrt_cores prog
+    | Multiverse -> Toolchain.run_multiverse ~trace ~options (Toolchain.hybridize prog)
   in
   if not quiet then print_string rs.Toolchain.rs_stdout;
   Printf.eprintf "\n[%s] wall %.4f s | %d syscalls | %d page faults | maxrss %d KB | exit %d\n"
@@ -120,12 +114,12 @@ type sweep_row = {
 }
 
 let run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology ~hrt_cores
-    ~partitions ~placement ~work_stealing ~trace_limit ~rate ~sites ~sweep ~jobs prog =
+    ~partitions ~placement ~work_stealing ~rate ~sites ~sweep ~jobs prog =
   let cell seed =
     let faults = Fault_plan.create ~seed ~rate ~sites () in
     let options =
       options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-        ~hrt_cores ~partitions ~placement ~work_stealing ~trace_limit
+        ~hrt_cores ~partitions ~placement ~work_stealing
     in
     let rs = Toolchain.run_multiverse ~options (Toolchain.hybridize prog) in
     let retries, fallbacks, respawns, reroutes =
@@ -180,7 +174,7 @@ let run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology ~
 (* --groups: the open-loop scale mode (no program; the load generator
    drives the fabric directly). *)
 let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology ~hrt_cores
-    ~placement ~trace_limit =
+    ~placement =
   let open Mv_workloads.Loadgen in
   match
     match arrival_of_string arrival with
@@ -215,7 +209,6 @@ let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology 
             (match placement with
             | Runtime.Spread -> Round_robin
             | Runtime.Affine -> Affine_socket);
-          lg_trace_limit = trace_limit;
         }
       in
       let r = run cfg in
@@ -260,7 +253,7 @@ let prog_of ~bench ~file ~n =
 
 let main bench file n mode porting sync_channel symbol_cache fault_seed fault_rate fault_sites
     fault_sweep jobs groups arrival offered_load admission topology hrt_cores partitions
-    placement work_stealing trace_limit no_huge_pages stats quiet list_benches =
+    placement work_stealing no_huge_pages stats quiet list_benches =
   let huge_pages = not no_huge_pages in
   let sockets, cores_per_socket = topology in
   (* Scale mode keeps the load generator's own HRT sizing when none is
@@ -273,7 +266,7 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
   let bad_hrt n = n < 1 || n >= sockets * cores_per_socket in
   if partitions <> None && hrt_cores <> None then
     exit (usage_error "--partitions and --hrt-cores are mutually exclusive")
-  else if partitions <> None && mode <> "multiverse" then
+  else if partitions <> None && mode <> Multiverse then
     exit (usage_error "--partitions requires --mode multiverse")
   else if partitions <> None && groups <> None then
     exit (usage_error "--partitions is incompatible with --groups (scale mode)")
@@ -298,7 +291,7 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
   | Some sweep ->
       if fault_seed <> None then usage_error "--fault-sweep is incompatible with --fault-seed"
       else if groups <> None then usage_error "--fault-sweep is incompatible with --groups"
-      else if mode <> "multiverse" then usage_error "--fault-sweep requires --mode multiverse"
+      else if mode <> Multiverse then usage_error "--fault-sweep requires --mode multiverse"
       else if sweep < 1 then usage_error "--fault-sweep must be at least 1"
       else if jobs < 1 then usage_error "--jobs must be at least 1"
       else (
@@ -310,14 +303,14 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
             | Ok prog ->
                 run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology
                   ~hrt_cores:(resolve_hrt ~scale:false) ~partitions ~placement ~work_stealing
-                  ~trace_limit ~rate:fault_rate ~sites ~sweep ~jobs prog))
+                  ~rate:fault_rate ~sites ~sweep ~jobs prog))
   | None ->
   if jobs <> 1 then usage_error "--jobs has no effect without --fault-sweep"
   else
   match
     match fault_seed with
     | Some seed -> (
-        if mode <> "multiverse" then Error "fault injection requires --mode multiverse"
+        if mode <> Multiverse then Error "fault injection requires --mode multiverse"
         else
           try Ok (Fault_plan.create ~seed ~rate:fault_rate ~sites:(parse_fault_sites fault_sites) ())
           with Failure msg | Invalid_argument msg -> Error msg)
@@ -336,7 +329,7 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
         usage_error "fault injection is not supported in scale mode"
       else
         run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology
-          ~hrt_cores:(resolve_hrt ~scale:true) ~placement ~trace_limit
+          ~hrt_cores:(resolve_hrt ~scale:true) ~placement
   | None ->
   if arrival <> "poisson" || offered_load <> 100_000.0 || admission <> "off" then
     usage_error "--arrival/--offered-load/--admission have no effect without --groups"
@@ -354,7 +347,7 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
     | Ok prog ->
         run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
           ~hrt_cores:(resolve_hrt ~scale:false) ~partitions ~placement ~work_stealing
-          ~trace_limit ~stats ~quiet prog;
+          ~stats ~quiet prog;
         0)
 
 let () =
@@ -365,9 +358,19 @@ let () =
     $ opt_opt string ~names:[ "file"; "f" ] ~docv:"FILE"
         ~doc:"Scheme source file to run through the Racket engine."
     $ opt_opt int ~names:[ "n" ] ~docv:"N" ~doc:"Problem size."
-    $ opt string ~default:"native" ~names:[ "mode"; "m" ] ~docv:"MODE"
+    $ opt
+        (enum [ ("native", Native); ("virtual", Virtual); ("multiverse", Multiverse) ])
+        ~default:Native ~names:[ "mode"; "m" ] ~docv:"MODE"
         ~doc:"native | virtual | multiverse."
-    $ opt string ~default:"none" ~names:[ "porting" ] ~docv:"LEVEL"
+    $ opt
+        (enum
+           [
+             ("none", Runtime.no_porting);
+             ("mmap", { Runtime.port_mmap = true; port_signals = false; port_faults = false });
+             ("faults", { Runtime.port_mmap = true; port_signals = false; port_faults = true });
+             ("full", Runtime.full_porting);
+           ])
+        ~default:Runtime.no_porting ~names:[ "porting" ] ~docv:"LEVEL"
         ~doc:"none | mmap | faults | full (multiverse only)."
     $ flag ~names:[ "sync-channel" ] ~doc:"Use synchronous (polling) event channels."
     $ flag ~names:[ "symbol-cache" ] ~doc:"Enable the override symbol cache."
@@ -426,11 +429,6 @@ let () =
         ~doc:
           "Enable deterministic work stealing across the ROS cores' \
            per-core runqueues (multiverse only)."
-    $ opt_opt int ~names:[ "trace-limit" ] ~docv:"N"
-        ~doc:
-          "Bound trace retention to the newest N records (a preallocated \
-           ring; 0 retains nothing).  Default: unbounded, full history.  \
-           Simulated timing is unaffected."
     $ flag ~names:[ "no-huge-pages" ]
         ~doc:"Disable the huge-page memory path (4 KiB mappings only)."
     $ flag ~names:[ "stats" ] ~doc:"Print the per-syscall histogram."

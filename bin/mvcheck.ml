@@ -98,14 +98,10 @@ let run_scenarios name seeds shrink_budget jobs topology partitions out =
       end
 
 let replay path =
-  let text =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  match Explore.of_artifact text with
+  match Explore.of_artifact (In_channel.with_open_bin path In_channel.input_all) with
+  | exception Sys_error msg ->
+      Printf.eprintf "mvcheck replay: %s\n" msg;
+      2
   | Error msg ->
       Printf.eprintf "mvcheck replay: %s: %s\n" path msg;
       2

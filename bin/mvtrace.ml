@@ -143,7 +143,9 @@ let export_chrome bench n mode out =
   let data =
     Mv_obs.Export.chrome
       ~process_name:(Printf.sprintf "%s/%s" bench mode)
-      ~metrics:machine.Machine.metrics machine.Machine.obs
+      ~metrics:machine.Machine.metrics
+      ~instants:(Mv_engine.Trace.instants machine.Machine.trace)
+      machine.Machine.obs
   in
   write_output ~out ~default:(Printf.sprintf "mvtrace-%s-%s.json" bench mode) data
 

@@ -25,12 +25,8 @@ type t = {
 
 let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
     ?(hrt_cores = 1) ?hrt_parts ?(hrt_mem_fraction = 0.25) ?(huge_pages = true)
-    ?(work_stealing = false) ?trace_limit () =
-  (* [trace_limit] selects the trace's bounded ring mode; the default
-     (unbounded, full history) is what the golden trace asserts on. *)
-  let sim =
-    Sim.create ?trace:(Option.map (fun n -> Trace.create ~limit:n ()) trace_limit) ()
-  in
+    ?(work_stealing = false) () =
+  let sim = Sim.create () in
   let topo = Mv_hw.Topology.create ~sockets ~cores_per_socket ?hrt_parts ~hrt_cores () in
   let ncores = Mv_hw.Topology.ncores topo in
   let exec = Exec.create sim ~ncpus:ncores in
@@ -66,20 +62,6 @@ let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
         match Exec.self_opt exec with Some th -> Exec.name th | None -> "sim")
       ()
   in
-  let trace = Sim.trace sim in
-  (* Flat records mirror into the span tracer as instant events, and
-     Trace.emit_span lands in the tracer, so one export interleaves
-     both surfaces. *)
-  Trace.set_event_sink trace
-    (Some
-       (fun r ->
-         if Mv_obs.Tracer.enabled obs then
-           Mv_obs.Tracer.instant obs ~cat:r.Trace.category ~detail:r.Trace.message
-             ~name:r.Trace.category ()));
-  Trace.set_span_sink trace
-    (Some
-       (fun ~name ~cat ~ts ~dur ->
-         ignore (Mv_obs.Tracer.complete obs ~name ~cat ~ts ~dur ())));
   {
     sim;
     exec;
@@ -87,7 +69,7 @@ let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
     costs;
     phys;
     cpus;
-    trace;
+    trace = Trace.create ();
     obs;
     metrics = Mv_obs.Metrics.create ();
     zero_frame;
@@ -134,8 +116,9 @@ let cpu_of_current t =
   let th = Exec.self t.exec in
   t.cpus.(Exec.cpu_of th)
 
-let emit t payload = Trace.emit_event t.trace ~at:(now t) payload
-let trace_emit t ~category msg = Trace.emit t.trace ~at:(now t) ~category msg
+let emit t payload =
+  if Trace.enabled t.trace then
+    Trace.emit_event t.trace ~at:(now t) ~track:(Mv_obs.Tracer.track t.obs) payload
 
 let set_tracing t flag =
   Trace.enable t.trace flag;

@@ -1,6 +1,7 @@
 (** The simulated physical platform, bundling the pieces every kernel
     needs: the clock/event loop, the executor, core topology, architectural
-    per-core state, physical memory, the cost model, and the trace sink.
+    per-core state, physical memory, the cost model, and the
+    observability stores.
 
     One machine hosts both the ROS and the HRT; the HVM partitions its
     cores and memory between them. *)
@@ -12,11 +13,13 @@ type t = {
   costs : Mv_hw.Costs.t;
   phys : Mv_hw.Phys_mem.t;
   cpus : Mv_hw.Cpu.t array;
-  trace : Trace.t;
+  trace : Trace.t;  (** the flat event records; enable with {!set_tracing} *)
   obs : Mv_obs.Tracer.t;
       (** the span tracer: causal, typed observability across the
           ROS<->HRT boundary; enable with {!set_tracing} *)
-  metrics : Mv_obs.Metrics.t;  (** per-subsystem counters/gauges/latencies *)
+  metrics : Mv_obs.Metrics.t;
+      (** per-subsystem counters/gauges/latencies; the fabric and its
+          event channels update their slots here live *)
   zero_frame : int;  (** the shared all-zeroes frame used for anonymous reads *)
   mutable huge_pages : bool;
       (** large-page memory path: 1G AeroKernel identity maps, transparent
@@ -41,7 +44,6 @@ val create :
   ?hrt_mem_fraction:float ->
   ?huge_pages:bool ->
   ?work_stealing:bool ->
-  ?trace_limit:int ->
   unit ->
   t
 (** Build the reference machine: 2 sockets x 4 cores at 2.2 GHz by default,
@@ -51,10 +53,7 @@ val create :
     [huge_pages] (default [true]) enables the large-page memory path.
     [work_stealing] (default [false]) turns on deterministic work stealing
     among the ROS cores ({!Exec.set_steal_domain}); the default is off,
-    which is byte-identical to the pre-stealing scheduler.
-    [trace_limit] bounds trace retention to the newest [trace_limit]
-    records (see {!Trace.create}'s [limit]); the default keeps full
-    history, which the golden trace depends on. *)
+    which is byte-identical to the pre-stealing scheduler. *)
 
 val apply_core_params : t -> core:int -> unit
 (** Re-derive one core's scheduling parameters (switch cost, preemption
@@ -91,11 +90,9 @@ val mem_access_cost : t -> core:int -> frame:int -> Mv_util.Cycles.t
     placement, the numa bench) charge this on top of the flat MMU costs. *)
 
 val emit : t -> Trace.payload -> unit
-(** Record a typed event at the current virtual time (and mirror it into
-    the span tracer when that is enabled). *)
-
-val trace_emit : t -> category:string -> string -> unit
-(** Deprecated printf-style shim over {!emit}; prefer typed payloads. *)
+(** Record a typed event at the current virtual time on the current
+    thread's track.  With tracing off this is one branch: neither the
+    time nor the track is read. *)
 
 val set_tracing : t -> bool -> unit
 (** Enable/disable the flat trace and the span tracer together. *)

@@ -1,16 +1,12 @@
 type t = {
   mutable clock : Mv_util.Cycles.t;
   queue : (unit -> unit) Event_queue.t;
-  trace : Trace.t;
   mutable processed : int;
 }
 
-let create ?capacity ?trace () =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  { clock = 0; queue = Event_queue.create ?capacity (); trace; processed = 0 }
+let create ?capacity () = { clock = 0; queue = Event_queue.create ?capacity (); processed = 0 }
 
 let now t = t.clock
-let trace t = t.trace
 
 let schedule_at t time fn =
   if time < t.clock then

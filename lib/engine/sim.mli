@@ -2,13 +2,11 @@
 
 type t
 
-val create : ?capacity:int -> ?trace:Trace.t -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] pre-sizes the event queue ({!Event_queue.create}). *)
 
 val now : t -> Mv_util.Cycles.t
 (** Current virtual time (the timestamp of the event being processed). *)
-
-val trace : t -> Trace.t
 
 val schedule_at : t -> Mv_util.Cycles.t -> (unit -> unit) -> unit
 (** Fire a callback at an absolute virtual time.  Scheduling in the past is

@@ -1,4 +1,4 @@
-type record = { at : Mv_util.Cycles.t; category : string; message : string }
+type record = { at : Mv_util.Cycles.t; track : int; category : string; message : string }
 
 (* --- typed events ------------------------------------------------- *)
 
@@ -74,62 +74,32 @@ let render = function
    with tracing on used to go quadratic in hot categories). *)
 type bucket = { mutable b_entries : record list (* newest first *); mutable b_count : int }
 
-type span_sink =
-  name:string -> cat:string -> ts:Mv_util.Cycles.t -> dur:Mv_util.Cycles.t -> unit
-
-(* Two retention modes behind one query surface.  [Unbounded] (the
-   default) is the compatibility mode golden runs and tests rely on:
-   full history in a newest-first list plus the per-category index.
-   [Ring ~limit] keeps only the newest [limit] records in a circular
-   buffer — O(1) per emit, zero growth — for scale runs where the trace
-   is a live debugging window rather than an artifact; with [limit = 0]
-   and an event sink installed, records stream out without any
-   retention.  Category queries in ring mode scan the (bounded)
-   window. *)
-type store =
-  | Unbounded of {
-      mutable entries : record list;  (* newest first *)
-      mutable count : int;
-      by_category : (string, bucket) Hashtbl.t;
-    }
-  | Ring of {
-      ring : record array;
-      mutable head : int;  (* index of the oldest retained record *)
-      mutable len : int;
-      mutable dropped : int;
-    }
-
 type t = {
   mutable enabled : bool;
   capacity : int;
-  store : store;
+  mutable entries : record list;  (* newest first *)
+  mutable count : int;
+  by_category : (string, bucket) Hashtbl.t;
   (* Oldest-first view served by [records]; rebuilt lazily so repeated
      calls after a run stop paying a [List.rev] each (exporters and
      tests call it in loops). *)
   mutable memo : record list;
   mutable memo_valid : bool;
-  mutable span_sink : span_sink option;
-  mutable event_sink : (record -> unit) option;
 }
 
-let dummy_record = { at = 0; category = ""; message = "" }
-
-let create ?(enabled = false) ?(capacity = 100_000) ?limit () =
-  let store =
-    match limit with
-    | Some n when n >= 0 -> Ring { ring = Array.make n dummy_record; head = 0; len = 0; dropped = 0 }
-    | Some n -> invalid_arg (Printf.sprintf "Trace.create: negative limit %d" n)
-    | None -> Unbounded { entries = []; count = 0; by_category = Hashtbl.create 16 }
-  in
-  { enabled; capacity; store; memo = []; memo_valid = true; span_sink = None; event_sink = None }
+let create ?(enabled = false) ?(capacity = 100_000) () =
+  {
+    enabled;
+    capacity;
+    entries = [];
+    count = 0;
+    by_category = Hashtbl.create 16;
+    memo = [];
+    memo_valid = true;
+  }
 
 let enable t flag = t.enabled <- flag
 let enabled t = t.enabled
-let set_span_sink t sink = t.span_sink <- sink
-let set_event_sink t sink = t.event_sink <- sink
-
-let limit t = match t.store with Ring g -> Some (Array.length g.ring) | Unbounded _ -> None
-let dropped t = match t.store with Ring g -> g.dropped | Unbounded _ -> 0
 
 let bucket by_category category =
   match Hashtbl.find_opt by_category category with
@@ -139,131 +109,60 @@ let bucket by_category category =
       Hashtbl.replace by_category category b;
       b
 
+let index t r =
+  let b = bucket t.by_category r.category in
+  b.b_entries <- r :: b.b_entries;
+  b.b_count <- b.b_count + 1
+
 let add t r =
   t.memo_valid <- false;
-  (match t.store with
-  | Unbounded u ->
-      u.entries <- r :: u.entries;
-      u.count <- u.count + 1;
-      let b = bucket u.by_category r.category in
-      b.b_entries <- r :: b.b_entries;
-      b.b_count <- b.b_count + 1;
-      if u.count > t.capacity then begin
-        (* Drop the oldest half; O(n) but amortized and rare. *)
-        let keep = t.capacity / 2 in
-        let rec take n acc = function
-          | [] -> List.rev acc
-          | x :: rest -> if n = 0 then List.rev acc else take (n - 1) (x :: acc) rest
-        in
-        u.entries <- take keep [] u.entries;
-        u.count <- keep;
-        Hashtbl.reset u.by_category;
-        (* [entries] is newest-first; fold from the oldest end so each
-           bucket also ends up newest-first. *)
-        List.fold_right
-          (fun r () ->
-            let b = bucket u.by_category r.category in
-            b.b_entries <- r :: b.b_entries;
-            b.b_count <- b.b_count + 1)
-          u.entries ()
-      end
-  | Ring g ->
-      let n = Array.length g.ring in
-      if n = 0 then g.dropped <- g.dropped + 1
-      else if g.len < n then begin
-        g.ring.((g.head + g.len) mod n) <- r;
-        g.len <- g.len + 1
-      end
-      else begin
-        g.ring.(g.head) <- r;
-        g.head <- (g.head + 1) mod n;
-        g.dropped <- g.dropped + 1
-      end);
-  match t.event_sink with Some sink -> sink r | None -> ()
-
-let emit_event t ~at payload =
-  (* The disabled path must stay one branch: [render] (and therefore any
-     formatting or allocation) only runs when the trace is live. *)
-  if t.enabled then add t { at; category = category_of payload; message = render payload }
-
-let emit t ~at ~category message =
-  if t.enabled then add t { at; category; message }
-
-let emit_span t ~name ~cat ~ts ~dur =
-  if t.enabled then
-    match t.span_sink with Some sink -> sink ~name ~cat ~ts ~dur | None -> ()
-
-let records t =
-  if t.memo_valid then t.memo
-  else begin
-    let l =
-      match t.store with
-      | Unbounded u -> List.rev u.entries
-      | Ring g ->
-          let n = Array.length g.ring in
-          let rec go i acc =
-            if i < 0 then acc else go (i - 1) (g.ring.((g.head + i) mod n) :: acc)
-          in
-          if n = 0 then [] else go (g.len - 1) []
-    in
-    t.memo <- l;
-    t.memo_valid <- true;
-    l
+  t.entries <- r :: t.entries;
+  t.count <- t.count + 1;
+  index t r;
+  if t.count > t.capacity then begin
+    (* Drop the oldest half; O(n) but amortized and rare. *)
+    t.entries <- List.filteri (fun i _ -> i < t.capacity / 2) t.entries;
+    t.count <- t.capacity / 2;
+    Hashtbl.reset t.by_category;
+    (* [entries] is newest-first; index from the oldest end so each
+       bucket also ends up newest-first. *)
+    List.iter (index t) (List.rev t.entries)
   end
 
-let iter t f =
-  match t.store with
-  | Unbounded _ -> List.iter f (records t)
-  | Ring g ->
-      let n = Array.length g.ring in
-      for i = 0 to g.len - 1 do
-        f g.ring.((g.head + i) mod n)
-      done
+let emit_event t ~at ~track payload =
+  (* The disabled path must stay one branch: [render] (and therefore any
+     formatting or allocation) only runs when the trace is live. *)
+  if t.enabled then
+    add t { at; track; category = category_of payload; message = render payload }
+
+let records t =
+  if not t.memo_valid then begin
+    t.memo <- List.rev t.entries;
+    t.memo_valid <- true
+  end;
+  t.memo
 
 let records_in t ~category =
-  match t.store with
-  | Unbounded u -> (
-      match Hashtbl.find_opt u.by_category category with
-      | Some b -> List.rev b.b_entries
-      | None -> [])
-  | Ring g ->
-      let n = Array.length g.ring in
-      let acc = ref [] in
-      for i = g.len - 1 downto 0 do
-        let r = g.ring.((g.head + i) mod n) in
-        if String.equal r.category category then acc := r :: !acc
-      done;
-      !acc
+  match Hashtbl.find_opt t.by_category category with
+  | Some b -> List.rev b.b_entries
+  | None -> []
 
 let count_in t ~category =
-  match t.store with
-  | Unbounded u -> (
-      match Hashtbl.find_opt u.by_category category with
-      | Some b -> b.b_count
-      | None -> 0)
-  | Ring g ->
-      let n = Array.length g.ring in
-      let c = ref 0 in
-      for i = 0 to g.len - 1 do
-        if String.equal g.ring.((g.head + i) mod n).category category then incr c
-      done;
-      !c
+  match Hashtbl.find_opt t.by_category category with Some b -> b.b_count | None -> 0
 
-let clear t =
-  t.memo <- [];
-  t.memo_valid <- true;
-  match t.store with
-  | Unbounded u ->
-      u.entries <- [];
-      u.count <- 0;
-      Hashtbl.reset u.by_category
-  | Ring g ->
-      g.head <- 0;
-      g.len <- 0;
-      g.dropped <- 0;
-      (* Release the retained records so a cleared ring doesn't pin them. *)
-      Array.fill g.ring 0 (Array.length g.ring) dummy_record
+let instants t =
+  List.map
+    (fun r ->
+      {
+        Mv_obs.Export.in_name = r.category;
+        in_cat = r.category;
+        in_track = r.track;
+        in_ts = r.at;
+        in_detail = r.message;
+      })
+    (records t)
 
 let pp ppf t =
-  iter t (fun r ->
-      Format.fprintf ppf "[%12d %-10s] %s@." r.at r.category r.message)
+  List.iter
+    (fun r -> Format.fprintf ppf "[%12d %-10s] %s@." r.at r.category r.message)
+    (records t)

@@ -8,12 +8,18 @@
     formats — are a compatibility surface and do not change when new
     payload constructors are added.
 
-    Trace is the flat-record compatibility surface of the observability
-    layer; span-shaped data lives in [Mv_obs.Tracer] (see [Machine.obs]),
-    to which {!emit_span} forwards.  Disabled tracing costs one branch
-    per emit: no rendering, no allocation. *)
+    Trace is the one store of flat event records; spans live in
+    [Mv_obs.Tracer] (see [Machine.obs]), and [Mv_obs.Export.chrome]
+    renders the records as instants next to the spans ({!instants}).
+    Disabled tracing costs one branch per emit: no rendering, no
+    allocation. *)
 
-type record = { at : Mv_util.Cycles.t; category : string; message : string }
+type record = {
+  at : Mv_util.Cycles.t;
+  track : int;  (** the emitting thread's track ({!Mv_obs.Tracer.track}) *)
+  category : string;
+  message : string;
+}
 
 (** One typed event.  [category_of] maps constructors onto the stable
     record categories ("pagefault", "fatal", "fault", "resilience");
@@ -56,56 +62,20 @@ val render : payload -> string
 
 type t
 
-val create : ?enabled:bool -> ?capacity:int -> ?limit:int -> unit -> t
-(** [limit] selects bounded retention: keep only the newest [limit]
-    records in a preallocated ring (O(1) per emit, zero growth), counting
-    evictions in {!dropped}.  [limit = 0] retains nothing — useful with
-    an event sink installed to stream records without holding any live.
-    Without [limit] (the default) the trace keeps full history, which the
-    golden trace and tests depend on; [capacity] is the legacy high-water
-    mark above which the oldest half is discarded.  Raises
-    [Invalid_argument] on a negative [limit]. *)
+val create : ?enabled:bool -> ?capacity:int -> unit -> t
+(** The trace keeps full history up to [capacity] records (default
+    100_000); past it the oldest half is discarded, so memory stays
+    bounded on long traced runs. *)
 
 val enable : t -> bool -> unit
 val enabled : t -> bool
 
-val limit : t -> int option
-(** The ring size, or [None] in unbounded mode. *)
-
-val dropped : t -> int
-(** Records evicted from the ring (always 0 in unbounded mode). *)
-
-val emit_event : t -> at:Mv_util.Cycles.t -> payload -> unit
+val emit_event : t -> at:Mv_util.Cycles.t -> track:int -> payload -> unit
 (** Record a typed event.  Rendering happens only when enabled. *)
 
-val emit_span :
-  t -> name:string -> cat:string -> ts:Mv_util.Cycles.t -> dur:Mv_util.Cycles.t -> unit
-(** Forward a completed span to the installed span sink (the machine
-    wires this to its [Mv_obs.Tracer]); a no-op when disabled or no sink
-    is installed. *)
-
-val emit : t -> at:Mv_util.Cycles.t -> category:string -> string -> unit
-(** Deprecated printf-style surface, kept as a thin shim over
-    {!emit_event}'s [Message] payload.  New call sites should emit typed
-    payloads (or spans via [Machine.obs]). *)
-
-type span_sink =
-  name:string -> cat:string -> ts:Mv_util.Cycles.t -> dur:Mv_util.Cycles.t -> unit
-
-val set_span_sink : t -> span_sink option -> unit
-
-val set_event_sink : t -> (record -> unit) option -> unit
-(** Observe every recorded event (the machine mirrors them into the span
-    tracer as instants so exports interleave records with spans). *)
-
 val records : t -> record list
-(** In emission order (oldest first; in ring mode, the retained window).
-    The list is memoized until the next emit or {!clear}, so repeated
-    calls are O(1). *)
-
-val iter : t -> (record -> unit) -> unit
-(** Apply to every retained record in emission order without
-    materializing a list (ring mode walks the buffer in place). *)
+(** In emission order (oldest first).  The list is memoized until the
+    next emit, so repeated calls are O(1). *)
 
 val records_in : t -> category:string -> record list
 (** In emission order; served from a per-category index maintained on
@@ -114,5 +84,8 @@ val records_in : t -> category:string -> record list
 val count_in : t -> category:string -> int
 (** O(1) count of records in a category. *)
 
-val clear : t -> unit
+val instants : t -> Mv_obs.Export.instant list
+(** Every record as a Chrome instant on its track, oldest first: named
+    and categorized by its category, its message as the detail. *)
+
 val pp : Format.formatter -> t -> unit

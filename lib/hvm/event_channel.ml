@@ -3,6 +3,7 @@ module Exec = Mv_engine.Exec
 module Sim = Mv_engine.Sim
 module Trace = Mv_engine.Trace
 module Fault_plan = Mv_faults.Fault_plan
+module Metrics = Mv_obs.Metrics
 open Mv_hw
 
 (* Block reasons are [prefix ^ kind] over a handful of kinds; interning
@@ -43,11 +44,13 @@ type t = {
   mutable server_wake : (entry -> unit) option;
   mutable notify : (unit -> unit) option;
   mutable failed : bool;
-  mutable n_calls : int;
-  mutable n_timeouts : int;
-  mutable n_retries : int;
-  mutable n_protocol_errors : int;
-  mutable n_degraded : int;
+  (* Slots in the machine's metrics registry, resolved once here and
+     shared by every channel on the machine. *)
+  c_calls : Metrics.counter;
+  c_timeouts : Metrics.counter;
+  c_retries : Metrics.counter;
+  c_protocol_errors : Metrics.counter;
+  c_degraded : Metrics.counter;
 }
 
 let rtt_of machine ~kind ~ros_core ~hrt_core =
@@ -69,6 +72,7 @@ let create ?(faults = Fault_plan.none) ?(dedup = true) machine ~kind ~ros_core ~
       Some { r_timeout = 64 * rtt; r_max_retries = 6; r_backoff = rtt }
     else None
   in
+  let counter = Metrics.counter machine.Machine.metrics ~ns:"event_channel" in
   {
     machine;
     ckind = kind;
@@ -82,11 +86,11 @@ let create ?(faults = Fault_plan.none) ?(dedup = true) machine ~kind ~ros_core ~
     server_wake = None;
     notify = None;
     failed = false;
-    n_calls = 0;
-    n_timeouts = 0;
-    n_retries = 0;
-    n_protocol_errors = 0;
-    n_degraded = 0;
+    c_calls = counter "calls";
+    c_timeouts = counter "timeouts";
+    c_retries = counter "retries";
+    c_protocol_errors = counter "protocol_errors";
+    c_degraded = counter "degraded";
   }
 
 let kind t = t.ckind
@@ -151,7 +155,7 @@ let call t req =
   if t.failed then raise (Channel_failure req.req_kind);
   let done_ = ref false in
   let rec attempt n backoff =
-    t.n_calls <- t.n_calls + 1;
+    Metrics.inc t.c_calls ();
     Machine.charge t.machine (signal_cost t);
     let outcome =
       Exec.block t.machine.Machine.exec
@@ -195,7 +199,7 @@ let call t req =
     match outcome with
     | `Done -> ()
     | `Timeout -> (
-        t.n_timeouts <- t.n_timeouts + 1;
+        Metrics.inc t.c_timeouts ();
         match t.res with
         | None -> assert false
         | Some r ->
@@ -205,7 +209,7 @@ let call t req =
               raise (Channel_failure req.req_kind)
             end
             else begin
-              t.n_retries <- t.n_retries + 1;
+              Metrics.inc t.c_retries ();
               Machine.emit t.machine
                 (Trace.Channel_retry { attempt = n + 1; backoff; kind = req.req_kind });
               (* Exponential backoff, charged to the caller through the
@@ -219,7 +223,7 @@ let call t req =
 let post t req =
   (* Posts carry control messages (hrt-exit, shutdown) whose loss is not
      recoverable by a caller-side timeout, so they are not fault sites. *)
-  t.n_calls <- t.n_calls + 1;
+  Metrics.inc t.c_calls ();
   Queue.add { e_req = req; e_complete = None; e_done = ref false; e_corrupt = false } t.queue;
   kick t
 
@@ -241,7 +245,7 @@ let rec serve_next t =
       (* The shared-page payload fails validation: discard; the caller's
          timeout-and-retry recovers the request. *)
       t.serving <- None;
-      t.n_protocol_errors <- t.n_protocol_errors + 1;
+      Metrics.inc t.c_protocol_errors ();
       raise (Protocol_error ("corrupt request discarded: " ^ e.e_req.req_kind))
     end
     else if t.dedup && !(e.e_done) then begin
@@ -278,7 +282,7 @@ let rec poll_next t =
       Machine.charge t.machine (deliver_latency t e.e_req.req_kind);
       if e.e_corrupt then begin
         t.serving <- None;
-        t.n_protocol_errors <- t.n_protocol_errors + 1;
+        Metrics.inc t.c_protocol_errors ();
         raise (Protocol_error ("corrupt request discarded: " ^ e.e_req.req_kind))
       end
       else if t.dedup && !(e.e_done) then begin
@@ -302,7 +306,7 @@ let serve_loop t ~on_request =
 let degrade_to_async t =
   if t.ckind = Sync then begin
     t.ckind <- Async;
-    t.n_degraded <- t.n_degraded + 1;
+    Metrics.inc t.c_degraded ();
     (* Timeout and backoff were sized for sync latencies; re-arm for the
        (much slower) hypercall channel. *)
     (match t.res with
@@ -343,20 +347,7 @@ let reset_server t =
   t.serving <- None
 
 let queue_depth t = Queue.length t.queue
-let calls t = t.n_calls
-let timeouts t = t.n_timeouts
-let retries t = t.n_retries
-let protocol_errors t = t.n_protocol_errors
-let degraded t = t.n_degraded > 0
+let calls t = Metrics.counter_value t.c_calls
+let timeouts t = Metrics.counter_value t.c_timeouts
+let retries t = Metrics.counter_value t.c_retries
 let failed t = t.failed
-
-let sample_metrics t m =
-  let add ~ns name v =
-    let c = Mv_obs.Metrics.counter m ~ns name in
-    Mv_obs.Metrics.set_counter c (Mv_obs.Metrics.counter_value c + v)
-  in
-  add ~ns:"event_channel" "calls" t.n_calls;
-  add ~ns:"event_channel" "timeouts" t.n_timeouts;
-  add ~ns:"event_channel" "retries" t.n_retries;
-  add ~ns:"event_channel" "protocol_errors" t.n_protocol_errors;
-  add ~ns:"event_channel" "degraded" t.n_degraded

@@ -132,15 +132,16 @@ val reset_server : t -> unit
     waker, half-served entry) so a respawned partner can re-enter
     {!serve_next} cleanly. *)
 
-(** {1 Counters} *)
+val failed : t -> bool
+
+(** {1 Counters}
+
+    Every channel counts into its machine's metrics registry, namespace
+    [event_channel]: [calls], [timeouts], [retries], [protocol_errors]
+    and [degraded] (Sync -> Async flips).  The slots are shared by all
+    channels on the machine, so the readers below return machine-wide
+    totals. *)
 
 val calls : t -> int
 val timeouts : t -> int
 val retries : t -> int
-val protocol_errors : t -> int
-val degraded : t -> bool
-val failed : t -> bool
-
-val sample_metrics : t -> Mv_obs.Metrics.t -> unit
-(** Accumulate this channel's counters into the registry under the
-    [event_channel] namespace. *)

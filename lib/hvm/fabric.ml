@@ -4,6 +4,7 @@ module Sim = Mv_engine.Sim
 module Trace = Mv_engine.Trace
 module Tracer = Mv_obs.Tracer
 module Fault_plan = Mv_faults.Fault_plan
+module Metrics = Mv_obs.Metrics
 open Mv_hw
 
 (* Hot-path labels are [prefix ^ kind] over a handful of request kinds;
@@ -45,7 +46,6 @@ type endpoint = {
   mutable ep_nwaiters : int;
   mutable ep_granted : int;  (* admissions handed to woken waiters, not yet ring slots *)
   mutable ep_refill_armed : bool;  (* a token-refill timer is outstanding *)
-  mutable ep_occupancy_hw : int;  (* high-water mark of [ep_npending] *)
 }
 
 type local_entry = { le_promote_after : int; le_cost : int }
@@ -119,27 +119,31 @@ type t = {
   (* Metric handles resolved once and cached: the watchdog gauges and the
      per-kind crossing-latency recorders would otherwise re-walk the
      string-keyed registry index on every heartbeat / traced call. *)
-  mutable fb_shed_gauges : (Mv_obs.Metrics.gauge * Mv_obs.Metrics.gauge * Mv_obs.Metrics.gauge) option;
-  fb_crossing_lat : (string, Mv_obs.Metrics.latency) Hashtbl.t;
-  mutable n_calls : int;
-  mutable n_transport : int;
-  mutable n_riders : int;
-  mutable n_ride_timeouts : int;
-  mutable n_drains : int;
-  mutable n_drained : int;
-  mutable n_local_hits : int;
-  mutable n_local_misses : int;
-  mutable n_errno_retries : int;
-  mutable n_reroutes : int;
-  mutable n_fallbacks : int;
-  mutable n_respawns : int;
-  mutable n_admitted : int;
-  mutable n_sheds : int;  (* typed Overload replies returned to the stub *)
-  mutable n_shed_retries : int;  (* stub backoff retries after an Overload *)
-  mutable n_blocked : int;  (* callers parked in an admission queue *)
-  mutable n_queue_rejects : int;  (* admission-queue overflow sheds *)
-  mutable n_shed_flips : int;  (* shed-mode entries *)
-  mutable n_shed_restores : int;  (* shed-mode exits *)
+  mutable fb_shed_gauges : (Metrics.gauge * Metrics.gauge * Metrics.gauge) option;
+  fb_crossing_lat : (string, Metrics.latency) Hashtbl.t;
+  (* The counters are slots in the machine's metrics registry (namespace
+     "fabric"), resolved once in [create] and incremented in place. *)
+  c_calls : Metrics.counter;
+  c_transport : Metrics.counter;
+  c_riders : Metrics.counter;
+  c_ride_timeouts : Metrics.counter;
+  c_drains : Metrics.counter;
+  c_drained : Metrics.counter;
+  c_local_hits : Metrics.counter;
+  c_local_misses : Metrics.counter;
+  c_errno_retries : Metrics.counter;
+  c_reroutes : Metrics.counter;
+  c_fallbacks : Metrics.counter;
+  c_respawns : Metrics.counter;
+  c_admitted : Metrics.counter;
+  c_sheds : Metrics.counter;  (* typed Overload replies returned to the stub *)
+  c_shed_retries : Metrics.counter;  (* stub backoff retries after an Overload *)
+  c_blocked : Metrics.counter;  (* callers parked in an admission queue *)
+  c_queue_rejects : Metrics.counter;  (* admission-queue overflow sheds *)
+  c_shed_flips : Metrics.counter;  (* shed-mode entries *)
+  c_shed_restores : Metrics.counter;  (* shed-mode exits *)
+  g_ring_hw : Metrics.gauge;  (* high-water mark of any endpoint's Pending slots *)
+  c_chan_retries : Metrics.counter;  (* the endpoint channels' event_channel/retries *)
 }
 
 (* Doorbell-suppression window defaults; see the attentive-poll comment
@@ -154,6 +158,8 @@ let create ?(faults = Fault_plan.none) ?(batching = true) ?heartbeat machine ~ki
     | Some h -> h
     | None -> 4 * machine.Machine.costs.Costs.async_channel_rtt
   in
+  let m = machine.Machine.metrics in
+  let counter = Metrics.counter m ~ns:"fabric" in
   {
     fb_machine = machine;
     fb_kind = kind;
@@ -177,25 +183,27 @@ let create ?(faults = Fault_plan.none) ?(batching = true) ?heartbeat machine ~ki
     fb_monitor_armed = false;
     fb_shed_gauges = None;
     fb_crossing_lat = Hashtbl.create 8;
-    n_calls = 0;
-    n_transport = 0;
-    n_riders = 0;
-    n_ride_timeouts = 0;
-    n_drains = 0;
-    n_drained = 0;
-    n_local_hits = 0;
-    n_local_misses = 0;
-    n_errno_retries = 0;
-    n_reroutes = 0;
-    n_fallbacks = 0;
-    n_respawns = 0;
-    n_admitted = 0;
-    n_sheds = 0;
-    n_shed_retries = 0;
-    n_blocked = 0;
-    n_queue_rejects = 0;
-    n_shed_flips = 0;
-    n_shed_restores = 0;
+    c_calls = counter "calls";
+    c_transport = counter "transport";
+    c_riders = counter "riders";
+    c_ride_timeouts = counter "ride_timeouts";
+    c_drains = counter "drains";
+    c_drained = counter "drained";
+    c_local_hits = counter "local_hits";
+    c_local_misses = counter "local_misses";
+    c_errno_retries = counter "errno_retries";
+    c_reroutes = counter "reroutes";
+    c_fallbacks = counter "fallbacks";
+    c_respawns = counter "respawns";
+    c_admitted = counter "admitted";
+    c_sheds = counter "sheds";
+    c_shed_retries = counter "shed_retries";
+    c_blocked = counter "admission_blocked";
+    c_queue_rejects = counter "queue_rejects";
+    c_shed_flips = counter "shed_flips";
+    c_shed_restores = counter "shed_restores";
+    g_ring_hw = Metrics.gauge m ~ns:"fabric" "ring_occupancy_hw";
+    c_chan_retries = Metrics.counter m ~ns:"event_channel" "retries";
   }
 
 let set_batching t flag = t.fb_batching <- flag
@@ -274,13 +282,13 @@ let rec pump_admission t ep =
    every Pending slot, ack riders through the shared page. *)
 let drain_ring t ep =
   if not (Queue.is_empty ep.ep_ring) then begin
-    t.n_drains <- t.n_drains + 1;
+    Metrics.inc t.c_drains ();
     (* The batch span covers every slot this drain services: the leader
        and its riders share it (their per-crossing service segments are
        measured inside). *)
     Tracer.with_span t.fb_machine.Machine.obs ~name:ep.ep_batch_label ~cat:"fabric"
       (fun () ->
-        let before = t.n_drained in
+        let before = Metrics.counter_value t.c_drained in
         let rec go () =
           match Queue.take_opt ep.ep_ring with
           | None -> ()
@@ -294,7 +302,7 @@ let drain_ring t ep =
                   slot.sl_req.Event_channel.req_run ();
                   slot.sl_state <- Slot_done;
                   ep.ep_npending <- ep.ep_npending - 1;
-                  t.n_drained <- t.n_drained + 1;
+                  Metrics.inc t.c_drained ();
                   (* Completion flag store + the rider's poll notice. *)
                   (match slot.sl_wake with
                   | Some w ->
@@ -306,7 +314,7 @@ let drain_ring t ep =
         go ();
         if Tracer.enabled t.fb_machine.Machine.obs then
           Tracer.annotate t.fb_machine.Machine.obs "drained"
-            (string_of_int (t.n_drained - before)));
+            (string_of_int (Metrics.counter_value t.c_drained - before)));
     (* Ring slots were freed: admit parked callers in FIFO order. *)
     pump_admission t ep
   end
@@ -373,9 +381,9 @@ let serve_endpoint t ep =
         let rec drain served =
           match Event_channel.poll_next ep.ep_chan with
           | None ->
-              let before = t.n_drained in
+              let before = Metrics.counter_value t.c_drained in
               drain_ring t ep;
-              if t.n_drained > before then drain true else served
+              if Metrics.counter_value t.c_drained > before then drain true else served
           | Some req ->
               req.Event_channel.req_run ();
               Event_channel.complete ep.ep_chan;
@@ -447,7 +455,7 @@ let rec pool_monitor t () =
           List.map
             (fun th ->
               if Exec.state exec th = Exec.Finished then begin
-                t.n_respawns <- t.n_respawns + 1;
+                Metrics.inc t.c_respawns ();
                 Machine.emit t.fb_machine (Trace.Watchdog_respawn { was = Exec.name th });
                 spawn_poller t pg
               end
@@ -544,7 +552,6 @@ let endpoint t ~name ~ros_core ~hrt_core =
       ep_nwaiters = 0;
       ep_granted = 0;
       ep_refill_armed = false;
-      ep_occupancy_hw = 0;
     }
   in
   (* The channel doorbell becomes a fabric run-queue token, suppressed
@@ -606,8 +613,7 @@ let rehome_core t ~core ?ros_to ?hrt_to () =
 let ring_occupancy t =
   List.fold_left (fun m ep -> Stdlib.max m ep.ep_npending) 0 t.fb_endpoints
 
-let ring_occupancy_hw t =
-  List.fold_left (fun m ep -> Stdlib.max m ep.ep_occupancy_hw) 0 t.fb_endpoints
+let ring_occupancy_hw t = int_of_float (Metrics.gauge_value t.g_ring_hw)
 
 (* Shed-mode entry flips live Sync endpoints onto the always-works Async
    hypercall channel — under saturation the sync shared-word polling burns
@@ -648,32 +654,32 @@ let rec shed_monitor t () =
         | None ->
             let m = t.fb_machine.Machine.metrics in
             let g =
-              ( Mv_obs.Metrics.gauge m ~ns:"fabric" "ring_occupancy",
-                Mv_obs.Metrics.gauge m ~ns:"fabric" "admission_waiters",
-                Mv_obs.Metrics.gauge m ~ns:"fabric" "shed_mode" )
+              ( Metrics.gauge m ~ns:"fabric" "ring_occupancy",
+                Metrics.gauge m ~ns:"fabric" "admission_waiters",
+                Metrics.gauge m ~ns:"fabric" "shed_mode" )
             in
             t.fb_shed_gauges <- Some g;
             g
       in
-      Mv_obs.Metrics.set_gauge g_occ (float_of_int occ);
-      Mv_obs.Metrics.set_gauge g_waiters
+      Metrics.set_gauge g_occ (float_of_int occ);
+      Metrics.set_gauge g_waiters
         (float_of_int (List.fold_left (fun a ep -> a + ep.ep_nwaiters) 0 t.fb_endpoints));
       let frac = float_of_int occ /. float_of_int cap in
       if (not t.fb_shed_mode) && frac >= ad.ad_high_water then begin
         t.fb_shed_mode <- true;
-        t.n_shed_flips <- t.n_shed_flips + 1;
+        Metrics.inc t.c_shed_flips ();
         t.fb_attentive_polls <- default_attentive_polls * shed_attentive_widening;
         flip_endpoints_async t;
         Machine.emit t.fb_machine (Trace.Shed_mode { on = true })
       end
       else if t.fb_shed_mode && frac <= ad.ad_low_water then begin
         t.fb_shed_mode <- false;
-        t.n_shed_restores <- t.n_shed_restores + 1;
+        Metrics.inc t.c_shed_restores ();
         t.fb_attentive_polls <- default_attentive_polls;
         restore_endpoints t;
         Machine.emit t.fb_machine (Trace.Shed_mode { on = false })
       end;
-      Mv_obs.Metrics.set_gauge g_shed (if t.fb_shed_mode then 1. else 0.);
+      Metrics.set_gauge g_shed (if t.fb_shed_mode then 1. else 0.);
       Sim.schedule_after (Exec.sim t.fb_machine.Machine.exec) t.fb_heartbeat (shed_monitor t)
 
 let set_admission t ad =
@@ -730,7 +736,7 @@ let shutdown t =
    lost, so instead of wedging, pay a native trap and run the payload in
    the caller's context — the legacy path that always works. *)
 let reroute t (req : Event_channel.request) =
-  t.n_reroutes <- t.n_reroutes + 1;
+  Metrics.inc t.c_reroutes ();
   Machine.emit t.fb_machine
     (Trace.Reroute { kind = req.Event_channel.req_kind; spurious_errnos = false });
   Machine.charge t.fb_machine t.fb_machine.Machine.costs.Costs.syscall_trap;
@@ -741,7 +747,7 @@ let reroute t (req : Event_channel.request) =
    even that fails, the endpoint is declared dead and this plus all
    subsequent requests reroute to ROS-native execution. *)
 let transport t ep (req : Event_channel.request) =
-  t.n_transport <- t.n_transport + 1;
+  Metrics.inc t.c_transport ();
   if not (resilient t) then Event_channel.call ep.ep_chan req
   else if Event_channel.failed ep.ep_chan then reroute t req
   else
@@ -749,7 +755,7 @@ let transport t ep (req : Event_channel.request) =
     with Event_channel.Channel_failure _ ->
       if Event_channel.kind ep.ep_chan = Event_channel.Sync then begin
         Event_channel.degrade_to_async ep.ep_chan;
-        t.n_fallbacks <- t.n_fallbacks + 1;
+        Metrics.inc t.c_fallbacks ();
         Machine.emit t.fb_machine
           (Trace.Fallback_sync_to_async { kind = req.Event_channel.req_kind });
         try Event_channel.call ep.ep_chan req
@@ -806,12 +812,13 @@ and lead t ep (req : Event_channel.request) =
    carries its own timeout; a timed-out Pending slot is reclaimed
    (host-atomically, see the slot-state comment) and re-dispatched. *)
 and ride t ep (req : Event_channel.request) =
-  t.n_riders <- t.n_riders + 1;
+  Metrics.inc t.c_riders ();
   let exec = t.fb_machine.Machine.exec in
   let slot = { sl_req = req; sl_state = Slot_pending; sl_wake = None } in
   Queue.add slot ep.ep_ring;
   ep.ep_npending <- ep.ep_npending + 1;
-  if ep.ep_npending > ep.ep_occupancy_hw then ep.ep_occupancy_hw <- ep.ep_npending;
+  let occupancy = float_of_int ep.ep_npending in
+  if occupancy > Metrics.gauge_value t.g_ring_hw then Metrics.set_gauge t.g_ring_hw occupancy;
   (* The ring-slot store into the shared page. *)
   Machine.charge t.fb_machine (ring_cost t);
   let timeout = if resilient t then Some (64 * Event_channel.rtt ep.ep_chan) else None in
@@ -848,7 +855,7 @@ and ride t ep (req : Event_channel.request) =
             slot.sl_state <- Slot_claimed;
             ep.ep_npending <- ep.ep_npending - 1;
             pump_admission t ep;
-            t.n_ride_timeouts <- t.n_ride_timeouts + 1;
+            Metrics.inc t.c_ride_timeouts ();
             Machine.emit t.fb_machine
               (Trace.Ride_timeout { kind = req.Event_channel.req_kind });
             dispatch t ep req
@@ -886,14 +893,14 @@ let local_path t ~key ~local_try (req : Event_channel.request) =
         if attempt () then begin
           incr hits;
           if le.le_cost > 0 then Machine.charge t.fb_machine le.le_cost;
-          t.n_local_hits <- t.n_local_hits + 1;
+          Metrics.inc t.c_local_hits ();
           true
         end
         else begin
           (* Demote: this key goes back to forwarding and must re-earn
              promotion (e.g. a write-barrier page that keeps re-faulting). *)
           hits := 0;
-          t.n_local_misses <- t.n_local_misses + 1;
+          Metrics.inc t.c_local_misses ();
           false
         end
       end
@@ -925,7 +932,7 @@ let admission_gate t ep ~patient (req : Event_channel.request) =
       let base = Event_channel.rtt ep.ep_chan in
       let max_backoff = 64 * base in
       let enqueue_waiter () =
-        t.n_blocked <- t.n_blocked + 1;
+        Metrics.inc t.c_blocked ();
         Exec.block exec
           ~reason:(Mv_util.Intern.get reason_admit req.Event_channel.req_kind)
           (fun ~now:_ ~wake ->
@@ -948,17 +955,17 @@ let admission_gate t ep ~patient (req : Event_channel.request) =
               ~now:(Machine.now t.fb_machine)
         in
         if admissible then begin
-          t.n_admitted <- t.n_admitted + 1;
+          Metrics.inc t.c_admitted ();
           Ok ()
         end
         else if ad.ad_policy = Block && ep.ep_nwaiters < ad.ad_queue_capacity then begin
           enqueue_waiter ();
-          t.n_admitted <- t.n_admitted + 1;
+          Metrics.inc t.c_admitted ();
           Ok ()
         end
         else begin
-          if ad.ad_policy = Block then t.n_queue_rejects <- t.n_queue_rejects + 1;
-          t.n_sheds <- t.n_sheds + 1;
+          if ad.ad_policy = Block then Metrics.inc t.c_queue_rejects ();
+          Metrics.inc t.c_sheds ();
           Machine.emit t.fb_machine
             (Trace.Overload_shed
                { kind = req.Event_channel.req_kind; endpoint = ep.ep_name });
@@ -970,7 +977,7 @@ let admission_gate t ep ~patient (req : Event_channel.request) =
                 ov_sheds = sheds + 1;
               }
           else begin
-            t.n_shed_retries <- t.n_shed_retries + 1;
+            Metrics.inc t.c_shed_retries ();
             Exec.sleep exec backoff;
             attempt ~sheds:(sheds + 1) ~backoff:(Stdlib.min max_backoff (backoff * 2))
           end
@@ -1017,14 +1024,14 @@ let route t ep ~errno_site (req : Event_channel.request) =
       dispatch t ep wrapped;
       if not !ran then
         if attempt >= 4 then begin
-          t.n_reroutes <- t.n_reroutes + 1;
+          Metrics.inc t.c_reroutes ();
           Machine.emit t.fb_machine
             (Trace.Reroute { kind = req.Event_channel.req_kind; spurious_errnos = true });
           Machine.charge t.fb_machine t.fb_machine.Machine.costs.Costs.syscall_trap;
           req.Event_channel.req_run ()
         end
         else begin
-          t.n_errno_retries <- t.n_errno_retries + 1;
+          Metrics.inc t.c_errno_retries ();
           Machine.emit t.fb_machine
             (Trace.Errno_retry { attempt = attempt + 1; kind = req.Event_channel.req_kind });
           Machine.charge t.fb_machine backoff;
@@ -1039,13 +1046,13 @@ let crossing_latency t kind =
   | Some l -> l
   | None ->
       let l =
-        Mv_obs.Metrics.latency t.fb_machine.Machine.metrics ~ns:"fabric" ("crossing:" ^ kind)
+        Metrics.latency t.fb_machine.Machine.metrics ~ns:"fabric" ("crossing:" ^ kind)
       in
       Hashtbl.add t.fb_crossing_lat kind l;
       l
 
 let call t ep ?key ?(errno_site = false) ?local_try (req : Event_channel.request) =
-  t.n_calls <- t.n_calls + 1;
+  Metrics.inc t.c_calls ();
   let obs = t.fb_machine.Machine.obs in
   if not (Tracer.enabled obs) then begin
     if not (local_path t ~key ~local_try req) then begin
@@ -1096,7 +1103,7 @@ let call t ep ?key ?(errno_site = false) ?local_try (req : Event_channel.request
                ~dur:(t1 - !svc_end) ())
         end;
         Tracer.end_span obs cid;
-        Mv_obs.Metrics.observe
+        Metrics.observe
           (crossing_latency t req.Event_channel.req_kind)
           (float_of_int (t1 - t0)))
       (fun () ->
@@ -1112,7 +1119,7 @@ let call t ep ?key ?(errno_site = false) ?local_try (req : Event_channel.request
    the transport (the payload has not run).  With no admission policy
    installed this is {!call} minus the promotion table and tracing. *)
 let offer t ep ?(errno_site = false) (req : Event_channel.request) =
-  t.n_calls <- t.n_calls + 1;
+  Metrics.inc t.c_calls ();
   match admission_gate t ep ~patient:false req with
   | Error _ as e -> e
   | Ok () ->
@@ -1133,23 +1140,18 @@ let inject t ?(kind = "#signal-inject") fn =
 
 (* --- counters --- *)
 
-let calls t = t.n_calls
-let transport_calls t = t.n_transport
-let riders t = t.n_riders
-let ride_timeouts t = t.n_ride_timeouts
-let drains t = t.n_drains
-let drained t = t.n_drained
-let local_hits t = t.n_local_hits
-let local_misses t = t.n_local_misses
-
-let retries t =
-  List.fold_left
-    (fun acc ep -> acc + Event_channel.retries ep.ep_chan)
-    t.n_errno_retries t.fb_endpoints
-
-let fallbacks t = t.n_fallbacks
-let reroutes t = t.n_reroutes
-let respawns t = t.n_respawns
+let calls t = Metrics.counter_value t.c_calls
+let transport_calls t = Metrics.counter_value t.c_transport
+let riders t = Metrics.counter_value t.c_riders
+let ride_timeouts t = Metrics.counter_value t.c_ride_timeouts
+let drains t = Metrics.counter_value t.c_drains
+let drained t = Metrics.counter_value t.c_drained
+let local_hits t = Metrics.counter_value t.c_local_hits
+let local_misses t = Metrics.counter_value t.c_local_misses
+let retries t = Metrics.counter_value t.c_errno_retries + Metrics.counter_value t.c_chan_retries
+let fallbacks t = Metrics.counter_value t.c_fallbacks
+let reroutes t = Metrics.counter_value t.c_reroutes
+let respawns t = Metrics.counter_value t.c_respawns
 let endpoints t = List.length t.fb_endpoints
 
 let pollers t =
@@ -1162,39 +1164,8 @@ let group_cores t ~group =
   else t.fb_groups.(group).pg_cores
 
 let endpoint_group _t ep = ep.ep_group
-let admitted t = t.n_admitted
-let sheds t = t.n_sheds
-let shed_retries t = t.n_shed_retries
-let admission_blocked t = t.n_blocked
-let queue_rejects t = t.n_queue_rejects
-let shed_flips t = t.n_shed_flips
-let shed_restores t = t.n_shed_restores
-
-let sample_metrics t m =
-  let add ~ns name v =
-    let c = Mv_obs.Metrics.counter m ~ns name in
-    Mv_obs.Metrics.set_counter c (Mv_obs.Metrics.counter_value c + v)
-  in
-  add ~ns:"fabric" "calls" t.n_calls;
-  add ~ns:"fabric" "transport" t.n_transport;
-  add ~ns:"fabric" "riders" t.n_riders;
-  add ~ns:"fabric" "ride_timeouts" t.n_ride_timeouts;
-  add ~ns:"fabric" "drains" t.n_drains;
-  add ~ns:"fabric" "drained" t.n_drained;
-  add ~ns:"fabric" "local_hits" t.n_local_hits;
-  add ~ns:"fabric" "local_misses" t.n_local_misses;
-  add ~ns:"fabric" "errno_retries" t.n_errno_retries;
-  add ~ns:"fabric" "reroutes" t.n_reroutes;
-  add ~ns:"fabric" "fallbacks" t.n_fallbacks;
-  add ~ns:"fabric" "respawns" t.n_respawns;
-  add ~ns:"fabric" "admitted" t.n_admitted;
-  add ~ns:"fabric" "sheds" t.n_sheds;
-  add ~ns:"fabric" "shed_retries" t.n_shed_retries;
-  add ~ns:"fabric" "admission_blocked" t.n_blocked;
-  add ~ns:"fabric" "queue_rejects" t.n_queue_rejects;
-  add ~ns:"fabric" "shed_flips" t.n_shed_flips;
-  add ~ns:"fabric" "shed_restores" t.n_shed_restores;
-  Mv_obs.Metrics.set_gauge
-    (Mv_obs.Metrics.gauge m ~ns:"fabric" "ring_occupancy_hw")
-    (float_of_int (ring_occupancy_hw t));
-  List.iter (fun ep -> Event_channel.sample_metrics ep.ep_chan m) t.fb_endpoints
+let sheds t = Metrics.counter_value t.c_sheds
+let shed_retries t = Metrics.counter_value t.c_shed_retries
+let admission_blocked t = Metrics.counter_value t.c_blocked
+let shed_flips t = Metrics.counter_value t.c_shed_flips
+let shed_restores t = Metrics.counter_value t.c_shed_restores

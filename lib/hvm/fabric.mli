@@ -213,7 +213,13 @@ val shutdown : t -> unit
 (** Stop the pool: wake parked pollers so they exit and stop the
     watchdog.  Endpoints stay usable for draining in-flight work. *)
 
-(** {1 Counters} *)
+(** {1 Counters}
+
+    The fabric counts into its machine's metrics registry, namespace
+    [fabric] (its endpoint channels count under [event_channel]), so the
+    readers below and {!Mv_engine.Machine.t}'s [metrics] always agree.
+    Besides the counters read here, the registry holds [errno_retries],
+    [admitted] and [queue_rejects], and the [ring_occupancy_hw] gauge. *)
 
 val calls : t -> int
 (** Requests entering {!call}. *)
@@ -262,9 +268,6 @@ val group_cores : t -> group:int -> int list
 val endpoint_group : t -> endpoint -> int
 (** The poller group an endpoint routes to. *)
 
-val admitted : t -> int
-(** Requests passing the admission gate (directly or after queueing). *)
-
 val sheds : t -> int
 (** Admission refusals (each emits an [Overload_shed] trace event). *)
 
@@ -275,16 +278,8 @@ val shed_retries : t -> int
 val admission_blocked : t -> int
 (** Requests that parked in an endpoint's FIFO admission queue. *)
 
-val queue_rejects : t -> int
-(** Block-policy requests shed because the admission queue was full. *)
-
 val shed_flips : t -> int
 (** Watchdog high-water crossings (shed mode engaged). *)
 
 val shed_restores : t -> int
 (** Watchdog low-water drains (shed mode released). *)
-
-val sample_metrics : t -> Mv_obs.Metrics.t -> unit
-(** Push the fabric counters (namespace ["fabric"]) and every endpoint
-    channel's counters (namespace ["event_channel"]) into a metrics
-    registry, adding to any values already registered there. *)

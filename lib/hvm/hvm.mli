@@ -38,12 +38,6 @@ val find_hrt : t -> Mv_hw.Partition.id -> Mv_aerokernel.Nautilus.t option
 (** The AeroKernel instance installed in a partition, if any.
     @raise Invalid_argument on an unknown HRT partition id. *)
 
-val hrt : t -> Mv_aerokernel.Nautilus.t option
-(** @deprecated The single-HRT accessor from before elastic partitioning:
-    equivalent to [find_hrt t 1] (the first HRT partition), [None] when
-    the machine has no HRT partition.  Use partition-addressed accessors
-    ({!partitions}, {!find_hrt}) in new code. *)
-
 val lend_core : t -> core:int -> dst:Mv_hw.Partition.id -> unit
 (** Move a core into partition [dst] at runtime (one [hrt_repartition]
     hypercall).  The core's run queue drains onto a sibling core of the

@@ -44,7 +44,6 @@ type mv_options = {
   mv_partitions : int list option;
   mv_placement : Runtime.placement;
   mv_work_stealing : bool;
-  mv_trace_limit : int option;
 }
 
 let default_mv_options =
@@ -60,7 +59,6 @@ let default_mv_options =
     mv_partitions = None;
     mv_placement = Runtime.Spread;
     mv_work_stealing = false;
-    mv_trace_limit = None;
   }
 
 type run_stats = {
@@ -79,12 +77,6 @@ let total_syscalls rs = Mv_util.Histogram.total rs.rs_syscalls
 let wall_seconds rs = Mv_util.Cycles.to_sec rs.rs_wall_cycles
 
 let collect ~mode ~kernel ~machine ~proc ~runtime =
-  (* Snapshot subsystem counters into the metrics registry: the kernel
-     pushes tlb/mmu/mm on rusage finalization; fabric and event-channel
-     counters live on the runtime when one exists. *)
-  (match runtime with
-  | Some rt -> Mv_hvm.Fabric.sample_metrics (Runtime.fabric rt) machine.Machine.metrics
-  | None -> ());
   {
     rs_mode = mode;
     rs_stdout = Process.stdout_contents proc;
@@ -105,11 +97,9 @@ let prepare_stdin proc stdin =
   | None -> Vfs.close_stream proc.Process.stdin
 
 let run_plain ~virtualized ?costs ?stdin ?(trace = false) ?(huge_pages = true)
-    ?(topology = (2, 4)) ?(hrt_cores = 1) ?trace_limit program =
+    ?(topology = (2, 4)) ?(hrt_cores = 1) program =
   let sockets, cores_per_socket = topology in
-  let machine =
-    Machine.create ?costs ~huge_pages ~sockets ~cores_per_socket ~hrt_cores ?trace_limit ()
-  in
+  let machine = Machine.create ?costs ~huge_pages ~sockets ~cores_per_socket ~hrt_cores () in
   if trace then Machine.set_tracing machine true;
   let kernel = Kernel.create ~virtualized machine in
   let proc =
@@ -125,20 +115,17 @@ let run_plain ~virtualized ?costs ?stdin ?(trace = false) ?(huge_pages = true)
     failwith (program.prog_name ^ ": simulation quiesced before process exit");
   collect ~mode ~kernel ~machine ~proc ~runtime:None
 
-let run_native ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores ?trace_limit program =
-  run_plain ~virtualized:false ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores
-    ?trace_limit program
+let run_native ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program =
+  run_plain ~virtualized:false ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program
 
-let run_virtual ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores ?trace_limit program =
-  run_plain ~virtualized:true ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores
-    ?trace_limit program
+let run_virtual ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program =
+  run_plain ~virtualized:true ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program
 
 let setup_multiverse ?costs ~options ~name ~fat body =
   let machine =
     Machine.create ?costs ~huge_pages:options.mv_huge_pages ~sockets:options.mv_sockets
       ~cores_per_socket:options.mv_cores_per_socket ~hrt_cores:options.mv_hrt_cores
-      ?hrt_parts:options.mv_partitions ~work_stealing:options.mv_work_stealing
-      ?trace_limit:options.mv_trace_limit ()
+      ?hrt_parts:options.mv_partitions ~work_stealing:options.mv_work_stealing ()
   in
   let kernel = Kernel.create machine in
   let hvm = Hvm.create machine ~ros:kernel in

@@ -58,10 +58,6 @@ type mv_options = {
       (** deterministic work stealing across the ROS cores' per-core
           runqueues (default [false] — off is byte-identical to the
           pre-stealing scheduler) *)
-  mv_trace_limit : int option;
-      (** bounded trace retention: keep only the newest N records in a
-          ring ({!Mv_engine.Trace.create}); default [None] = full
-          history, which the golden trace depends on *)
 }
 
 val default_mv_options : mv_options
@@ -88,14 +84,12 @@ val run_native :
   ?huge_pages:bool ->
   ?topology:int * int ->
   ?hrt_cores:int ->
-  ?trace_limit:int ->
   program ->
   run_stats
 (** Bare-metal Linux execution (the paper's "Native" rows).  [huge_pages]
     (default [true]) toggles the machine's huge-page memory path;
     [topology] is [(sockets, cores_per_socket)] (default [(2, 4)], the
-    reference box); [trace_limit] bounds trace retention
-    ({!Mv_engine.Machine.create}). *)
+    reference box). *)
 
 val run_virtual :
   ?costs:Mv_hw.Costs.t ->
@@ -104,7 +98,6 @@ val run_virtual :
   ?huge_pages:bool ->
   ?topology:int * int ->
   ?hrt_cores:int ->
-  ?trace_limit:int ->
   program ->
   run_stats
 (** The same, as an HVM guest: exit and nested-paging overheads apply. *)

@@ -26,9 +26,17 @@ let args_json args =
       in
       Printf.sprintf ",\"args\":{%s}" (String.concat "," fields)
 
+type instant = {
+  in_name : string;
+  in_cat : string;
+  in_track : int;
+  in_ts : Mv_util.Cycles.t;
+  in_detail : string;
+}
+
 type ev = { ev_ts : int; ev_ord : int; ev_json : string }
 
-let chrome ?(process_name = "multiverse") ?metrics tracer =
+let chrome ?(process_name = "multiverse") ?metrics ~instants tracer =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n\"traceEvents\": [\n";
   let events = ref [] in
@@ -58,14 +66,13 @@ let chrome ?(process_name = "multiverse") ?metrics tracer =
            (args_json sp.Tracer.sp_args)))
     (Tracer.spans tracer);
   List.iteri
-    (fun i (ins : Tracer.instant) ->
-      add ~ts:ins.Tracer.in_ts ~ord:(1_000_000_000 + i)
+    (fun i ins ->
+      add ~ts:ins.in_ts ~ord:(1_000_000_000 + i)
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"t\"%s}"
-           (escape ins.Tracer.in_name) (escape ins.Tracer.in_cat) (us ins.Tracer.in_ts)
-           ins.Tracer.in_track
-           (args_json (if ins.Tracer.in_detail = "" then [] else [ ("detail", ins.Tracer.in_detail) ]))))
-    (Tracer.instants tracer);
+           (escape ins.in_name) (escape ins.in_cat) (us ins.in_ts) ins.in_track
+           (args_json (if ins.in_detail = "" then [] else [ ("detail", ins.in_detail) ]))))
+    instants;
   let sorted =
     List.sort
       (fun a b -> if a.ev_ts <> b.ev_ts then compare a.ev_ts b.ev_ts else compare a.ev_ord b.ev_ord)

@@ -1,180 +1,77 @@
-(* Int-indexed slot registry.  The string-keyed Hashtbl is consulted only
-   at registration: [counter]/[gauge]/[latency] resolve a name to a slot
-   index once, and the handle they hand back is (registry, index), so the
-   hot-path update is an array store into an unboxed [int array] /
-   [float array].  Counter and gauge values living in flat arrays (rather
-   than per-cell boxed records) also keeps exports cache-friendly and
-   makes the registry trivially resettable. *)
+(* Slot registry.  The string-keyed Hashtbl is consulted only at
+   registration: [counter]/[gauge]/[latency] resolve a name to its cell
+   once, and every registration of that name hands back the same cell,
+   so a hot-path update is a single field store and nothing allocates
+   after registration (a one-field float record is stored unboxed). *)
 
-type t = {
-  mutable counters : int array;
-  mutable gauges : float array;
-  mutable lats : lat_cell array;
-  mutable n_counters : int;
-  mutable n_gauges : int;
-  mutable n_lats : int;
-  index : (string, slot) Hashtbl.t;  (* registration-time only *)
-}
+type counter = { mutable count : int }
+type gauge = { mutable level : float }
+type latency = Mv_util.Stats.t
+type slot = C of counter | G of gauge | L of latency
+type t = { index : (string, slot) Hashtbl.t }
 
-and lat_cell = {
-  l_stats : Mv_util.Stats.t;
-  l_buckets : int array;  (* log2 buckets: slot k counts [2^(k-1), 2^k) *)
-}
-
-and slot = C of int | G of int | L of int
-
-type counter = { ct_t : t; ct_idx : int }
-type gauge = { ga_t : t; ga_idx : int }
-type latency = lat_cell
-
-let n_log2_buckets = 64
-
-let create () =
-  {
-    counters = [||];
-    gauges = [||];
-    lats = [||];
-    n_counters = 0;
-    n_gauges = 0;
-    n_lats = 0;
-    index = Hashtbl.create 64;
-  }
-
+let create () = { index = Hashtbl.create 64 }
 let key ~ns name = ns ^ "/" ^ name
-
-let grow_int arr n =
-  let cap = Array.length arr in
-  if n >= cap then begin
-    let na = Array.make (max 16 (cap * 2)) 0 in
-    Array.blit arr 0 na 0 n;
-    na
-  end
-  else arr
-
-let grow_float arr n =
-  let cap = Array.length arr in
-  if n >= cap then begin
-    let na = Array.make (max 16 (cap * 2)) 0.0 in
-    Array.blit arr 0 na 0 n;
-    na
-  end
-  else arr
-
-let grow_lat arr n fill =
-  let cap = Array.length arr in
-  if n >= cap then begin
-    let na = Array.make (max 16 (cap * 2)) fill in
-    Array.blit arr 0 na 0 n;
-    na
-  end
-  else arr
-
 let type_clash fn k = invalid_arg ("Metrics." ^ fn ^ ": " ^ k ^ " registered with another type")
 
 let counter t ~ns name =
   let k = key ~ns name in
   match Hashtbl.find_opt t.index k with
-  | Some (C i) -> { ct_t = t; ct_idx = i }
+  | Some (C c) -> c
   | Some _ -> type_clash "counter" k
   | None ->
-      let i = t.n_counters in
-      t.counters <- grow_int t.counters i;
-      t.counters.(i) <- 0;
-      t.n_counters <- i + 1;
-      Hashtbl.replace t.index k (C i);
-      { ct_t = t; ct_idx = i }
+      let c = { count = 0 } in
+      Hashtbl.replace t.index k (C c);
+      c
 
-let inc c ?(by = 1) () =
-  let a = c.ct_t.counters in
-  a.(c.ct_idx) <- a.(c.ct_idx) + by
-
-let set_counter c v = c.ct_t.counters.(c.ct_idx) <- v
-let counter_value c = c.ct_t.counters.(c.ct_idx)
+let inc c ?(by = 1) () = c.count <- c.count + by
+let set_counter c v = c.count <- v
+let counter_value c = c.count
 
 let gauge t ~ns name =
   let k = key ~ns name in
   match Hashtbl.find_opt t.index k with
-  | Some (G i) -> { ga_t = t; ga_idx = i }
+  | Some (G g) -> g
   | Some _ -> type_clash "gauge" k
   | None ->
-      let i = t.n_gauges in
-      t.gauges <- grow_float t.gauges i;
-      t.gauges.(i) <- 0.0;
-      t.n_gauges <- i + 1;
-      Hashtbl.replace t.index k (G i);
-      { ga_t = t; ga_idx = i }
+      let g = { level = 0.0 } in
+      Hashtbl.replace t.index k (G g);
+      g
 
-let set_gauge g v = g.ga_t.gauges.(g.ga_idx) <- v
-let gauge_value g = g.ga_t.gauges.(g.ga_idx)
+let set_gauge g v = g.level <- v
+let gauge_value g = g.level
 
 let latency t ~ns name =
   let k = key ~ns name in
   match Hashtbl.find_opt t.index k with
-  | Some (L i) -> t.lats.(i)
+  | Some (L l) -> l
   | Some _ -> type_clash "latency" k
   | None ->
-      let l = { l_stats = Mv_util.Stats.create (); l_buckets = Array.make n_log2_buckets 0 } in
-      let i = t.n_lats in
-      t.lats <- grow_lat t.lats i l;
-      t.lats.(i) <- l;
-      t.n_lats <- i + 1;
-      Hashtbl.replace t.index k (L i);
+      let l = Mv_util.Stats.create () in
+      Hashtbl.replace t.index k (L l);
       l
 
-(* Log2 bucket index for a sample: slot k covers [2^(k-1), 2^k), so the
-   label rendered at read time is "<2^k". *)
-let bucket_index v =
-  let v = int_of_float (Float.max v 0.0) in
-  if v = 0 then 0
-  else
-    let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
-    min (n_log2_buckets - 1) (log2 0 v + 1)
-
-let observe l v =
-  Mv_util.Stats.add l.l_stats v;
-  let i = bucket_index v in
-  l.l_buckets.(i) <- l.l_buckets.(i) + 1
-
-let latency_stats l = Mv_util.Stats.summary l.l_stats
-let latency_count l = Mv_util.Stats.count l.l_stats
-
+let observe l v = Mv_util.Stats.add l v
+let latency_stats l = Mv_util.Stats.summary l
+let latency_count l = Mv_util.Stats.count l
 let latency_percentile l p =
-  if Mv_util.Stats.count l.l_stats = 0 then 0.
-  else Mv_util.Stats.percentile_interp l.l_stats p
-
-let latency_buckets l =
-  let acc = ref [] in
-  for k = n_log2_buckets - 1 downto 0 do
-    if l.l_buckets.(k) > 0 then acc := (Printf.sprintf "<2^%d" k, l.l_buckets.(k)) :: !acc
-  done;
-  !acc
+  if Mv_util.Stats.count l = 0 then 0. else Mv_util.Stats.percentile_interp l p
 
 type value =
   | Counter_v of int
   | Gauge_v of float
   | Latency_v of Mv_util.Stats.summary
 
-let value_of t = function
-  | C i -> Counter_v t.counters.(i)
-  | G i -> Gauge_v t.gauges.(i)
-  | L i -> Latency_v (latency_stats t.lats.(i))
+let value_of = function
+  | C c -> Counter_v c.count
+  | G g -> Gauge_v g.level
+  | L l -> Latency_v (latency_stats l)
 
 let to_list t =
-  Hashtbl.fold (fun k s acc -> (k, value_of t s) :: acc) t.index []
+  Hashtbl.fold (fun k s acc -> (k, value_of s) :: acc) t.index []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let find t k = Option.map (value_of t) (Hashtbl.find_opt t.index k)
-
-(* Drops every registration; handles resolved before the clear keep
-   writing into the orphaned arrays and are never exported again. *)
-let clear t =
-  Hashtbl.reset t.index;
-  t.counters <- [||];
-  t.gauges <- [||];
-  t.lats <- [||];
-  t.n_counters <- 0;
-  t.n_gauges <- 0;
-  t.n_lats <- 0
+let find t k = Option.map value_of (Hashtbl.find_opt t.index k)
 
 let pp ppf t =
   List.iter

@@ -1,15 +1,14 @@
 (** A namespaced metrics registry: counters, gauges, and latency
     recorders, keyed ["namespace/name"] (namespaces: [fabric], [mmu],
-    [tlb], [walk_cache], [mm], [sgc], [event_channel], ...).
+    [tlb], [walk_cache], [mm], [event_channel], ...).
 
-    Registration is idempotent — [counter m ~ns name] returns an
-    equivalent handle every time — but resolution walks the string-keyed
-    index, so hot paths must resolve once and hold the handle.  Handles
-    are int-indexed slots into flat unboxed arrays: updating one is an
-    array store, and nothing allocates after registration.  Latency
-    recorders reuse {!Mv_util.Stats} for the moment summary plus a flat
-    log2 bucket array for the distribution (labels are rendered only
-    when read back). *)
+    Registration is idempotent — [counter m ~ns name] returns the same
+    cell every time — but resolution walks the string-keyed index, so
+    hot paths must resolve once and hold the handle.  Updating a handle
+    is a single field store, and nothing allocates after registration.
+    Latency recorders are {!Mv_util.Stats} accumulators.  Registrations
+    are never dropped, so a handle stays live for the registry's
+    lifetime. *)
 
 type t
 
@@ -41,9 +40,6 @@ val latency_percentile : latency -> float -> float
     {!Mv_util.Stats}'s cached sorted array, so tail queries after a run
     (p50/p95/p99) sort the samples once. *)
 
-val latency_buckets : latency -> (string * int) list
-(** Log2 buckets ["<2^k"] with counts, ascending. *)
-
 (** {1 Reading back} *)
 
 type value =
@@ -55,5 +51,4 @@ val to_list : t -> (string * value) list
 (** All registered metrics, sorted by full name. *)
 
 val find : t -> string -> value option
-val clear : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -9,14 +9,6 @@ type span = {
   sp_args : (string * string) list;
 }
 
-type instant = {
-  in_name : string;
-  in_cat : string;
-  in_track : int;
-  in_ts : Mv_util.Cycles.t;
-  in_detail : string;
-}
-
 type open_span = {
   os_id : int;
   os_parent : int;
@@ -37,7 +29,6 @@ type t = {
   mutable spans : span list;  (* newest first *)
   mutable nspans : int;
   mutable ndropped : int;
-  mutable instants : instant list;  (* newest first *)
   mutable nopen : int;
   stacks : (int, open_span list ref) Hashtbl.t;  (* track -> open spans, innermost first *)
   track_labels : (int, string) Hashtbl.t;
@@ -55,7 +46,6 @@ let create ?(enabled = false) ?(capacity = 500_000) ~now ~track
     spans = [];
     nspans = 0;
     ndropped = 0;
-    instants = [];
     nopen = 0;
     stacks = Hashtbl.create 32;
     track_labels = Hashtbl.create 32;
@@ -64,17 +54,27 @@ let create ?(enabled = false) ?(capacity = 500_000) ~now ~track
 let enabled t = t.on
 let set_enabled t flag = t.on <- flag
 
+(* A track is labelled the first time it is touched, by a span or by
+   [track]; the label is the thread's name at that moment. *)
+let register t track =
+  if not (Hashtbl.mem t.track_labels track) then
+    let label = t.track_name () in
+    Hashtbl.replace t.track_labels track
+      (if label = "" then Printf.sprintf "track-%d" track else label)
+
 let stack t track =
   match Hashtbl.find_opt t.stacks track with
   | Some s -> s
   | None ->
       let s = ref [] in
       Hashtbl.replace t.stacks track s;
-      (if not (Hashtbl.mem t.track_labels track) then
-         let label = t.track_name () in
-         Hashtbl.replace t.track_labels track
-           (if label = "" then Printf.sprintf "track-%d" track else label));
+      register t track;
       s
+
+let track t =
+  let track = t.track () in
+  register t track;
+  track
 
 let push_span t sp =
   if t.nspans >= t.capacity then t.ndropped <- t.ndropped + 1
@@ -164,15 +164,6 @@ let complete t ?parent ?(args = []) ~name ~cat ~ts ~dur () =
     id
   end
 
-let instant t ?(cat = "event") ?(detail = "") ~name () =
-  if t.on then begin
-    let track = t.track () in
-    ignore (stack t track);
-    t.instants <-
-      { in_name = name; in_cat = cat; in_track = track; in_ts = t.now (); in_detail = detail }
-      :: t.instants
-  end
-
 let annotate t key value =
   if t.on then
     match !(stack t (t.track ())) with
@@ -184,7 +175,6 @@ let current t =
   else match !(stack t (t.track ())) with [] -> 0 | os :: _ -> os.os_id
 
 let spans t = List.rev t.spans
-let instants t = List.rev t.instants
 
 let track_label t track =
   match Hashtbl.find_opt t.track_labels track with
@@ -202,7 +192,6 @@ let clear t =
   t.spans <- [];
   t.nspans <- 0;
   t.ndropped <- 0;
-  t.instants <- [];
   t.nopen <- 0;
   Hashtbl.reset t.stacks;
   Hashtbl.reset t.track_labels

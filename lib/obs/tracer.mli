@@ -23,14 +23,6 @@ type span = {
   sp_args : (string * string) list;
 }
 
-type instant = {
-  in_name : string;
-  in_cat : string;
-  in_track : int;
-  in_ts : Mv_util.Cycles.t;
-  in_detail : string;
-}
-
 type t
 
 val create :
@@ -74,12 +66,15 @@ val complete : t -> ?parent:int -> ?args:(string * string) list ->
     boundaries are observed from both sides of a crossing).  Returns the
     span id, 0 when disabled. *)
 
-val instant : t -> ?cat:string -> ?detail:string -> name:string -> unit -> unit
-(** A zero-duration event on the current track. *)
-
 val annotate : t -> string -> string -> unit
 (** Attach a key=value argument to the innermost open span of the
     current track; dropped if no span is open (or disabled). *)
+
+val track : t -> int
+(** The current track, registered (and labelled) for exports even if no
+    span is ever opened on it — how a flat trace record names the
+    thread that emitted it.  Consulted whether or not the tracer is
+    enabled. *)
 
 val current : t -> int
 (** Id of the innermost open span on the current track; 0 if none.
@@ -91,9 +86,6 @@ val current : t -> int
 
 val spans : t -> span list
 (** Completed spans, oldest first. *)
-
-val instants : t -> instant list
-(** Oldest first. *)
 
 val track_label : t -> int -> string
 val tracks : t -> int list

@@ -383,16 +383,3 @@ let stats t = t.st
 let live_bytes t = t.live_bytes
 let mapped_bytes t = List.fold_left (fun acc s -> acc + (s.s_pages * Addr.page_size)) 0 t.segs
 let dirty_pages t = t.dirty
-
-let sample_metrics t m =
-  let set ~ns name v =
-    Mv_obs.Metrics.set_counter (Mv_obs.Metrics.counter m ~ns name) v
-  in
-  set ~ns:"sgc" "collections" t.st.collections;
-  set ~ns:"sgc" "bytes_allocated" t.st.bytes_allocated;
-  set ~ns:"sgc" "segments_mapped" t.st.segments_mapped;
-  set ~ns:"sgc" "segments_unmapped" t.st.segments_unmapped;
-  set ~ns:"sgc" "barrier_faults" t.st.barrier_faults;
-  set ~ns:"sgc" "objects_swept" t.st.objects_swept;
-  set ~ns:"sgc" "live_bytes" t.live_bytes;
-  set ~ns:"sgc" "mapped_bytes" (mapped_bytes t)

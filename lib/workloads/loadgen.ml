@@ -26,7 +26,6 @@ type config = {
   lg_hrt_cores : int;
   lg_pool_size : int option;
   lg_placement : placement;
-  lg_trace_limit : int option;
 }
 
 let default_config =
@@ -45,7 +44,6 @@ let default_config =
     lg_hrt_cores = 4;
     lg_pool_size = None;
     lg_placement = Round_robin;
-    lg_trace_limit = None;
   }
 
 type results = {
@@ -112,7 +110,7 @@ let run cfg =
   if cfg.lg_offered_cps <= 0.0 then invalid_arg "Loadgen.run: lg_offered_cps must be > 0";
   let machine =
     Machine.create ~sockets:cfg.lg_sockets ~cores_per_socket:cfg.lg_cores_per_socket
-      ~hrt_cores:cfg.lg_hrt_cores ?trace_limit:cfg.lg_trace_limit ()
+      ~hrt_cores:cfg.lg_hrt_cores ()
   in
   let exec = machine.Machine.exec in
   let ros_cores = Topology.ros_cores machine.Machine.topo in

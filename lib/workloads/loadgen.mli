@@ -48,9 +48,6 @@ type config = {
   lg_hrt_cores : int;
   lg_pool_size : int option;  (** poller pool size; [None] = topology-sized *)
   lg_placement : placement;  (** endpoint/pool placement (default round-robin) *)
-  lg_trace_limit : int option;
-      (** bounded trace retention for the machine ({!Mv_engine.Machine.create});
-          [None] (the default) keeps full history *)
 }
 
 val default_config : config

@@ -307,50 +307,36 @@ let test_exec_kill_blocked () =
 
 let trace_msgs t = List.map (fun r -> r.Trace.message) (Trace.records t)
 
-let test_trace_ring_retention () =
-  let t = Trace.create ~enabled:true ~limit:3 () in
-  Alcotest.(check (option int)) "limit accessor" (Some 3) (Trace.limit t);
-  for i = 1 to 5 do
-    Trace.emit t ~at:i ~category:(if i mod 2 = 0 then "even" else "odd") (string_of_int i)
-  done;
-  Alcotest.(check (list string)) "ring keeps the newest 3, oldest first"
-    [ "3"; "4"; "5" ] (trace_msgs t);
-  check_int "evictions counted" 2 (Trace.dropped t);
-  check_int "count_in scans the window" 1 (Trace.count_in t ~category:"even");
-  Alcotest.(check (list string)) "records_in filters the window"
-    [ "3"; "5" ]
-    (List.map (fun r -> r.Trace.message) (Trace.records_in t ~category:"odd"));
-  let seen = ref [] in
-  Trace.iter t (fun r -> seen := r.Trace.message :: !seen);
-  Alcotest.(check (list string)) "iter agrees with records" [ "3"; "4"; "5" ]
-    (List.rev !seen);
-  Trace.clear t;
-  check_int "clear resets dropped" 0 (Trace.dropped t);
-  Alcotest.(check (list string)) "clear empties the window" [] (trace_msgs t)
+let emit t ~at ~category text =
+  Trace.emit_event t ~at ~track:0 (Trace.Message { category; text })
 
-let test_trace_ring_zero_streams () =
-  let t = Trace.create ~enabled:true ~limit:0 () in
-  let streamed = ref [] in
-  Trace.set_event_sink t (Some (fun r -> streamed := r.Trace.message :: !streamed));
-  for i = 1 to 4 do
-    Trace.emit t ~at:i ~category:"c" (string_of_int i)
+let test_trace_capacity_drops_oldest () =
+  let t = Trace.create ~enabled:true ~capacity:4 () in
+  for i = 1 to 5 do
+    emit t ~at:i ~category:(if i mod 2 = 0 then "even" else "odd") (string_of_int i)
   done;
-  Alcotest.(check (list string)) "nothing retained" [] (trace_msgs t);
-  check_int "all evicted" 4 (Trace.dropped t);
-  Alcotest.(check (list string)) "every record streamed to the sink"
-    [ "1"; "2"; "3"; "4" ] (List.rev !streamed)
+  (* The fifth record overflows capacity 4: only the newest half stays. *)
+  Alcotest.(check (list string)) "newest half kept, oldest first" [ "4"; "5" ] (trace_msgs t);
+  Alcotest.(check (list string)) "records_in agrees" [ "5" ]
+    (List.map (fun r -> r.Trace.message) (Trace.records_in t ~category:"odd"));
+  check_int "count_in agrees (odd)" 1 (Trace.count_in t ~category:"odd");
+  check_int "count_in agrees (even)" 1 (Trace.count_in t ~category:"even");
+  emit t ~at:6 ~category:"even" "6";
+  Alcotest.(check (list string)) "emission continues after the drop" [ "4"; "5"; "6" ]
+    (trace_msgs t);
+  Alcotest.(check (list string)) "index continues after the drop" [ "4"; "6" ]
+    (List.map (fun r -> r.Trace.message) (Trace.records_in t ~category:"even"));
+  check_int "count_in tracks the index" 2 (Trace.count_in t ~category:"even")
 
 let test_trace_records_memoized () =
   let t = Trace.create ~enabled:true () in
-  Trace.emit t ~at:1 ~category:"c" "a";
-  Trace.emit t ~at:2 ~category:"c" "b";
+  emit t ~at:1 ~category:"c" "a";
+  emit t ~at:2 ~category:"c" "b";
   check_bool "repeat calls share the memoized list" true
     (Trace.records t == Trace.records t);
-  Trace.emit t ~at:3 ~category:"c" "c";
+  emit t ~at:3 ~category:"c" "c";
   Alcotest.(check (list string)) "emit invalidates the memo" [ "a"; "b"; "c" ]
-    (trace_msgs t);
-  check_bool "unbounded mode reports no limit" true (Trace.limit t = None);
-  check_int "unbounded mode never drops" 0 (Trace.dropped t)
+    (trace_msgs t)
 
 let suite =
   [
@@ -374,7 +360,6 @@ let suite =
     ("exec: switch cost and counts", `Quick, test_exec_switch_cost_and_counts);
     ("exec: slice preemption", `Quick, test_exec_preemption);
     ("exec: kill blocked thread", `Quick, test_exec_kill_blocked);
-    ("trace: ring retention keeps newest N", `Quick, test_trace_ring_retention);
-    ("trace: limit 0 streams without retaining", `Quick, test_trace_ring_zero_streams);
+    ("trace: capacity drops the oldest records", `Quick, test_trace_capacity_drops_oldest);
     ("trace: records memoized until next emit", `Quick, test_trace_records_memoized);
   ]

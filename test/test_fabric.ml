@@ -1,11 +1,16 @@
 (* End-to-end tests of the forwarding fabric: four-plus execution groups
    routed over the shared poller pool, request batching (leaders, riders,
-   drains) on a single endpoint, doorbell suppression accounting, and the
-   local fast-path promotion table.  The fault-facing behaviour (retries,
+   drains) on a single endpoint, doorbell suppression accounting, the
+   local fast-path promotion table, and the counters living in the
+   machine's metrics registry.  The fault-facing behaviour (retries,
    degradation, watchdog respawns) is covered by test_faults.ml and the
    mvcheck fabric scenarios. *)
 
 module Fabric = Mv_hvm.Fabric
+module Event_channel = Mv_hvm.Event_channel
+module Machine = Mv_engine.Machine
+module Exec = Mv_engine.Exec
+module Metrics = Mv_obs.Metrics
 open Multiverse
 
 let check_int = Alcotest.(check int)
@@ -156,10 +161,46 @@ let test_vdso_local_path () =
   check_bool "transport never exceeds entry calls" true
     (Fabric.transport_calls f <= Fabric.calls f)
 
+(* --- counters are registry slots, live without any sampling step --- *)
+
+let test_counters_live_in_metrics () =
+  let machine = Machine.create () in
+  let exec = machine.Machine.exec in
+  let fabric = Fabric.create machine ~kind:Event_channel.Async in
+  Fabric.start_pool fabric
+    ~spawn:(fun ~name ~core body -> Exec.spawn exec ~cpu:core ~name body)
+    ~cores:[ 0; 1 ] ();
+  let ep = Fabric.endpoint fabric ~name:"live" ~ros_core:0 ~hrt_core:7 in
+  let caller =
+    Exec.spawn exec ~cpu:7 ~name:"caller" (fun () ->
+        for _ = 1 to 5 do
+          Fabric.call fabric ep { Event_channel.req_kind = "ping"; req_run = (fun () -> ()) }
+        done)
+  in
+  ignore
+    (Exec.spawn exec ~cpu:0 ~name:"coordinator" (fun () ->
+         Exec.join exec caller;
+         Fabric.shutdown fabric));
+  Mv_engine.Sim.run machine.Machine.sim;
+  let counter name =
+    match Metrics.find machine.Machine.metrics name with
+    | Some (Metrics.Counter_v n) -> n
+    | _ -> Alcotest.failf "%s is not a counter in machine.metrics" name
+  in
+  check_int "five calls" 5 (Fabric.calls fabric);
+  check_int "fabric/calls" (Fabric.calls fabric) (counter "fabric/calls");
+  check_int "fabric/transport" (Fabric.transport_calls fabric) (counter "fabric/transport");
+  check_bool "doorbells rung" true (Fabric.transport_calls fabric > 0);
+  check_int "event_channel/calls"
+    (Event_channel.calls (Fabric.channel ep))
+    (counter "event_channel/calls");
+  check_bool "channel calls made" true (Event_channel.calls (Fabric.channel ep) > 0)
+
 let suite =
   [
     ("four groups routed over the shared pool", `Quick, test_four_groups_routed);
     ("concurrent nested callers batch as riders", `Quick, test_riders_batch);
     ("batching toggle: fewer doorbells, faster", `Quick, test_batching_toggle);
     ("vdso fast path stays local", `Quick, test_vdso_local_path);
+    ("counters live in machine.metrics", `Quick, test_counters_live_in_metrics);
   ]

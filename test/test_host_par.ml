@@ -12,7 +12,10 @@
      trace survives the parallel path; Explore.explore_par returns
      exactly Explore.explore's result.
    - mvcheck CLI: `run` exits nonzero when any scenario fails, and still
-     reports every scenario after the first failure. *)
+     reports every scenario after the first failure.
+   - Bad CLI input (an unknown --mode or --porting, a missing replay
+     artifact, an unknown bench section) exits 2 with a one-line error
+     instead of an uncaught exception or a silent success. *)
 
 module Pool = Mv_host_par.Pool
 module Rng = Mv_util.Rng
@@ -234,23 +237,23 @@ let check_explore_equal ~seeds name =
 let test_explore_par_finds_same () = check_explore_equal ~seeds:10 "racy-wakeup"
 let test_explore_par_clean_same () = check_explore_equal ~seeds:4 "ping-pong-async"
 
-(* --- the mvcheck CLI exit code --- *)
+(* --- CLI exit codes --- *)
 
-let mvcheck_exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/mvcheck.exe"
+let exe path = Filename.concat (Filename.dirname Sys.executable_name) path
 
-let run_mvcheck args =
-  let out = Filename.temp_file "mvcheck" ".out" in
+let run_exe path args =
+  if not (Sys.file_exists path) then Alcotest.failf "binary not built at %s" path;
+  let out = Filename.temp_file "cli" ".out" in
   let code =
-    Sys.command (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote mvcheck_exe) args (Filename.quote out))
+    Sys.command (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote path) args (Filename.quote out))
   in
   let text = read_file out in
   Sys.remove out;
   (code, text)
 
+let run_mvcheck = run_exe (exe "../bin/mvcheck.exe")
+
 let test_mvcheck_exit_nonzero_and_full_report () =
-  if not (Sys.file_exists mvcheck_exe) then
-    Alcotest.failf "mvcheck binary not built at %s" mvcheck_exe;
   (* With zero random seeds the seeded-bug scenarios cannot be found, so
      the sweep must exit 1 — and every scenario must still report, even
      the ones after the first failure. *)
@@ -270,10 +273,38 @@ let test_mvcheck_exit_nonzero_and_full_report () =
     Scenarios.all_scenarios
 
 let test_mvcheck_exit_zero_when_clean () =
-  if not (Sys.file_exists mvcheck_exe) then
-    Alcotest.failf "mvcheck binary not built at %s" mvcheck_exe;
   let code, _ = run_mvcheck "run ping-pong-async --seeds 2 --jobs 2" in
   check_int "clean scenario exits 0" 0 code
+
+(* A usage error: exit 2, and the first output line is the one-line
+   error naming the binary, never an uncaught-exception report. *)
+let check_usage_error ~prefix (code, text) =
+  check_int "exit code 2" 2 code;
+  let first = List.hd (String.split_on_char '\n' text) in
+  check_bool (Printf.sprintf "one-line %s error, got %S" prefix first) true
+    (String.length first > String.length prefix
+    && String.sub first 0 (String.length prefix) = prefix);
+  check_bool "no uncaught exception" false
+    (List.exists
+       (fun line -> String.length line >= 11 && String.sub line 0 11 = "Fatal error")
+       (String.split_on_char '\n' text))
+
+let test_multiverse_run_bad_mode () =
+  check_usage_error ~prefix:"multiverse_run: option --mode"
+    (run_exe (exe "../bin/multiverse_run.exe") "-b binary-tree-2 --mode bogus")
+
+let test_multiverse_run_bad_porting () =
+  check_usage_error ~prefix:"multiverse_run: option --porting"
+    (run_exe (exe "../bin/multiverse_run.exe")
+       "-b binary-tree-2 --mode multiverse --porting bogus")
+
+let test_mvcheck_replay_missing_file () =
+  check_usage_error ~prefix:"mvcheck replay: "
+    (run_mvcheck "replay does-not-exist.counterexample")
+
+let test_bench_unknown_section () =
+  check_usage_error ~prefix:"bench: unknown section bogus"
+    (run_exe (exe "../bench/main.exe") "bogus")
 
 let suite =
   [
@@ -293,4 +324,8 @@ let suite =
     ( "mvcheck run: nonzero exit + full report on failure",
       `Quick, test_mvcheck_exit_nonzero_and_full_report );
     ("mvcheck run: zero exit on a clean sweep", `Quick, test_mvcheck_exit_zero_when_clean);
+    ("cli: multiverse_run --mode typo exits 2", `Quick, test_multiverse_run_bad_mode);
+    ("cli: multiverse_run --porting typo exits 2", `Quick, test_multiverse_run_bad_porting);
+    ("cli: mvcheck replay of a missing file exits 2", `Quick, test_mvcheck_replay_missing_file);
+    ("cli: bench with an unknown section exits 2", `Quick, test_bench_unknown_section);
   ]

@@ -85,7 +85,6 @@ let test_disabled_is_inert () =
   check_int "begin returns 0" 0 id;
   Tracer.end_span t id;
   Tracer.annotate t "k" "v";
-  Tracer.instant t ~name:"i" ();
   check_int "with_span still runs the body" 7
     (Tracer.with_span t ~name:"w" ~cat:"x" (fun () -> 7));
   check_int "nothing recorded" 0 (Tracer.span_count t);
@@ -265,7 +264,8 @@ let test_metrics_registry () =
 (* The fixed scenario behind both the golden export and the synthetic
    critical-path check: one crossing with measured transport/service/
    reply segments (10 uncovered cycles -> guest), an instant on a second
-   track, and two metrics. *)
+   track (registered through [Tracer.track], as [Machine.emit] does for
+   trace records), and two metrics. *)
 let golden_scenario () =
   let t, clock, track = make () in
   let m = Metrics.create () in
@@ -281,14 +281,22 @@ let golden_scenario () =
   ignore (Tracer.complete t ~parent:cr ~name:"reply" ~cat:"reply" ~ts:330 ~dur:60 ());
   Tracer.end_span t cr;
   track := 1;
-  Tracer.instant t ~cat:"fault" ~detail:"pid=1" ~name:"pagefault" ();
+  let fault =
+    {
+      Export.in_name = "pagefault";
+      in_cat = "fault";
+      in_track = Tracer.track t;
+      in_ts = !clock;
+      in_detail = "pid=1";
+    }
+  in
   track := 0;
   clock := 1000;
   Tracer.end_span t root;
-  (t, m)
+  (t, m, [ fault ])
 
 let test_critical_path_synthetic () =
-  let t, _ = golden_scenario () in
+  let t, _, _ = golden_scenario () in
   let report = Critical_path.compute (Tracer.spans t) in
   (match report.Critical_path.rows with
   | [ row ] ->
@@ -324,8 +332,8 @@ let read_file path =
   s
 
 let test_golden_chrome () =
-  let t, m = golden_scenario () in
-  let actual = Export.chrome ~process_name:"golden/obs" ~metrics:m t in
+  let t, m, instants = golden_scenario () in
+  let actual = Export.chrome ~process_name:"golden/obs" ~metrics:m ~instants t in
   match Sys.getenv_opt "MV_GOLDEN_PROMOTE" with
   | Some _ ->
       let path =
@@ -352,7 +360,7 @@ let test_golden_chrome () =
           (String.length actual) (String.length expected)
 
 let test_folded_synthetic () =
-  let t, _ = golden_scenario () in
+  let t, _, _ = golden_scenario () in
   let folded = Export.folded t in
   check_bool "non-empty" true (String.length folded > 0);
   (* Every line is "stack N" with N > 0, and the crossing's self time
@@ -396,6 +404,51 @@ let test_critical_path_acceptance () =
       (100.0 *. f);
   check_int "no span left open after the run" 0 (Tracer.open_count obs)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The export renders the machine's trace records as its instants: one
+   "ph":"i" event per record, on the track of the thread that emitted it
+   (labelled with that thread's name), in (time, emission) order. *)
+let test_chrome_instant_per_record () =
+  let rs = run_traced `Multiverse in
+  let machine = rs.Toolchain.rs_machine in
+  let trace = machine.Machine.trace in
+  let records = Mv_engine.Trace.records trace in
+  check_bool "records traced" true (records <> []);
+  let lines =
+    String.split_on_char '\n'
+      (Export.chrome ~instants:(Mv_engine.Trace.instants trace) machine.Machine.obs)
+  in
+  let instants = List.filter (fun l -> contains l "\"ph\":\"i\"") lines in
+  check_int "one instant per record" (List.length records) (List.length instants);
+  let in_export_order =
+    List.mapi (fun i r -> (r.Mv_engine.Trace.at, i, r)) records
+    |> List.sort compare
+    |> List.map (fun (_, _, r) -> r)
+  in
+  List.iter2
+    (fun (r : Mv_engine.Trace.record) line ->
+      check_bool "emitted in thread context" true (r.track >= 0);
+      check_bool
+        (Printf.sprintf "instant %S on track %d" r.message r.track)
+        true
+        (contains line (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\"," r.category r.category)
+        && contains line (Printf.sprintf "\"tid\":%d," r.track)
+        && contains line (Printf.sprintf "\"detail\":\"%s\"" r.message));
+      check_bool
+        (Printf.sprintf "track %d labelled with its thread" r.track)
+        true
+        (List.exists
+           (fun l ->
+             contains l
+               (Printf.sprintf "\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d," r.track)
+             && not (contains l "\"name\":\"track-"))
+           lines))
+    in_export_order instants
+
 let test_folded_all_modes () =
   List.iter
     (fun (name, mode) ->
@@ -423,6 +476,7 @@ let suite =
     ("metrics: registry", `Quick, test_metrics_registry);
     ("critical path: synthetic crossing", `Quick, test_critical_path_synthetic);
     ("chrome export: golden scenario", `Quick, test_golden_chrome);
+    ("chrome export: one instant per trace record", `Quick, test_chrome_instant_per_record);
     ("folded export: synthetic scenario", `Quick, test_folded_synthetic);
     ("critical path: >= 95% attributed (binary-tree-2)", `Quick, test_critical_path_acceptance);
     ("folded export: non-empty in all modes", `Slow, test_folded_all_modes);
