@@ -1697,8 +1697,59 @@ let host_stress_cell () =
 (* Memoized so `host --json` measures once. *)
 let host_cells = lazy [ host_scale_cell (); host_stress_cell () ]
 
+(* Cell 3: the Racket VM's interpreter loop, the host cost of every
+   hybrid run.  binary-tree-2 (allocation-heavy) and fannkuch-redux
+   (arithmetic and vectors) run natively at their test sizes.  Words and
+   wall time are counted inside [Engine.run_program] only, so machine set-up
+   and engine start-up stay out of the per-instruction figures. *)
+type racket_cell = {
+  rk_instrs : int;  (* VM instructions: deterministic *)
+  rk_sim_cycles : int;  (* simulated wall cycles of the runs: deterministic *)
+  rk_wall_s : float;
+  rk_minor_words : float;
+}
+
+let host_racket_benches = [ "binary-tree-2"; "fannkuch-redux" ]
+
+let host_racket_cell () =
+  List.fold_left
+    (fun acc name ->
+      let b = Mv_workloads.Benchmarks.find name in
+      let source = b.Mv_workloads.Benchmarks.b_source b.Mv_workloads.Benchmarks.b_test_n in
+      let instrs = ref 0 and wall = ref 0.0 and words = ref 0.0 in
+      let prog =
+        {
+          Toolchain.prog_name = name;
+          prog_main =
+            (fun env ->
+              let e = Mv_racket.Engine.start env in
+              let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+              Mv_racket.Engine.run_program e source;
+              wall := Unix.gettimeofday () -. t0;
+              words := Gc.minor_words () -. w0;
+              instrs := Mv_racket.Vm.instructions_executed (Mv_racket.Engine.vm e));
+        }
+      in
+      let rs = Toolchain.run_native prog in
+      {
+        rk_instrs = acc.rk_instrs + !instrs;
+        rk_sim_cycles = acc.rk_sim_cycles + rs.Toolchain.rs_wall_cycles;
+        rk_wall_s = acc.rk_wall_s +. !wall;
+        rk_minor_words = acc.rk_minor_words +. !words;
+      })
+    { rk_instrs = 0; rk_sim_cycles = 0; rk_wall_s = 0.0; rk_minor_words = 0.0 }
+    host_racket_benches
+
+let host_racket = lazy (host_racket_cell ())
+
+let rk_minstr_per_sec c =
+  if c.rk_wall_s <= 0.0 then 0.0 else float_of_int c.rk_instrs /. c.rk_wall_s /. 1e6
+
+let rk_minor_words_per_instr c =
+  if c.rk_instrs = 0 then 0.0 else c.rk_minor_words /. float_of_int c.rk_instrs
+
 let host_bench () =
-  section "Host: engine events/sec and GC words/event (wall-clock, not simulated)";
+  section "Host: engine events/sec, GC words/event, VM words/instr (wall-clock, not simulated)";
   let cells = Lazy.force host_cells in
   let t =
     Table.create
@@ -1720,14 +1771,22 @@ let host_bench () =
         ])
     cells;
   print_string (Table.to_string t);
+  let rk = Lazy.force host_racket in
   printf
-    "(simulated cycles are pinned by the golden surface; wall-clock and words/event\n\
-    \ are the knobs host-perf work is allowed to move)\n"
+    "racket VM (%s, native, test sizes): %d instructions, %.3f s, %.1f M instr/s, %.2f minor \
+     w/instr\n"
+    (String.concat " + " host_racket_benches)
+    rk.rk_instrs rk.rk_wall_s (rk_minstr_per_sec rk) (rk_minor_words_per_instr rk);
+  printf
+    "(simulated cycles are pinned by the golden surface; wall-clock, words/event and\n\
+    \ words/instr are the knobs host-perf work is allowed to move)\n"
 
 (* BENCH_host.json.  Wall-clock fields are machine-dependent noise; the
-   CI allocation guard keys on minor_words_per_event only. *)
+   CI allocation guard keys on minor_words_per_event and
+   minor_words_per_instr only. *)
 let write_host_json path =
   let cells = Lazy.force host_cells in
+  let rk = Lazy.force host_racket in
   let open Bench_report in
   let cell c =
     Obj
@@ -1758,6 +1817,21 @@ let write_host_json path =
             ("fibers", Int host_stress_fibers);
             ("yields_per_fiber", Int host_stress_yields);
             ("cell", cell (List.nth cells 1));
+          ] );
+      ( "racket",
+        Obj
+          [
+            ("benchmarks", List (List.map (fun b -> Str b) host_racket_benches));
+            ( "cell",
+              Obj
+                [
+                  ("instructions", Int rk.rk_instrs);
+                  ("sim_cycles", Int rk.rk_sim_cycles);
+                  ("wall_s", Float (rk.rk_wall_s, 4));
+                  ("minstr_per_sec", Float (rk_minstr_per_sec rk, 2));
+                  ("minor_words_per_instr", Float (rk_minor_words_per_instr rk, 2));
+                  ("minor_words", Float (rk.rk_minor_words, 0));
+                ] );
           ] );
     ];
   let c = List.nth cells 0 in

@@ -41,7 +41,8 @@ let main name image_kb overrides out =
   in
   let prog = { Toolchain.prog_name = name; prog_main = (fun _ -> ()) } in
   let hx = Toolchain.hybridize ~overrides:config ~image_kb prog in
-  Printf.printf "fat binary for %S: %d bytes\n\n" name (String.length hx.Toolchain.hx_bytes);
+  let bytes = Fat_binary.encode hx.Toolchain.hx_fat in
+  Printf.printf "fat binary for %S: %d bytes\n\n" name (String.length bytes);
   Printf.printf "%-16s %10s\n" "section" "bytes";
   List.iter
     (fun s ->
@@ -54,7 +55,7 @@ let main name image_kb overrides out =
   (match out with
   | Some path ->
       let oc = open_out_bin path in
-      output_string oc hx.Toolchain.hx_bytes;
+      output_string oc bytes;
       close_out oc;
       (* Round-trip, as the runtime's startup parser would. *)
       let ic = open_in_bin path in

@@ -68,8 +68,6 @@ let decode s =
     go (String.length magic) []
   end
 
-let total_size t = String.length (encode t)
-
 let sec_text = ".text"
 let sec_hrt_image = ".hrt.image"
 let sec_overrides = ".mv.overrides"

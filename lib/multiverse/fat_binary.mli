@@ -32,9 +32,6 @@ val encode : t -> string
 val decode : string -> (t, string) result
 (** Inverse of {!encode}; [Error] describes the corruption. *)
 
-val total_size : t -> int
-(** Size in bytes of the encoded container. *)
-
 (** {1 Standard section names} *)
 
 val sec_text : string  (* ".text" — the legacy program image *)

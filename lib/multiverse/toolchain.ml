@@ -6,7 +6,7 @@ open Mv_ros
 
 type program = { prog_name : string; prog_main : Mv_guest.Env.t -> unit }
 
-type hybrid_exe = { hx_program : program; hx_fat : Fat_binary.t; hx_bytes : string }
+type hybrid_exe = { hx_program : program; hx_fat : Fat_binary.t }
 
 (* A deterministic stand-in for the compiled AeroKernel image: header plus
    pseudo-random payload of the requested size. *)
@@ -19,18 +19,33 @@ let make_image ~kb =
   done;
   Buffer.sub b 0 (kb * 1024)
 
+(* Each image size is built once, on first use, and shared: the bytes
+   never change and building them is most of a [hybridize].  Machines on
+   several domains hybridize at once, hence the lock. *)
+let images : (int, string) Hashtbl.t = Hashtbl.create 4
+let images_lock = Mutex.create ()
+
+let image ~kb =
+  Mutex.protect images_lock (fun () ->
+      match Hashtbl.find_opt images kb with
+      | Some img -> img
+      | None ->
+          let img = make_image ~kb in
+          Hashtbl.replace images kb img;
+          img)
+
 let hybridize ?(overrides = Override_config.empty) ?(image_kb = 640) program =
   let fat =
     Fat_binary.empty
     |> Fat_binary.add_section ~name:Fat_binary.sec_text
          ~data:("LEGACY-PROGRAM " ^ program.prog_name)
-    |> Fat_binary.add_section ~name:Fat_binary.sec_hrt_image ~data:(make_image ~kb:image_kb)
+    |> Fat_binary.add_section ~name:Fat_binary.sec_hrt_image ~data:(image ~kb:image_kb)
     |> Fat_binary.add_section ~name:Fat_binary.sec_overrides
          ~data:(Override_config.to_text overrides)
     |> Fat_binary.add_section ~name:Fat_binary.sec_init
          ~data:"ros_signals,exit_hook,linkage,install,boot,merge"
   in
-  { hx_program = program; hx_fat = fat; hx_bytes = Fat_binary.encode fat }
+  { hx_program = program; hx_fat = fat }
 
 type mv_options = {
   mv_channel : Mv_hvm.Event_channel.kind;

@@ -16,8 +16,7 @@ type program = {
 
 type hybrid_exe = {
   hx_program : program;
-  hx_fat : Fat_binary.t;
-  hx_bytes : string;  (** the encoded fat binary, as it would sit on disk *)
+  hx_fat : Fat_binary.t;  (** {!Fat_binary.encode} gives the bytes as they would sit on disk *)
 }
 
 val hybridize :

@@ -6,6 +6,7 @@ let words_per_page = Addr.page_size / 8
 
 type seg = {
   s_base : Addr.t;
+  s_end : Addr.t;  (* first address past the segment *)
   s_pages : int;
   s_words : int array;
   s_starts : Bytes.t;  (* per word: 1 = live object header *)
@@ -31,6 +32,7 @@ type t = {
   segment_pages : int;
   mutable segs : seg list;
   page_map : (int, seg) Hashtbl.t;
+  mutable last : seg;  (* segment of the last heap access; [no_seg] after it is unmapped *)
   flists : (int, (seg * int) list ref) Hashtbl.t;  (* block words -> blocks *)
   mutable cur : seg;
   mutable bytes_since_gc : int;
@@ -48,11 +50,28 @@ type t = {
 
 (* --- segments --- *)
 
+(* Matches no address: the segment cache's empty state. *)
+let no_seg =
+  {
+    s_base = 0;
+    s_end = 0;
+    s_pages = 0;
+    s_words = [||];
+    s_starts = Bytes.empty;
+    s_frees = Bytes.empty;
+    s_marks = Bytes.empty;
+    s_resident = Bytes.empty;
+    s_protected = Bytes.empty;
+    s_bump = 0;
+    s_live_words = 0;
+  }
+
 let map_segment t pages =
   let base = t.env.Env.mmap ~len:(pages * Addr.page_size) ~prot:Mv_ros.Mm.prot_rw ~kind:"gc-heap" in
   let seg =
     {
       s_base = base;
+      s_end = base + (pages * Addr.page_size);
       s_pages = pages;
       s_words = Array.make (pages * words_per_page) 0;
       s_starts = Bytes.make (pages * words_per_page) '\000';
@@ -77,6 +96,7 @@ let unmap_segment t seg =
     Hashtbl.remove t.page_map (Addr.page_of seg.s_base + i)
   done;
   t.segs <- List.filter (fun s -> s != seg) t.segs;
+  if t.last == seg then t.last <- no_seg;
   t.st.segments_unmapped <- t.st.segments_unmapped + 1
 
 (* 512 pages = 2 MiB: exactly one huge-page chunk, so heap segments promote
@@ -99,8 +119,9 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       segment_pages;
       segs = [];
       page_map = Hashtbl.create 256;
+      last = no_seg;
       flists = Hashtbl.create 32;
-      cur = Obj.magic 0;  (* set below *)
+      cur = no_seg;  (* set below *)
       bytes_since_gc = 0;
       threshold;
       base_threshold = threshold;
@@ -123,10 +144,22 @@ let set_scannable t ~tag flag = t.scannable.(tag) <- flag
 
 (* --- access --- *)
 
-let locate t addr =
-  match Hashtbl.find_opt t.page_map (Addr.page_of addr) with
-  | Some seg -> (seg, (addr - seg.s_base) / 8)
-  | None -> invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr)
+(* The segment holding [addr], or [no_seg].  Accesses cluster, so the
+   last segment used is checked before the page map; neither path
+   allocates. *)
+let find_seg t addr =
+  let seg = t.last in
+  if addr >= seg.s_base && addr < seg.s_end then seg
+  else
+    match Hashtbl.find t.page_map (Addr.page_of addr) with
+    | seg ->
+        t.last <- seg;
+        seg
+    | exception Not_found -> no_seg
+
+let seg_of t addr =
+  let seg = find_seg t addr in
+  if seg == no_seg then invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr) else seg
 
 let page_rel _seg widx = widx / words_per_page
 
@@ -144,12 +177,14 @@ let ensure_writable t seg widx =
   end
 
 let write_word t addr v =
-  let seg, widx = locate t addr in
+  let seg = seg_of t addr in
+  let widx = (addr - seg.s_base) / 8 in
   ensure_writable t seg widx;
   seg.s_words.(widx) <- v
 
 let read_word t addr =
-  let seg, widx = locate t addr in
+  let seg = seg_of t addr in
+  let widx = (addr - seg.s_base) / 8 in
   let pr = page_rel seg widx in
   if Bytes.get seg.s_resident pr = '\000' then begin
     t.env.Env.touch (seg.s_base + (widx * 8));
@@ -158,8 +193,8 @@ let read_word t addr =
   seg.s_words.(widx)
 
 let header_of t addr =
-  let seg, widx = locate t addr in
-  seg.s_words.(widx)
+  let seg = seg_of t addr in
+  seg.s_words.((addr - seg.s_base) / 8)
 
 let header_tag t addr = header_of t addr land 0xFF
 let header_words t addr = header_of t addr lsr 8
@@ -167,11 +202,9 @@ let header_words t addr = header_of t addr lsr 8
 let is_heap_pointer t v =
   v land 7 = 0 && v > 0
   &&
-  match Hashtbl.find_opt t.page_map (Addr.page_of v) with
-  | Some seg ->
-      let widx = (v - seg.s_base) / 8 in
-      widx < seg.s_bump && Bytes.get seg.s_starts widx = '\001'
-  | None -> false
+  let seg = find_seg t v in
+  let widx = (v - seg.s_base) / 8 in
+  widx < seg.s_bump && Bytes.get seg.s_starts widx = '\001'
 
 (* --- write barrier --- *)
 
@@ -219,7 +252,8 @@ let mark_phase t =
   let stack = Stack.create () in
   let visit v =
     if is_heap_pointer t v then begin
-      let seg, widx = locate t v in
+      let seg = seg_of t v in
+      let widx = (v - seg.s_base) / 8 in
       if Bytes.get seg.s_marks widx = '\000' then begin
         Bytes.set seg.s_marks widx '\001';
         Stack.push (seg, widx) stack

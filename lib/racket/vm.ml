@@ -21,6 +21,9 @@ type frame = {
   mutable f_base : V.v;  (* the activation's own frame, for recycling *)
 }
 
+(* A LIFO stack of recycled frames of one size. *)
+type pool = { mutable frames_of_size : V.v array; mutable npooled : int }
+
 type t = {
   cs : cstate;
   env : Env.t;
@@ -41,7 +44,7 @@ type t = {
   (* Recycled activation frames for code that provably never captures its
      frame: models compiled code keeping such frames on the stack instead
      of allocating (without it, every call would be a GC allocation). *)
-  frame_pool : (int, V.v list ref) Hashtbl.t;
+  mutable pools : pool array;  (* by frame size *)
   mutable pool_count : int;
   mutable place_ops : place_ops option;
   ports : (int, Libc.stream) Hashtbl.t;
@@ -67,7 +70,7 @@ let create env libc heap =
       on_tick = (fun _ -> ());
       on_jit = (fun _ -> ());
       cycles_per_instr = 9;
-      frame_pool = Hashtbl.create 16;
+      pools = [||];
       pool_count = 0;
       place_ops = None;
       ports = Hashtbl.create 8;
@@ -92,7 +95,12 @@ let create env libc heap =
         visit t.temps.(i)
       done;
       (* Pooled frames must stay live across collections. *)
-      Hashtbl.iter (fun _ cell -> List.iter visit !cell) t.frame_pool);
+      Array.iter
+        (fun p ->
+          for k = 0 to p.npooled - 1 do
+            visit p.frames_of_size.(k)
+          done)
+        t.pools);
   t
 
 let cstate t = t.cs
@@ -122,6 +130,9 @@ let protect t v =
   t.ntemps <- t.ntemps + 1
 
 let clear_temps t = t.ntemps <- 0
+
+(* Argument [i] of the [n] a primitive finds on top of the stack. *)
+let arg t n i = t.stack.(t.sp - n + i)
 
 (* --- rendering --- *)
 
@@ -198,40 +209,39 @@ let float_val t v =
 
 let num2 t name a b ~fix ~flo =
   if V.is_fixnum a && V.is_fixnum b then fix (V.fixnum_val a) (V.fixnum_val b)
-  else if is_number t a && is_number t b then flo (float_val t a) (float_val t b)
+  else if is_number t a && is_number t b then flo t (float_val t a) (float_val t b)
   else err "%s: expected numbers, got %s and %s" name (display_string t a) (display_string t b)
 
 let fixr n = V.fixnum n
 let flor t f = V.flonum t.heap f
 
-let arith_fold t name args ~id ~fix ~flo =
-  match args with
-  | [] -> fixr id
-  | [ x ] when name = "-" ->
-      if V.is_fixnum x then fixr (-V.fixnum_val x) else flor t (-.float_val t x)
-  | [ x ] when name = "/" -> (
-      match x with
-      | _ when V.is_fixnum x && V.fixnum_val x = 1 -> fixr 1
-      | _ -> flor t (1.0 /. float_val t x))
-  | first :: rest ->
-      List.fold_left
-        (fun acc x ->
-          num2 t name acc x
-            ~fix:(fun a b -> fix a b)
-            ~flo:(fun a b -> flo t a b))
-        first rest
+(* The numeric primitives fold over their [n] arguments where they sit on
+   the stack, left to right, building no list. *)
+let arith_fold t name n ~id ~fix ~flo =
+  if n = 0 then fixr id
+  else if n = 1 && name = "-" then
+    let x = arg t 1 0 in
+    if V.is_fixnum x then fixr (-V.fixnum_val x) else flor t (-.float_val t x)
+  else if n = 1 && name = "/" then
+    let x = arg t 1 0 in
+    if V.is_fixnum x && V.fixnum_val x = 1 then fixr 1 else flor t (1.0 /. float_val t x)
+  else begin
+    let acc = ref (arg t n 0) in
+    for i = 1 to n - 1 do
+      acc := num2 t name !acc (arg t n i) ~fix ~flo
+    done;
+    !acc
+  end
 
-let compare_chain t args ~fix ~flo =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-        let ok =
-          if V.is_fixnum a && V.is_fixnum b then fix (V.fixnum_val a) (V.fixnum_val b)
-          else flo (float_val t a) (float_val t b)
-        in
-        ok && go rest
-    | _ -> true
-  in
-  V.bool_v (go args)
+let rec chain_holds t n i ~fix ~flo =
+  i + 1 >= n
+  ||
+  let a = arg t n i and b = arg t n (i + 1) in
+  (if V.is_fixnum a && V.is_fixnum b then fix (V.fixnum_val a) (V.fixnum_val b)
+   else flo (float_val t a) (float_val t b))
+  && chain_holds t n (i + 1) ~fix ~flo
+
+let compare_chain t n ~fix ~flo = V.bool_v (chain_holds t n 0 ~fix ~flo)
 
 (* --- primitive execution ---
 
@@ -239,166 +249,193 @@ let compare_chain t args ~fix ~flo =
    GC roots across any allocation); [finish] pops them and pushes the
    result. *)
 
+let args t n = List.init n (arg t n)
+
+let finish t n v =
+  t.sp <- t.sp - n;
+  push t v;
+  clear_temps t
+
+let expect t name what ok v =
+  if not ok then err "%s: expected %s, got %s" name what (display_string t v)
+
+let int_arg t n name i =
+  let v = arg t n i in
+  expect t name "integer" (V.is_fixnum v) v;
+  V.fixnum_val v
+
+let string_arg t n name i =
+  let v = arg t n i in
+  expect t name "string" (V.is_string t.heap v) v;
+  v
+
+(* [p] on two fixnums, as [arith_fold] and [compare_chain] compute it,
+   without their closure calls: the common case of compiled arithmetic. *)
+let fix2 p a b =
+  match p with
+  | Padd -> fixr (a + b)
+  | Psub -> fixr (a - b)
+  | Pmul -> fixr (a * b)
+  | Plt -> V.bool_v (a < b)
+  | Pgt -> V.bool_v (a > b)
+  | Ple -> V.bool_v (a <= b)
+  | Pge -> V.bool_v (a >= b)
+  | Pnumeq -> V.bool_v (a = b)
+  | _ -> assert false
+
 let exec_prim t p n =
   let gc = t.heap in
-  let arg i = t.stack.(t.sp - n + i) in
-  let args () = List.init n arg in
-  let finish v =
-    t.sp <- t.sp - n;
-    push t v;
-    clear_temps t
-  in
-  let int_arg name i =
-    let v = arg i in
-    if V.is_fixnum v then V.fixnum_val v
-    else err "%s: expected integer, got %s" name (display_string t v)
-  in
-  let string_arg name i =
-    let v = arg i in
-    if V.is_string gc v then v else err "%s: expected string, got %s" name (display_string t v)
-  in
   match p with
   (* numbers *)
+  | (Padd | Psub | Pmul | Plt | Pgt | Ple | Pge | Pnumeq)
+    when n = 2 && V.is_fixnum (arg t 2 0) && V.is_fixnum (arg t 2 1) ->
+      finish t 2 (fix2 p (V.fixnum_val (arg t 2 0)) (V.fixnum_val (arg t 2 1)))
   | Padd ->
-      finish
-        (arith_fold t "+" (args ()) ~id:0 ~fix:(fun a b -> fixr (a + b))
+      finish t n
+        (arith_fold t "+" n ~id:0 ~fix:(fun a b -> fixr (a + b))
            ~flo:(fun t a b -> flor t (a +. b)))
   | Psub ->
       if n = 0 then err "-: needs at least one argument"
       else
-        finish
-          (arith_fold t "-" (args ()) ~id:0 ~fix:(fun a b -> fixr (a - b))
+        finish t n
+          (arith_fold t "-" n ~id:0 ~fix:(fun a b -> fixr (a - b))
              ~flo:(fun t a b -> flor t (a -. b)))
   | Pmul ->
-      finish
-        (arith_fold t "*" (args ()) ~id:1 ~fix:(fun a b -> fixr (a * b))
+      finish t n
+        (arith_fold t "*" n ~id:1 ~fix:(fun a b -> fixr (a * b))
            ~flo:(fun t a b -> flor t (a *. b)))
   | Pdiv ->
       if n = 0 then err "/: needs at least one argument"
       else
-        finish
-          (arith_fold t "/" (args ()) ~id:1
+        finish t n
+          (arith_fold t "/" n ~id:1
              ~fix:(fun a b ->
                if b = 0 then err "/: division by zero"
                else if a mod b = 0 then fixr (a / b)
                else flor t (float_of_int a /. float_of_int b))
              ~flo:(fun t a b -> flor t (a /. b)))
   | Pquotient ->
-      let a = int_arg "quotient" 0 and b = int_arg "quotient" 1 in
-      if b = 0 then err "quotient: division by zero" else finish (fixr (a / b))
+      let a = int_arg t n "quotient" 0 and b = int_arg t n "quotient" 1 in
+      if b = 0 then err "quotient: division by zero" else finish t n (fixr (a / b))
   | Premainder ->
-      let a = int_arg "remainder" 0 and b = int_arg "remainder" 1 in
-      if b = 0 then err "remainder: division by zero" else finish (fixr (a mod b))
+      let a = int_arg t n "remainder" 0 and b = int_arg t n "remainder" 1 in
+      if b = 0 then err "remainder: division by zero" else finish t n (fixr (a mod b))
   | Pmodulo ->
-      let a = int_arg "modulo" 0 and b = int_arg "modulo" 1 in
+      let a = int_arg t n "modulo" 0 and b = int_arg t n "modulo" 1 in
       if b = 0 then err "modulo: division by zero"
-      else finish (fixr (((a mod b) + b) mod b))
+      else finish t n (fixr (((a mod b) + b) mod b))
   | Pabs ->
-      let v = arg 0 in
-      finish
+      let v = arg t n 0 in
+      finish t n
         (if V.is_fixnum v then fixr (abs (V.fixnum_val v))
          else flor t (Float.abs (float_val t v)))
   | Pmin ->
-      finish
-        (arith_fold t "min" (args ()) ~id:0 ~fix:(fun a b -> fixr (min a b))
+      finish t n
+        (arith_fold t "min" n ~id:0 ~fix:(fun a b -> fixr (min a b))
            ~flo:(fun t a b -> flor t (Float.min a b)))
   | Pmax ->
-      finish
-        (arith_fold t "max" (args ()) ~id:0 ~fix:(fun a b -> fixr (max a b))
+      finish t n
+        (arith_fold t "max" n ~id:0 ~fix:(fun a b -> fixr (max a b))
            ~flo:(fun t a b -> flor t (Float.max a b)))
   | Pexpt ->
-      let b = arg 0 and e = arg 1 in
+      let b = arg t n 0 and e = arg t n 1 in
       if V.is_fixnum b && V.is_fixnum e && V.fixnum_val e >= 0 then begin
         let rec ipow acc b e = if e = 0 then acc else ipow (acc * b) b (e - 1) in
-        finish (fixr (ipow 1 (V.fixnum_val b) (V.fixnum_val e)))
+        finish t n (fixr (ipow 1 (V.fixnum_val b) (V.fixnum_val e)))
       end
-      else finish (flor t (Float.pow (float_val t b) (float_val t e)))
+      else finish t n (flor t (Float.pow (float_val t b) (float_val t e)))
   | Psqrt ->
-      let f = float_val t (arg 0) in
+      let f = float_val t (arg t n 0) in
       let r = sqrt f in
-      if V.is_fixnum (arg 0) && Float.is_integer r then finish (fixr (int_of_float r))
-      else finish (flor t r)
+      if V.is_fixnum (arg t n 0) && Float.is_integer r then finish t n (fixr (int_of_float r))
+      else finish t n (flor t r)
   | Pfloor ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else flor t (Float.floor (float_val t v)))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else flor t (Float.floor (float_val t v)))
   | Ptruncate ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else flor t (Float.trunc (float_val t v)))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else flor t (Float.trunc (float_val t v)))
   | Pround ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else flor t (Float.round (float_val t v)))
-  | Pexact_to_inexact -> finish (flor t (float_val t (arg 0)))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else flor t (Float.round (float_val t v)))
+  | Pexact_to_inexact -> finish t n (flor t (float_val t (arg t n 0)))
   | Pinexact_to_exact ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else fixr (int_of_float (float_val t v)))
-  | Psin -> finish (flor t (sin (float_val t (arg 0))))
-  | Pcos -> finish (flor t (cos (float_val t (arg 0))))
-  | Patan -> finish (flor t (atan (float_val t (arg 0))))
-  | Plog -> finish (flor t (log (float_val t (arg 0))))
-  | Pexp -> finish (flor t (exp (float_val t (arg 0))))
-  | Plt -> finish (compare_chain t (args ()) ~fix:( < ) ~flo:( < ))
-  | Pgt -> finish (compare_chain t (args ()) ~fix:( > ) ~flo:( > ))
-  | Ple -> finish (compare_chain t (args ()) ~fix:( <= ) ~flo:( <= ))
-  | Pge -> finish (compare_chain t (args ()) ~fix:( >= ) ~flo:( >= ))
-  | Pnumeq -> finish (compare_chain t (args ()) ~fix:( = ) ~flo:( = ))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else fixr (int_of_float (float_val t v)))
+  | Psin -> finish t n (flor t (sin (float_val t (arg t n 0))))
+  | Pcos -> finish t n (flor t (cos (float_val t (arg t n 0))))
+  | Patan -> finish t n (flor t (atan (float_val t (arg t n 0))))
+  | Plog -> finish t n (flor t (log (float_val t (arg t n 0))))
+  | Pexp -> finish t n (flor t (exp (float_val t (arg t n 0))))
+  | Plt -> finish t n (compare_chain t n ~fix:( < ) ~flo:( < ))
+  | Pgt -> finish t n (compare_chain t n ~fix:( > ) ~flo:( > ))
+  | Ple -> finish t n (compare_chain t n ~fix:( <= ) ~flo:( <= ))
+  | Pge -> finish t n (compare_chain t n ~fix:( >= ) ~flo:( >= ))
+  | Pnumeq -> finish t n (compare_chain t n ~fix:( = ) ~flo:( = ))
   | Pzerop ->
-      finish
-        (V.bool_v (if V.is_fixnum (arg 0) then V.fixnum_val (arg 0) = 0
-                   else float_val t (arg 0) = 0.0))
-  | Pevenp -> finish (V.bool_v (int_arg "even?" 0 land 1 = 0))
-  | Poddp -> finish (V.bool_v (int_arg "odd?" 0 land 1 = 1))
-  | Pnegativep -> finish (V.bool_v (float_val t (arg 0) < 0.))
-  | Ppositivep -> finish (V.bool_v (float_val t (arg 0) > 0.))
+      finish t n
+        (V.bool_v (if V.is_fixnum (arg t n 0) then V.fixnum_val (arg t n 0) = 0
+                   else float_val t (arg t n 0) = 0.0))
+  | Pevenp -> finish t n (V.bool_v (int_arg t n "even?" 0 land 1 = 0))
+  | Poddp -> finish t n (V.bool_v (int_arg t n "odd?" 0 land 1 = 1))
+  | Pnegativep -> finish t n (V.bool_v (float_val t (arg t n 0) < 0.))
+  | Ppositivep -> finish t n (V.bool_v (float_val t (arg t n 0) > 0.))
   (* predicates *)
-  | Peq -> finish (V.bool_v (arg 0 = arg 1))
-  | Peqv -> finish (V.bool_v (V.eqv gc (arg 0) (arg 1)))
-  | Pequal -> finish (V.bool_v (V.equal gc (arg 0) (arg 1)))
-  | Pnot -> finish (V.bool_v (arg 0 = V.vfalse))
-  | Pnullp -> finish (V.bool_v (arg 0 = V.nil))
-  | Ppairp -> finish (V.bool_v (V.is_pair gc (arg 0)))
-  | Pnumberp -> finish (V.bool_v (is_number t (arg 0)))
+  | Peq -> finish t n (V.bool_v (arg t n 0 = arg t n 1))
+  | Peqv -> finish t n (V.bool_v (V.eqv gc (arg t n 0) (arg t n 1)))
+  | Pequal -> finish t n (V.bool_v (V.equal gc (arg t n 0) (arg t n 1)))
+  | Pnot -> finish t n (V.bool_v (arg t n 0 = V.vfalse))
+  | Pnullp -> finish t n (V.bool_v (arg t n 0 = V.nil))
+  | Ppairp -> finish t n (V.bool_v (V.is_pair gc (arg t n 0)))
+  | Pnumberp -> finish t n (V.bool_v (is_number t (arg t n 0)))
   | Pintegerp ->
-      finish
+      finish t n
         (V.bool_v
-           (V.is_fixnum (arg 0)
-           || (V.is_flonum gc (arg 0) && Float.is_integer (V.flonum_val gc (arg 0)))))
-  | Pstringp -> finish (V.bool_v (V.is_string gc (arg 0)))
-  | Psymbolp -> finish (V.bool_v (V.is_sym (arg 0)))
-  | Pprocedurep -> finish (V.bool_v (V.is_closure gc (arg 0)))
-  | Pvectorp -> finish (V.bool_v (V.is_vector gc (arg 0)))
-  | Pbooleanp -> finish (V.bool_v (arg 0 = V.vtrue || arg 0 = V.vfalse))
-  | Pcharp -> finish (V.bool_v (V.is_char (arg 0)))
+           (V.is_fixnum (arg t n 0)
+           || (V.is_flonum gc (arg t n 0) && Float.is_integer (V.flonum_val gc (arg t n 0)))))
+  | Pstringp -> finish t n (V.bool_v (V.is_string gc (arg t n 0)))
+  | Psymbolp -> finish t n (V.bool_v (V.is_sym (arg t n 0)))
+  | Pprocedurep -> finish t n (V.bool_v (V.is_closure gc (arg t n 0)))
+  | Pvectorp -> finish t n (V.bool_v (V.is_vector gc (arg t n 0)))
+  | Pbooleanp -> finish t n (V.bool_v (arg t n 0 = V.vtrue || arg t n 0 = V.vfalse))
+  | Pcharp -> finish t n (V.bool_v (V.is_char (arg t n 0)))
   (* pairs *)
-  | Pcons -> finish (V.cons gc (arg 0) (arg 1))
+  | Pcons -> finish t n (V.cons gc (arg t n 0) (arg t n 1))
   | Pcar ->
-      if V.is_pair gc (arg 0) then finish (V.car gc (arg 0))
-      else err "car: expected pair, got %s" (display_string t (arg 0))
+      let pair = arg t n 0 in
+      expect t "car" "pair" (V.is_pair gc pair) pair;
+      finish t n (V.car gc pair)
   | Pcdr ->
-      if V.is_pair gc (arg 0) then finish (V.cdr gc (arg 0))
-      else err "cdr: expected pair, got %s" (display_string t (arg 0))
+      let pair = arg t n 0 in
+      expect t "cdr" "pair" (V.is_pair gc pair) pair;
+      finish t n (V.cdr gc pair)
   | Psetcar ->
-      V.set_car gc (arg 0) (arg 1);
-      finish V.vvoid
+      let pair = arg t n 0 in
+      expect t "set-car!" "pair" (V.is_pair gc pair) pair;
+      V.set_car gc pair (arg t n 1);
+      finish t n V.vvoid
   | Psetcdr ->
-      V.set_cdr gc (arg 0) (arg 1);
-      finish V.vvoid
+      let pair = arg t n 0 in
+      expect t "set-cdr!" "pair" (V.is_pair gc pair) pair;
+      V.set_cdr gc pair (arg t n 1);
+      finish t n V.vvoid
   | Plist ->
       let acc = ref V.nil in
       for i = n - 1 downto 0 do
         t.ntemps <- 0;
         protect t !acc;
-        acc := V.cons gc (arg i) !acc
+        acc := V.cons gc (arg t n i) !acc
       done;
-      finish !acc
+      finish t n !acc
   | Plength ->
       let rec go acc v =
         if v = V.nil then acc
         else if V.is_pair gc v then go (acc + 1) (V.cdr gc v)
         else err "length: improper list"
       in
-      finish (fixr (go 0 (arg 0)))
+      finish t n (fixr (go 0 (arg t n 0)))
   | Pappend ->
-      if n = 0 then finish V.nil
+      if n = 0 then finish t n V.nil
       else begin
         (* Copy all but the last, sharing the tail. *)
         let rec copy_onto front tail =
@@ -413,7 +450,7 @@ let exec_prim t p n =
                   V.cons gc x acc)
                 elems (copy_onto rest tail)
         in
-        let all = args () in
+        let all = args t n in
         let rec split = function
           | [ last ] -> ([], last)
           | x :: rest ->
@@ -422,7 +459,7 @@ let exec_prim t p n =
           | [] -> assert false
         in
         let front, last = split all in
-        finish (copy_onto front last)
+        finish t n (copy_onto front last)
       end
   | Preverse ->
       let acc = ref V.nil in
@@ -435,119 +472,146 @@ let exec_prim t p n =
           go (V.cdr gc v)
         end
       in
-      go (arg 0);
-      finish !acc
+      go (arg t n 0);
+      finish t n !acc
   | Plist_ref ->
-      let rec go v k = if k = 0 then V.car gc v else go (V.cdr gc v) (k - 1) in
-      finish (go (arg 0) (int_arg "list-ref" 1))
+      let k = int_arg t n "list-ref" 1 in
+      let rec go v i =
+        if not (V.is_pair gc v) then err "list-ref: index %d out of range" k
+        else if i = 0 then V.car gc v
+        else go (V.cdr gc v) (i - 1)
+      in
+      finish t n (go (arg t n 0) k)
   | Plist_tail ->
-      let rec go v k = if k = 0 then v else go (V.cdr gc v) (k - 1) in
-      finish (go (arg 0) (int_arg "list-tail" 1))
+      let k = int_arg t n "list-tail" 1 in
+      let rec go v i =
+        if i = 0 then v
+        else if not (V.is_pair gc v) then err "list-tail: index %d out of range" k
+        else go (V.cdr gc v) (i - 1)
+      in
+      finish t n (go (arg t n 0) k)
   | Pmemq | Pmember ->
       let same = match p with Pmemq -> fun a b -> a = b | _ -> V.equal gc in
       let rec go v =
         if v = V.nil then V.vfalse
-        else if same (arg 0) (V.car gc v) then v
+        else if same (arg t n 0) (V.car gc v) then v
         else go (V.cdr gc v)
       in
-      finish (go (arg 1))
+      finish t n (go (arg t n 1))
   | Passq | Passv ->
       let same = match p with Passq -> fun a b -> a = b | _ -> V.eqv gc in
       let rec go v =
         if v = V.nil then V.vfalse
         else
           let entry = V.car gc v in
-          if V.is_pair gc entry && same (arg 0) (V.car gc entry) then entry
+          if V.is_pair gc entry && same (arg t n 0) (V.car gc entry) then entry
           else go (V.cdr gc v)
       in
-      finish (go (arg 1))
+      finish t n (go (arg t n 1))
   (* vectors *)
   | Pmake_vector ->
-      let len = int_arg "make-vector" 0 in
-      let fill = if n > 1 then arg 1 else V.fixnum 0 in
-      finish (V.make_vector gc len fill)
+      let len = int_arg t n "make-vector" 0 in
+      let fill = if n > 1 then arg t n 1 else V.fixnum 0 in
+      finish t n (V.make_vector gc len fill)
   | Pvector ->
       let v = V.make_vector gc n V.vundef in
       for i = 0 to n - 1 do
-        V.vector_set gc v i (arg i)
+        V.vector_set gc v i (arg t n i)
       done;
-      finish v
+      finish t n v
   | Pvector_ref ->
-      let v = arg 0 and i = int_arg "vector-ref" 1 in
+      let v = arg t n 0 and i = int_arg t n "vector-ref" 1 in
       if not (V.is_vector gc v) then err "vector-ref: expected vector";
       if i < 0 || i >= V.vector_length gc v then err "vector-ref: index %d out of range" i;
-      finish (V.vector_ref gc v i)
+      finish t n (V.vector_ref gc v i)
   | Pvector_set ->
-      let v = arg 0 and i = int_arg "vector-set!" 1 in
+      let v = arg t n 0 and i = int_arg t n "vector-set!" 1 in
       if not (V.is_vector gc v) then err "vector-set!: expected vector";
       if i < 0 || i >= V.vector_length gc v then err "vector-set!: index %d out of range" i;
-      V.vector_set gc v i (arg 2);
-      finish V.vvoid
-  | Pvector_length -> finish (fixr (V.vector_length gc (arg 0)))
+      V.vector_set gc v i (arg t n 2);
+      finish t n V.vvoid
+  | Pvector_length ->
+      let v = arg t n 0 in
+      expect t "vector-length" "vector" (V.is_vector gc v) v;
+      finish t n (fixr (V.vector_length gc v))
   | Pvector_fill ->
-      let v = arg 0 in
+      let v = arg t n 0 in
+      expect t "vector-fill!" "vector" (V.is_vector gc v) v;
       for i = 0 to V.vector_length gc v - 1 do
-        V.vector_set gc v i (arg 1)
+        V.vector_set gc v i (arg t n 1)
       done;
-      finish V.vvoid
+      finish t n V.vvoid
   (* strings *)
-  | Pstring_length -> finish (fixr (V.string_length gc (string_arg "string-length" 0)))
+  | Pstring_length -> finish t n (fixr (V.string_length gc (string_arg t n "string-length" 0)))
   | Pstring_ref ->
-      finish (V.char_v (V.string_ref gc (string_arg "string-ref" 0) (int_arg "string-ref" 1)))
+      let i = int_arg t n "string-ref" 1 in
+      finish t n (V.char_v (V.string_ref gc (string_arg t n "string-ref" 0) i))
   | Pstring_set ->
-      let c = arg 2 in
+      let c = arg t n 2 in
       if not (V.is_char c) then err "string-set!: expected char";
-      V.string_set gc (string_arg "string-set!" 0) (int_arg "string-set!" 1) (V.char_val c);
-      finish V.vvoid
+      V.string_set gc (string_arg t n "string-set!" 0) (int_arg t n "string-set!" 1) (V.char_val c);
+      finish t n V.vvoid
   | Pmake_string ->
-      let len = int_arg "make-string" 0 in
-      let c = if n > 1 then V.char_val (arg 1) else ' ' in
-      finish (V.string_v gc (String.make len c))
+      let len = int_arg t n "make-string" 0 in
+      let c = if n > 1 then V.char_val (arg t n 1) else ' ' in
+      finish t n (V.string_v gc (String.make len c))
   | Pstring_append ->
-      let parts = List.map (fun v -> V.string_val gc v) (args ()) in
-      finish (V.string_v gc (String.concat "" parts))
+      let parts = List.map (fun v -> V.string_val gc v) (args t n) in
+      finish t n (V.string_v gc (String.concat "" parts))
   | Psubstring ->
-      let s = V.string_val gc (string_arg "substring" 0) in
-      let a = int_arg "substring" 1 and b = int_arg "substring" 2 in
-      finish (V.string_v gc (String.sub s a (b - a)))
-  | Pstring_to_symbol -> finish (V.sym (intern t.cs (V.string_val gc (arg 0))))
-  | Psymbol_to_string -> finish (V.string_v gc (sym_name t.cs (V.sym_id (arg 0))))
-  | Pnumber_to_string -> finish (V.string_v gc (display_string t (arg 0)))
+      let s = V.string_val gc (string_arg t n "substring" 0) in
+      let a = int_arg t n "substring" 1 and b = int_arg t n "substring" 2 in
+      finish t n (V.string_v gc (String.sub s a (b - a)))
+  | Pstring_to_symbol -> finish t n (V.sym (intern t.cs (V.string_val gc (arg t n 0))))
+  | Psymbol_to_string ->
+      let v = arg t n 0 in
+      expect t "symbol->string" "symbol" (V.is_sym v) v;
+      finish t n (V.string_v gc (sym_name t.cs (V.sym_id v)))
+  | Pnumber_to_string -> finish t n (V.string_v gc (display_string t (arg t n 0)))
   | Pstring_to_number -> (
-      let s = V.string_val gc (string_arg "string->number" 0) in
+      let s = V.string_val gc (string_arg t n "string->number" 0) in
       match int_of_string_opt s with
-      | Some k -> finish (fixr k)
+      | Some k -> finish t n (fixr k)
       | None -> (
           match float_of_string_opt s with
-          | Some f -> finish (flor t f)
-          | None -> finish V.vfalse))
+          | Some f -> finish t n (flor t f)
+          | None -> finish t n V.vfalse))
   | Pstring_eq ->
-      finish (V.bool_v (V.string_val gc (arg 0) = V.string_val gc (arg 1)))
-  | Pstring_copy -> finish (V.string_v gc (V.string_val gc (arg 0)))
+      finish t n (V.bool_v (V.string_val gc (arg t n 0) = V.string_val gc (arg t n 1)))
+  | Pstring_copy -> finish t n (V.string_v gc (V.string_val gc (arg t n 0)))
   | Plist_to_string ->
-      let chars = V.to_list gc (arg 0) in
-      finish (V.string_v gc (String.init (List.length chars) (fun i -> V.char_val (List.nth chars i))))
+      let chars = V.to_list gc (arg t n 0) in
+      finish t n
+        (V.string_v gc (String.init (List.length chars) (fun i -> V.char_val (List.nth chars i))))
   | Pstring_to_list ->
-      let s = V.string_val gc (arg 0) in
+      let s = V.string_val gc (arg t n 0) in
       let acc = ref V.nil in
       for i = String.length s - 1 downto 0 do
         t.ntemps <- 0;
         protect t !acc;
         acc := V.cons gc (V.char_v s.[i]) !acc
       done;
-      finish !acc
-  | Pchar_to_integer -> finish (fixr (Char.code (V.char_val (arg 0))))
-  | Pinteger_to_char -> finish (V.char_v (Char.chr (int_arg "integer->char" 0 land 0xFF)))
-  | Pchar_eq -> finish (V.bool_v (arg 0 = arg 1))
+      finish t n !acc
+  | Pchar_to_integer ->
+      let v = arg t n 0 in
+      expect t "char->integer" "char" (V.is_char v) v;
+      finish t n (fixr (Char.code (V.char_val v)))
+  | Pinteger_to_char -> finish t n (V.char_v (Char.chr (int_arg t n "integer->char" 0 land 0xFF)))
+  | Pchar_eq -> finish t n (V.bool_v (arg t n 0 = arg t n 1))
   | Preal_to_decimal_string ->
-      let digits = int_arg "real->decimal-string" 1 in
-      finish (V.string_v gc (Printf.sprintf "%.*f" digits (float_val t (arg 0))))
+      let digits = int_arg t n "real->decimal-string" 1 in
+      finish t n (V.string_v gc (Printf.sprintf "%.*f" digits (float_val t (arg t n 0))))
   (* boxes *)
-  | Pbox -> finish (V.box_v gc (arg 0))
-  | Punbox -> finish (V.unbox gc (arg 0))
+  | Pbox -> finish t n (V.box_v gc (arg t n 0))
+  | Punbox ->
+      let b = arg t n 0 in
+      expect t "unbox" "box" (V.is_box gc b) b;
+      finish t n (V.unbox gc b)
   | Pset_box ->
-      V.set_box gc (arg 0) (arg 1);
-      finish V.vvoid
+      let b = arg t n 0 in
+      expect t "set-box!" "box" (V.is_box gc b) b;
+      V.set_box gc b (arg t n 1);
+      finish t n V.vvoid
   (* I/O.  Each of these takes an optional trailing port argument; without
      one, output goes to stdout and input comes from stdin. *)
   | Pdisplay | Pwrite | Pnewline | Pwrite_char | Pwrite_string | Pread_line
@@ -561,9 +625,9 @@ let exec_prim t p n =
           | Some s -> s
           | None -> err "%s: port is closed" name
       in
-      (* output stream for a prim whose port argument (if any) is arg i *)
+      (* output stream for a prim whose port argument (if any) is arg t n i *)
       let out_for name i =
-        if n > i then port_stream name (arg i) else Libc.stdout_stream t.libc
+        if n > i then port_stream name (arg t n i) else Libc.stdout_stream t.libc
       in
       let arity name lo hi =
         if n < lo || n > hi then err "%s: expects %d..%d arguments, got %d" name lo hi n
@@ -571,29 +635,29 @@ let exec_prim t p n =
       match p with
       | Pdisplay ->
           arity "display" 1 2;
-          Libc.fwrite t.libc (out_for "display" 1) (display_string t (arg 0));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "display" 1) (display_string t (arg t n 0));
+          finish t n V.vvoid
       | Pwrite ->
           arity "write" 1 2;
-          Libc.fwrite t.libc (out_for "write" 1) (write_string_of t (arg 0));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "write" 1) (write_string_of t (arg t n 0));
+          finish t n V.vvoid
       | Pnewline ->
           arity "newline" 0 1;
           Libc.fwrite t.libc (out_for "newline" 0) "\n";
-          finish V.vvoid
+          finish t n V.vvoid
       | Pwrite_char ->
           arity "write-char" 1 2;
-          Libc.fwrite t.libc (out_for "write-char" 1) (String.make 1 (V.char_val (arg 0)));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "write-char" 1) (String.make 1 (V.char_val (arg t n 0)));
+          finish t n V.vvoid
       | Pwrite_string ->
           arity "write-string" 1 2;
-          Libc.fwrite t.libc (out_for "write-string" 1) (V.string_val gc (arg 0));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "write-string" 1) (V.string_val gc (arg t n 0));
+          finish t n V.vvoid
       | Pread_line -> (
           arity "read-line" 0 1;
           let got =
             if n = 0 then Libc.stdin_gets t.libc
-            else Libc.fgets t.libc (port_stream "read-line" (arg 0)) ~max:65536
+            else Libc.fgets t.libc (port_stream "read-line" (arg t n 0)) ~max:65536
           in
           match got with
           | Some line ->
@@ -602,60 +666,60 @@ let exec_prim t p n =
                   String.sub line 0 (String.length line - 1)
                 else line
               in
-              finish (V.string_v gc line)
-          | None -> finish V.veof)
+              finish t n (V.string_v gc line)
+          | None -> finish t n V.veof)
       | Pread_char -> (
           arity "read-char" 0 1;
           let got =
             if n = 0 then Libc.stdin_gets_char t.libc
-            else Libc.fgetc t.libc (port_stream "read-char" (arg 0))
+            else Libc.fgetc t.libc (port_stream "read-char" (arg t n 0))
           in
-          match got with Some c -> finish (V.char_v c) | None -> finish V.veof)
+          match got with Some c -> finish t n (V.char_v c) | None -> finish t n V.veof)
       | Pflush_output ->
           arity "flush-output" 0 1;
-          if n = 1 then Libc.fflush t.libc (port_stream "flush-output" (arg 0))
+          if n = 1 then Libc.fflush t.libc (port_stream "flush-output" (arg t n 0))
           else Libc.flush_all t.libc;
-          finish V.vvoid
+          finish t n V.vvoid
       | Popen_input -> (
-          let path = V.string_val gc (string_arg "open-input-file" 0) in
+          let path = V.string_val gc (string_arg t n "open-input-file" 0) in
           match Libc.fopen t.libc ~path ~mode:"r" with
           | Ok s ->
               let id = t.next_port in
               t.next_port <- id + 1;
               Hashtbl.replace t.ports id s;
-              finish (V.port_v id)
+              finish t n (V.port_v id)
           | Error e ->
               err "open-input-file: %s: %s" path (Mv_ros.Syscalls.errno_name e))
       | Popen_output -> (
-          let path = V.string_val gc (string_arg "open-output-file" 0) in
+          let path = V.string_val gc (string_arg t n "open-output-file" 0) in
           match Libc.fopen t.libc ~path ~mode:"w" with
           | Ok s ->
               let id = t.next_port in
               t.next_port <- id + 1;
               Hashtbl.replace t.ports id s;
-              finish (V.port_v id)
+              finish t n (V.port_v id)
           | Error e ->
               err "open-output-file: %s: %s" path (Mv_ros.Syscalls.errno_name e))
       | Pclose_port ->
-          let v = arg 0 in
+          let v = arg t n 0 in
           if not (V.is_port v) then err "close-port: expected a port";
           (match Hashtbl.find_opt t.ports (V.port_id v) with
           | Some s ->
               Libc.fclose t.libc s;
               Hashtbl.remove t.ports (V.port_id v)
           | None -> ());
-          finish V.vvoid
-      | Peof_objectp -> finish (V.bool_v (arg 0 = V.veof))
-      | Pportp -> finish (V.bool_v (V.is_port (arg 0)))
+          finish t n V.vvoid
+      | Peof_objectp -> finish t n (V.bool_v (arg t n 0 = V.veof))
+      | Pportp -> finish t n (V.bool_v (V.is_port (arg t n 0)))
       | _ -> assert false)
-  | Pvoid -> finish V.vvoid
+  | Pvoid -> finish t n V.vvoid
   | Perror ->
-      let parts = List.map (fun v -> display_string t v) (args ()) in
+      let parts = List.map (fun v -> display_string t v) (args t n) in
       raise (Scheme_error (String.concat " " parts))
-  | Pcurrent_seconds -> finish (fixr (int_of_float (t.env.Env.gettimeofday ())))
+  | Pcurrent_seconds -> finish t n (fixr (int_of_float (t.env.Env.gettimeofday ())))
   | Pcollect_garbage ->
       Sgc.collect t.heap;
-      finish V.vvoid
+      finish t n V.vvoid
   | Pplace_spawn | Pplace_send | Pplace_recv | Pplace_wait -> (
       let ops =
         match t.place_ops with
@@ -664,25 +728,25 @@ let exec_prim t p n =
       in
       match p with
       | Pplace_spawn ->
-          let src = V.string_val gc (string_arg "place-spawn" 0) in
+          let src = V.string_val gc (string_arg t n "place-spawn" 0) in
           (* Spawning a place costs a thread creation plus heap setup;
              charged by the engine's implementation. *)
-          finish (fixr (ops.po_spawn src))
+          finish t n (fixr (ops.po_spawn src))
       | Pplace_send -> (
-          let id = int_arg "place-send" 0 in
-          match Places.encode t.cs (arg 1) with
+          let id = int_arg t n "place-send" 0 in
+          match Places.encode t.cs (arg t n 1) with
           | m ->
               ops.po_send id m;
-              finish V.vvoid
+              finish t n V.vvoid
           | exception Places.Not_transferable ty ->
               err "place-send: %s values are not transferable" ty)
       | Pplace_recv ->
-          let id = int_arg "place-receive" 0 in
+          let id = int_arg t n "place-receive" 0 in
           let m = ops.po_recv id in
-          finish (Places.decode t.cs m)
+          finish t n (Places.decode t.cs m)
       | Pplace_wait ->
-          ops.po_wait (int_arg "place-wait" 0);
-          finish V.vvoid
+          ops.po_wait (int_arg t n "place-wait" 0);
+          finish t n V.vvoid
       | _ -> assert false)
   | Papply -> assert false (* handled in the main loop *)
 
@@ -702,37 +766,47 @@ let code_no_capture (code : code) =
 let max_pooled = 4096
 
 let alloc_frame t ~parent ~size =
-  match Hashtbl.find_opt t.frame_pool size with
-  | Some ({ contents = f :: rest } as cell) ->
-      cell := rest;
-      t.pool_count <- t.pool_count - 1;
-      V.frame_set_parent t.heap f parent;
-      f
-  | Some _ | None -> V.frame t.heap ~parent ~size
+  if size < Array.length t.pools && t.pools.(size).npooled > 0 then begin
+    let p = t.pools.(size) in
+    p.npooled <- p.npooled - 1;
+    t.pool_count <- t.pool_count - 1;
+    let f = p.frames_of_size.(p.npooled) in
+    V.frame_set_parent t.heap f parent;
+    f
+  end
+  else V.frame t.heap ~parent ~size
 
 let recycle_frame t f =
   if t.pool_count < max_pooled then begin
     let size = V.frame_size t.heap f in
-    (match Hashtbl.find_opt t.frame_pool size with
-    | Some cell -> cell := f :: !cell
-    | None -> Hashtbl.replace t.frame_pool size (ref [ f ]));
+    let n = Array.length t.pools in
+    if size >= n then
+      t.pools <-
+        Array.init (size + 1) (fun i ->
+            if i < n then t.pools.(i) else { frames_of_size = [||]; npooled = 0 });
+    let p = t.pools.(size) in
+    if p.npooled = Array.length p.frames_of_size then begin
+      let a = Array.make (max 8 (2 * p.npooled)) V.nil in
+      Array.blit p.frames_of_size 0 a 0 p.npooled;
+      p.frames_of_size <- a
+    end;
+    p.frames_of_size.(p.npooled) <- f;
+    p.npooled <- p.npooled + 1;
     t.pool_count <- t.pool_count + 1
   end
 
 (* At return from a no-capture activation, every frame from the current
    environment down to (and including) the activation's own frame is dead:
    recycle the chain. *)
-let recycle_activation t (fr : frame) code =
-  if code_no_capture code && fr.f_base <> V.nil then begin
-    let rec walk f =
-      if f <> V.nil then begin
-        let parent = V.frame_parent t.heap f in
-        recycle_frame t f;
-        if f <> fr.f_base then walk parent
-      end
-    in
-    walk fr.f_env
+let rec recycle_chain t f base =
+  if f <> V.nil then begin
+    let parent = V.frame_parent t.heap f in
+    recycle_frame t f;
+    if f <> base then recycle_chain t parent base
   end
+
+let recycle_activation t (fr : frame) code =
+  if code_no_capture code && fr.f_base <> V.nil then recycle_chain t fr.f_env fr.f_base
 
 let grow_frames t =
   if t.fp + 1 >= Array.length t.frames then begin
@@ -824,9 +898,8 @@ let enter_call t argc ~tail =
   end
   end
 
-let lookup_env t env depth =
-  let rec go env d = if d = 0 then env else go (V.frame_parent t.heap env) (d - 1) in
-  go env depth
+let rec lookup_env t env depth =
+  if depth = 0 then env else lookup_env t (V.frame_parent t.heap env) (depth - 1)
 
 let tick t =
   t.tick_acc <- t.tick_acc + 1;

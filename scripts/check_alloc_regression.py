@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Allocation-regression guard for the host bench.
 
-Compares every `minor_words_per_event` cell in a fresh BENCH_host.json
+Compares every `minor_words_per_event` cell (the engine) and every
+`minor_words_per_instr` cell (the Racket VM) in a fresh BENCH_host.json
 against the committed baseline (bench/host_alloc_baseline.json) and fails
 if any cell grew more than the tolerance.  Wall-clock and events/sec are
-machine-dependent noise and are deliberately not checked; words/event is
-deterministic for a fixed workload, so a >20% jump means a real
-allocation regression on the host hot path, not a slow runner.
+machine-dependent noise and are deliberately not checked; words per event
+or instruction is deterministic for a fixed workload, so a >20% jump means
+a real allocation regression on the host hot path, not a slow runner.
 
 Usage: check_alloc_regression.py BASELINE.json CURRENT.json
 """
@@ -14,42 +15,44 @@ import json
 import sys
 
 TOLERANCE = 1.20  # fail when current > baseline * TOLERANCE
+UNITS = {"minor_words_per_event": "w/event", "minor_words_per_instr": "w/instr"}
 
 
 def cells(doc, path=""):
-    """Yield (path, minor_words_per_event) for every bench cell."""
+    """Yield (path, unit, words) for every guarded figure of every bench cell."""
     if isinstance(doc, dict):
-        if "minor_words_per_event" in doc:
-            yield path, float(doc["minor_words_per_event"])
+        for key, unit in UNITS.items():
+            if key in doc:
+                yield path, unit, float(doc[key])
         for key, value in doc.items():
             yield from cells(value, f"{path}/{key}" if path else key)
 
 
 def main(baseline_path, current_path):
     with open(baseline_path) as f:
-        baseline = dict(cells(json.load(f)))
+        baseline = {(path, unit): words for path, unit, words in cells(json.load(f))}
     with open(current_path) as f:
-        current = dict(cells(json.load(f)))
+        current = {(path, unit): words for path, unit, words in cells(json.load(f))}
     if not current:
-        print(f"{current_path}: no minor_words_per_event cells found", file=sys.stderr)
+        print(f"{current_path}: no minor-words cells found", file=sys.stderr)
         return 1
     failed = False
-    for path, words in sorted(current.items()):
-        ref = baseline.get(path)
+    for (path, unit), words in sorted(current.items()):
+        ref = baseline.get((path, unit))
         if ref is None:
-            print(f"note {path}: {words:.2f} w/event (no baseline; add one)")
+            print(f"note {path}: {words:.2f} {unit} (no baseline; add one)")
             continue
         limit = ref * TOLERANCE
         if ref > 0 and words > limit:
             failed = True
-            print(f"FAIL {path}: {words:.2f} w/event > limit {limit:.2f} (baseline {ref:.2f})")
+            print(f"FAIL {path}: {words:.2f} {unit} > limit {limit:.2f} (baseline {ref:.2f})")
         else:
-            print(f"ok   {path}: {words:.2f} w/event (baseline {ref:.2f}, limit {limit:.2f})")
+            print(f"ok   {path}: {words:.2f} {unit} (baseline {ref:.2f}, limit {limit:.2f})")
     if failed:
         print(
-            "allocation regression: minor words/event grew >20% vs the committed "
-            "baseline; if intentional, regenerate bench/host_alloc_baseline.json "
-            "from a release-profile `bench host --json` run",
+            "allocation regression: minor words per event or instruction grew >20% "
+            "vs the committed baseline; if intentional, regenerate "
+            "bench/host_alloc_baseline.json from a release-profile `bench host --json` run",
             file=sys.stderr,
         )
         return 1

@@ -227,12 +227,19 @@ let test_sgc_segments_unmapped () =
       Sgc.set_roots gc (fun _ -> ());
       (* Fill several segments with garbage, then collect: empty segments
          go back to the OS with munmap (Figure 12's pattern). *)
+      let doomed = Value.cons gc (Value.fixnum 7) Value.nil in
       for _ = 1 to 40_000 do
         ignore (Value.cons gc (Value.fixnum 0) Value.nil)
       done;
       let mapped_before = Sgc.mapped_bytes gc in
+      (* The last access before the collection is to the first segment,
+         which the collection unmaps: no lookup may outlive it. *)
+      check_int "doomed object readable" 7 (Value.fixnum_val (Value.car gc doomed));
       Sgc.collect gc;
       check_bool "segments released" true (Sgc.mapped_bytes gc < mapped_before);
+      check_bool "unmapped object is not a heap pointer" false (Sgc.is_heap_pointer gc doomed);
+      check_bool "unmapped word unreadable" true
+        (match Sgc.read_word gc doomed with _ -> false | exception Invalid_argument _ -> true);
       check_bool "munmap syscalls issued" true
         (Mv_util.Histogram.count p.Mv_ros.Process.syscall_counts "munmap" > 0);
       check_bool "unmap stat" true ((Sgc.stats gc).Sgc.segments_unmapped > 0))
@@ -340,18 +347,76 @@ let test_eval_numeric_tower () =
   check_eval "-2" "(remainder -5 3)"
 
 let test_eval_errors () =
-  let raises src =
-    match eval_in_guest src with
-    | exception Alcotest.Test_error -> false
-    | _ -> false
-    | exception _ -> true
-  in
+  let raises src = match eval_in_guest src with _ -> false | exception Vm.Scheme_error _ -> true in
   check_bool "car of non-pair" true (raises "(car 5)");
   check_bool "arity mismatch" true (raises "((lambda (x) x) 1 2)");
   check_bool "undefined global" true (raises "undefined-thing");
   check_bool "vector bounds" true (raises "(vector-ref (make-vector 2 0) 5)");
   check_bool "division by zero" true (raises "(quotient 1 0)");
-  check_bool "user error" true (raises {|(error "boom")|})
+  check_bool "user error" true (raises {|(error "boom")|});
+  (* Wrong-typed arguments are Scheme errors, never a stray heap access. *)
+  check_bool "set-car! of non-pair" true (raises "(set-car! 5 1)");
+  check_bool "set-cdr! of non-pair" true (raises "(set-cdr! 'a 1)");
+  check_bool "list-ref past the end" true (raises "(list-ref (list 1 2) 5)");
+  check_bool "list-tail past the end" true (raises "(list-tail (list 1 2) 3)");
+  check_bool "vector-length of a pair" true (raises "(vector-length (cons 1 2))");
+  check_bool "vector-length of a string" true (raises {|(vector-length "abcdefghijklmnopq")|});
+  check_bool "vector-fill! of a list" true (raises "(vector-fill! (list 1 2) 0)");
+  check_bool "unbox of a pair" true (raises "(unbox (cons 1 2))");
+  check_bool "set-box! of a fixnum" true (raises "(set-box! 3 1)");
+  check_bool "char->integer of a fixnum" true (raises "(char->integer 65)");
+  check_bool "symbol->string of a fixnum" true (raises "(symbol->string 5)");
+  (* The checks pass well-typed arguments through. *)
+  check_eval "(1 9)" "(let ((p (list 1 2))) (set-car! (cdr p) 9) p)";
+  check_eval "()" "(list-tail (list 1 2) 2)";
+  check_eval "#(7 7)" "(let ((v (make-vector 2 0))) (vector-fill! v 7) v)";
+  check_eval "2" "(let ((b (box 1))) (set-box! b 2) (unbox b))";
+  check_eval "97" "(char->integer #\\a)";
+  check_eval "\"abc\"" "(symbol->string 'abc)"
+
+(* Two-fixnum [+ - * < > <= >= =] take a direct path in the VM.  It must
+   agree with the n-ary path, and both with OCaml arithmetic wrapped to the
+   62-bit fixnum; a flonum argument must still take the generic path. *)
+let qcheck_fixnum_fast_path =
+  let bound = 1 lsl 61 in
+  let fixnum =
+    QCheck.Gen.(
+      oneof
+        [
+          small_signed_int;
+          map (fun k -> bound - 1 - k) small_nat;
+          map (fun k -> k - bound) small_nat;
+          int_range (-bound) (bound - 1);
+        ])
+  in
+  let operands = QCheck.Gen.(oneof [ pair fixnum fixnum; map (fun a -> (a, a)) fixnum ]) in
+  let print = QCheck.Print.(list (pair int int)) in
+  QCheck.Test.make ~count:25 ~name:"vm: two-fixnum arithmetic matches the n-ary path"
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 8) operands))
+    (fun pairs ->
+      in_guest (fun env _p ->
+          let engine = Engine.start env in
+          let eval a b body =
+            Engine.eval_string engine (Printf.sprintf "(let ((a %d) (b %d)) %s)" a b body)
+            |> Vm.write_string_of (Engine.vm engine)
+          in
+          let bool x = if x then "#t" else "#f" in
+          let fix x = string_of_int ((x lsl 1) asr 1) in
+          List.for_all
+            (fun (a, b) ->
+              eval a b "(+ a b)" = eval a b "(+ a b 0)"
+              && eval a b "(+ a b 0)" = fix (a + b)
+              && eval a b "(- a b)" = eval a b "(- a b 0)"
+              && eval a b "(- a b 0)" = fix (a - b)
+              && eval a b "(* a b)" = eval a b "(* a b 1)"
+              && eval a b "(* a b 1)" = fix (a * b)
+              && eval a b "(< a b)" = bool (a < b)
+              && eval a b "(> a b)" = bool (a > b)
+              && eval a b "(<= a b)" = bool (a <= b)
+              && eval a b "(>= a b)" = bool (a >= b)
+              && eval a b "(= a b)" = bool (a = b)
+              && eval a b "(+ a 0.5)" = eval a b "(+ a 0.5 0)")
+            pairs))
 
 let test_eval_gc_under_pressure () =
   (* Allocation-heavy nested data with live working set: exercises GC
@@ -587,6 +652,9 @@ let suite =
     ("eval: control forms", `Quick, test_eval_control);
     ("eval: numeric tower", `Quick, test_eval_numeric_tower);
     ("eval: runtime errors", `Quick, test_eval_errors);
+    (* cheap enough for the quick tier, which skips QCheck's default `Slow *)
+    (let name, _, fn = QCheck_alcotest.to_alcotest qcheck_fixnum_fast_path in
+     (name, `Quick, fn));
     ("eval: GC under pressure", `Quick, test_eval_gc_under_pressure);
     ("engine: startup syscall profile (Fig 11)", `Quick, test_engine_startup_profile);
     ("engine: REPL", `Quick, test_engine_repl);

@@ -174,9 +174,9 @@ let test_hybridize_embeds_everything () =
         | Error _ -> false)
     | None -> false);
   (* The on-disk bytes are the decoded fat binary. *)
-  match Fat_binary.decode hx.Toolchain.hx_bytes with
+  match Fat_binary.decode (Fat_binary.encode hx.Toolchain.hx_fat) with
   | Ok fat -> check_bool "bytes decode" true (Fat_binary.section_names fat <> [])
-  | Error e -> Alcotest.failf "hx_bytes corrupt: %s" e
+  | Error e -> Alcotest.failf "encoded fat binary corrupt: %s" e
 
 let test_embedded_overrides_take_effect () =
   (* A developer override with a recognizable cost must be picked up by the
