@@ -296,8 +296,6 @@ let fig9 () =
 (* Figures 10-13: the Racket benchmarks                                *)
 (* ------------------------------------------------------------------ *)
 
-let bench_sizes = [ 1.0 ] (* scale factor hook; sizes fixed per benchmark *)
-
 let all_benchmarks = Mv_workloads.Benchmarks.all
 
 let run_bench ~mode b =
@@ -314,7 +312,6 @@ let run_bench ~mode b =
       Toolchain.run_multiverse ~options (Toolchain.hybridize prog)
 
 let fig10 () =
-  ignore bench_sizes;
   section "Figure 10: system utilization of the Racket benchmarks (native)";
   let t =
     Table.create
@@ -565,7 +562,7 @@ let hpcg_linux ~nx ~workers =
   Option.get !out
 
 let hpcg_hrt ~nx ~workers =
-  let machine = Machine.create ~hrt_cores:(workers + 1) () in
+  let machine = Machine.create ~hrt_parts:[ workers + 1 ] () in
   let nk = Nautilus.create machine in
   let out = ref None in
   let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in
@@ -629,7 +626,7 @@ let native_model () =
     !out
   in
   let vcode_hrt ~n ~workers =
-    let machine = Machine.create ~hrt_cores:(workers + 1) () in
+    let machine = Machine.create ~hrt_parts:[ workers + 1 ] () in
     let nk = Nautilus.create machine in
     let out = ref 0 in
     let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in
@@ -673,15 +670,13 @@ type fabric_metrics = {
   fm_groups : int;
   fm_riders : int;
   fm_calls_per_rider : int;
-  fm_forwarded : int;  (* forwarded calls per run (same in both modes) *)
-  fm_unbatched_cycles : int;
+  fm_forwarded : int;  (* forwarded calls per run *)
   fm_batched_cycles : int;
   fm_calls_per_sec : float;
   fm_rider_count : int;
   fm_drains : int;
   fm_drained : int;
   fm_transport_batched : int;
-  fm_transport_unbatched : int;
   fm_local_hits : int;
   fm_local_misses : int;
   fm_fabric_calls : int;
@@ -689,18 +684,15 @@ type fabric_metrics = {
 
 (* Four concurrent execution groups, each with concurrent nested callers
    hammering the group's endpoint: the configuration the batching layer is
-   for.  Identical workload with batching on and off; the only variable is
-   whether concurrent calls ride the shared-page ring or ring their own
-   doorbell. *)
+   for. *)
 let measure_fabric () =
   let groups = 4 and riders = 4 and calls = 8 in
-  let run batching =
+  let run () =
     let elapsed = ref 0 in
     let counters = ref None in
     ignore
       (Toolchain.run_accelerator ~name:"fabric-bench" (fun ~ros_env:_ ~rt ->
            let fabric = Runtime.fabric rt in
-           Fabric.set_batching fabric batching;
            let exec = (Nautilus.machine (Runtime.nk rt)).Machine.exec in
            let t0 = Exec.local_now exec in
            let partners =
@@ -727,27 +719,23 @@ let measure_fabric () =
                  Fabric.local_hits fabric, Fabric.local_misses fabric )));
     (!elapsed, Option.get !counters)
   in
-  (* The two timed A/B runs and the three RTT probes are five independent
-     machines; fan them out. *)
+  (* The timed run and the three RTT probes are four independent machines;
+     fan them out. *)
   let cells =
     [
-      (fun () -> `Timed (run false));
-      (fun () -> `Timed (run true));
+      (fun () -> `Timed (run ()));
       (fun () -> `Rtt (measure_channel_rtt ~kind:Event_channel.Async ~ros_core:0 ~hrt_core:7));
       (fun () -> `Rtt (measure_channel_rtt ~kind:Event_channel.Sync ~ros_core:0 ~hrt_core:7));
       (fun () -> `Rtt (measure_channel_rtt ~kind:Event_channel.Sync ~ros_core:5 ~hrt_core:7));
     ]
   in
-  let ( unbatched_cycles,
-        (_, transport_off, _, _, _, _, _),
-        batched_cycles,
+  let ( batched_cycles,
         (fcalls, transport_on, nriders, drains, drained, hits, misses),
         async_rtt,
         sync_cross_rtt,
         sync_same_rtt ) =
     match par_map (fun f -> f ()) cells with
-    | [ `Timed (uc, co); `Timed (bc, cb); `Rtt a; `Rtt sc; `Rtt ss ] ->
-        (uc, co, bc, cb, a, sc, ss)
+    | [ `Timed (bc, cb); `Rtt a; `Rtt sc; `Rtt ss ] -> (bc, cb, a, sc, ss)
     | _ -> assert false
   in
   let forwarded = groups * riders * calls in
@@ -759,14 +747,12 @@ let measure_fabric () =
     fm_riders = riders;
     fm_calls_per_rider = calls;
     fm_forwarded = forwarded;
-    fm_unbatched_cycles = unbatched_cycles;
     fm_batched_cycles = batched_cycles;
     fm_calls_per_sec = float_of_int forwarded /. Cycles.to_sec batched_cycles;
     fm_rider_count = nriders;
     fm_drains = drains;
     fm_drained = drained;
     fm_transport_batched = transport_on;
-    fm_transport_unbatched = transport_off;
     fm_local_hits = hits;
     fm_local_misses = misses;
     fm_fabric_calls = fcalls;
@@ -778,11 +764,6 @@ let fabric_metrics = lazy (measure_fabric ())
 
 let cycles_per_call m cycles = float_of_int cycles /. float_of_int m.fm_forwarded
 
-let reduction_pct m =
-  100.0
-  *. (cycles_per_call m m.fm_unbatched_cycles -. cycles_per_call m m.fm_batched_cycles)
-  /. cycles_per_call m m.fm_unbatched_cycles
-
 let batch_occupancy m =
   if m.fm_drains = 0 then 0.0
   else float_of_int m.fm_drained /. float_of_int m.fm_drains
@@ -792,7 +773,7 @@ let local_hit_rate m =
   else float_of_int m.fm_local_hits /. float_of_int m.fm_fabric_calls
 
 let fabric_bench () =
-  section "Fabric: batched vs unbatched forwarding (4 concurrent groups)";
+  section "Fabric: batched forwarding (4 concurrent groups)";
   let m = Lazy.force fabric_metrics in
   let t = Table.create ~headers:[ "Metric"; "Value" ] in
   let row name v = Table.add_row t [ name; v ] in
@@ -801,20 +782,15 @@ let fabric_bench () =
   row "sync RTT same-socket (cycles)" (string_of_int m.fm_sync_same_rtt);
   row "groups x riders x calls"
     (Printf.sprintf "%d x %d x %d" m.fm_groups m.fm_riders m.fm_calls_per_rider);
-  row "unbatched cycles/forwarded call"
-    (Printf.sprintf "%.0f" (cycles_per_call m m.fm_unbatched_cycles));
   row "batched cycles/forwarded call"
     (Printf.sprintf "%.0f" (cycles_per_call m m.fm_batched_cycles));
-  row "reduction" (Printf.sprintf "%.1f%%" (reduction_pct m));
   row "forwarded calls/sec (batched)" (Printf.sprintf "%.0f" m.fm_calls_per_sec);
-  row "doorbells (unbatched -> batched)"
-    (Printf.sprintf "%d -> %d" m.fm_transport_unbatched m.fm_transport_batched);
+  row "doorbells" (string_of_int m.fm_transport_batched);
   row "riders / drains / drained"
     (Printf.sprintf "%d / %d / %d" m.fm_rider_count m.fm_drains m.fm_drained);
   row "batch occupancy (drained/drain)" (Printf.sprintf "%.2f" (batch_occupancy m));
   row "local fast-path hit rate" (Printf.sprintf "%.2f" (local_hit_rate m));
-  print_string (Table.to_string t);
-  printf "(acceptance: batching cuts virtual cycles per forwarded call by >= 25%%)\n"
+  print_string (Table.to_string t)
 
 (* BENCH_fabric.json, via the shared Bench_report emitter. *)
 let write_fabric_json path =
@@ -837,10 +813,7 @@ let write_fabric_json path =
             ("riders_per_group", Int m.fm_riders);
             ("calls_per_rider", Int m.fm_calls_per_rider);
             ("forwarded_calls", Int m.fm_forwarded);
-            ("unbatched_cycles_per_call", Float (cycles_per_call m m.fm_unbatched_cycles, 1));
             ("batched_cycles_per_call", Float (cycles_per_call m m.fm_batched_cycles, 1));
-            ("reduction_pct", Float (reduction_pct m, 2));
-            ("doorbells_unbatched", Int m.fm_transport_unbatched);
             ("doorbells_batched", Int m.fm_transport_batched);
             ("riders", Int m.fm_rider_count);
             ("drains", Int m.fm_drains);
@@ -855,7 +828,8 @@ let write_fabric_json path =
             ("hit_rate", Float (local_hit_rate m, 3));
           ] );
     ];
-  printf "wrote %s (reduction %.2f%%)\n%!" path (reduction_pct m)
+  printf "wrote %s (%.0f cycles per forwarded call)\n%!" path
+    (cycles_per_call m m.fm_batched_cycles)
 
 (* ------------------------------------------------------------------ *)
 (* The memory path: huge pages, size-aware TLB, walk cache, shootdowns *)
@@ -1250,7 +1224,7 @@ let numa_loadgen placement =
       Loadgen.lg_groups = 400;
       lg_sockets = sockets;
       lg_cores_per_socket = cores_per_socket;
-      lg_hrt_cores = hrt;
+      lg_partitions = [ hrt ];
       lg_placement = placement;
     }
 
@@ -1266,7 +1240,7 @@ let numa_accesses_per_frame = 32
 
 let measure_numa_mem ~local =
   let sockets, cores_per_socket, hrt = numa_geometry () in
-  let machine = Machine.create ~sockets ~cores_per_socket ~hrt_cores:hrt () in
+  let machine = Machine.create ~sockets ~cores_per_socket ~hrt_parts:[ hrt ] () in
   let topo = machine.Machine.topo in
   let phys = machine.Machine.phys in
   let cores =
@@ -1298,8 +1272,8 @@ let numa_cells =
        par_map
          (fun f -> f ())
          [
-           (fun () -> `Lg (numa_loadgen Loadgen.Round_robin));
-           (fun () -> `Lg (numa_loadgen Loadgen.Affine_socket));
+           (fun () -> `Lg (numa_loadgen Fabric.Spread));
+           (fun () -> `Lg (numa_loadgen Fabric.Affine));
            (fun () -> `Mem (measure_numa_mem ~local:false));
            (fun () -> `Mem (measure_numa_mem ~local:true));
          ]

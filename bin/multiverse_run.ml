@@ -19,7 +19,9 @@ let parse_fault_sites spec =
 
 type mode = Native | Virtual | Multiverse
 
-let options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology ~hrt_cores
+let placements = [ ("spread", Mv_hvm.Fabric.Spread); ("affine", Mv_hvm.Fabric.Affine) ]
+
+let options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
     ~partitions ~placement ~work_stealing =
   let sockets, cores_per_socket = topology in
   {
@@ -31,16 +33,15 @@ let options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topolog
     mv_huge_pages = huge_pages;
     mv_sockets = sockets;
     mv_cores_per_socket = cores_per_socket;
-    mv_hrt_cores = hrt_cores;
     mv_partitions = partitions;
     mv_placement = placement;
     mv_work_stealing = work_stealing;
   }
 
 let run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-    ~hrt_cores ~partitions ~placement ~work_stealing ~stats ~quiet prog =
+    ~partitions ~placement ~work_stealing ~stats ~quiet prog =
   let options =
-    options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology ~hrt_cores
+    options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
       ~partitions ~placement ~work_stealing
   in
   (* A fault run keeps the trace on so the injected faults and the
@@ -48,8 +49,8 @@ let run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topo
   let trace = Fault_plan.enabled faults in
   let rs =
     match mode with
-    | Native -> Toolchain.run_native ~huge_pages ~topology ~hrt_cores prog
-    | Virtual -> Toolchain.run_virtual ~huge_pages ~topology ~hrt_cores prog
+    | Native -> Toolchain.run_native ~huge_pages ~topology ~hrt_parts:partitions prog
+    | Virtual -> Toolchain.run_virtual ~huge_pages ~topology ~hrt_parts:partitions prog
     | Multiverse -> Toolchain.run_multiverse ~trace ~options (Toolchain.hybridize prog)
   in
   if not quiet then print_string rs.Toolchain.rs_stdout;
@@ -97,6 +98,16 @@ let usage_error msg =
   prerr_endline ("multiverse_run: " ^ msg);
   2
 
+(* A guest program that fails to parse, compile or run is the program's
+   error, not a usage error: one line naming the program, exit 1. *)
+let with_guest_errors prog f =
+  try f () with
+  | Mv_racket.Vm.Scheme_error msg
+  | Mv_racket.Sexp.Parse_error msg
+  | Mv_racket.Compile.Compile_error msg ->
+      Printf.eprintf "multiverse_run: %s: %s\n" prog.Toolchain.prog_name msg;
+      1
+
 (* --fault-sweep: the same program under fault seeds 1..N, one fresh
    machine per seed, optionally fanned out over worker domains.  Cells
    are domain-confined (each hybridizes its own copy) and return rows;
@@ -113,13 +124,13 @@ type sweep_row = {
   sw_wall : float;
 }
 
-let run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology ~hrt_cores
+let run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology
     ~partitions ~placement ~work_stealing ~rate ~sites ~sweep ~jobs prog =
   let cell seed =
     let faults = Fault_plan.create ~seed ~rate ~sites () in
     let options =
       options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-        ~hrt_cores ~partitions ~placement ~work_stealing
+        ~partitions ~placement ~work_stealing
     in
     let rs = Toolchain.run_multiverse ~options (Toolchain.hybridize prog) in
     let retries, fallbacks, respawns, reroutes =
@@ -173,7 +184,7 @@ let run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology ~
 
 (* --groups: the open-loop scale mode (no program; the load generator
    drives the fabric directly). *)
-let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology ~hrt_cores
+let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology ~partitions
     ~placement =
   let open Mv_workloads.Loadgen in
   match
@@ -204,19 +215,17 @@ let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology 
             (if sync_channel then Mv_hvm.Event_channel.Sync else Mv_hvm.Event_channel.Async);
           lg_sockets = sockets;
           lg_cores_per_socket = cores_per_socket;
-          lg_hrt_cores = hrt_cores;
-          lg_placement =
-            (match placement with
-            | Runtime.Spread -> Round_robin
-            | Runtime.Affine -> Affine_socket);
+          lg_partitions = partitions;
+          lg_placement = placement;
         }
       in
       let r = run cfg in
       Printf.printf
         "[scale] %d groups | %s arrivals | offered %.0f calls/s | admission %s | %dx%d \
          cores (%d hrt) | placement %s\n"
-        groups arrival offered_load admission sockets cores_per_socket hrt_cores
-        (placement_to_string cfg.lg_placement);
+        groups arrival offered_load admission sockets cores_per_socket
+        (List.fold_left ( + ) 0 partitions)
+        (fst (List.find (fun (_, p) -> p = placement) placements));
       Printf.printf
         "[scale] issued %d | completed %d | dropped %d | throughput %.0f calls/s\n"
         r.r_issued r.r_completed r.r_dropped r.r_throughput_cps;
@@ -232,59 +241,44 @@ let prog_of ~bench ~file ~n =
   match (bench, file) with
   | Some name, _ -> (
       match Mv_workloads.Benchmarks.find name with
-      | b ->
-          let n = match n with Some n -> n | None -> b.Mv_workloads.Benchmarks.b_test_n in
-          Ok (Mv_workloads.Benchmarks.program b ~n)
+      | b -> (
+          match Option.value n ~default:b.Mv_workloads.Benchmarks.b_test_n with
+          | n when n < 1 -> Error (Printf.sprintf "-n must be at least 1 (got %d)" n)
+          | n -> Ok (Mv_workloads.Benchmarks.program b ~n))
       | exception Not_found -> Error ("unknown benchmark " ^ name))
-  | None, Some path ->
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let src = really_input_string ic len in
-      close_in ic;
-      Ok
-        {
-          Toolchain.prog_name = Filename.basename path;
-          prog_main =
-            (fun env ->
-              let engine = Mv_racket.Engine.start env in
-              Mv_racket.Engine.run_program engine src);
-        }
+  | None, Some path -> (
+      match In_channel.with_open_bin path In_channel.input_all with
+      | exception Sys_error msg -> Error msg
+      | src ->
+          Ok
+            {
+              Toolchain.prog_name = Filename.basename path;
+              prog_main =
+                (fun env ->
+                  let engine = Mv_racket.Engine.start env in
+                  Mv_racket.Engine.run_program engine src);
+            })
   | None, None -> Error "pass --bench NAME or --file PROG.scm (or --list)"
 
 let main bench file n mode porting sync_channel symbol_cache fault_seed fault_rate fault_sites
-    fault_sweep jobs groups arrival offered_load admission topology hrt_cores partitions
-    placement work_stealing no_huge_pages stats quiet list_benches =
+    fault_sweep jobs groups arrival offered_load admission topology partitions placement
+    work_stealing no_huge_pages stats quiet list_benches =
   let huge_pages = not no_huge_pages in
   let sockets, cores_per_socket = topology in
-  (* Scale mode keeps the load generator's own HRT sizing when none is
+  (* Scale mode keeps the load generator's own HRT sizing when no spec is
      given; program modes keep the reference machine's single HRT core. *)
-  let hrt_default ~scale =
-    if scale then Mv_workloads.Loadgen.default_config.Mv_workloads.Loadgen.lg_hrt_cores
-    else 1
+  let partitions =
+    match partitions with
+    | Some spec -> spec
+    | None when groups <> None ->
+        Mv_workloads.Loadgen.default_config.Mv_workloads.Loadgen.lg_partitions
+    | None -> [ 1 ]
   in
-  let resolve_hrt ~scale = Option.value hrt_cores ~default:(hrt_default ~scale) in
-  let bad_hrt n = n < 1 || n >= sockets * cores_per_socket in
-  if partitions <> None && hrt_cores <> None then
-    exit (usage_error "--partitions and --hrt-cores are mutually exclusive")
-  else if partitions <> None && mode <> Multiverse then
-    exit (usage_error "--partitions requires --mode multiverse")
-  else if partitions <> None && groups <> None then
-    exit (usage_error "--partitions is incompatible with --groups (scale mode)")
-  else if
-    (match partitions with
-    | Some spec -> List.fold_left ( + ) 0 spec >= sockets * cores_per_socket
-    | None -> false)
-  then
+  if List.fold_left ( + ) 0 partitions >= sockets * cores_per_socket then
     exit
       (usage_error
          (Printf.sprintf "--partitions %s does not leave a ROS core on a %dx%d machine"
-            (String.concat "," (List.map string_of_int (Option.get partitions)))
-            sockets cores_per_socket))
-  else if partitions = None && bad_hrt (resolve_hrt ~scale:(groups <> None)) then
-    exit
-      (usage_error
-         (Printf.sprintf "--hrt-cores %d does not leave a ROS core on a %dx%d machine"
-            (resolve_hrt ~scale:(groups <> None))
+            (String.concat "," (List.map string_of_int partitions))
             sockets cores_per_socket))
   else
   match fault_sweep with
@@ -301,9 +295,10 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
             match prog_of ~bench ~file ~n with
             | Error msg -> usage_error msg
             | Ok prog ->
-                run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology
-                  ~hrt_cores:(resolve_hrt ~scale:false) ~partitions ~placement ~work_stealing
-                  ~rate:fault_rate ~sites ~sweep ~jobs prog))
+                with_guest_errors prog (fun () ->
+                    run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages
+                      ~topology ~partitions ~placement ~work_stealing ~rate:fault_rate ~sites
+                      ~sweep ~jobs prog)))
   | None ->
   if jobs <> 1 then usage_error "--jobs has no effect without --fault-sweep"
   else
@@ -329,7 +324,7 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
         usage_error "fault injection is not supported in scale mode"
       else
         run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology
-          ~hrt_cores:(resolve_hrt ~scale:true) ~placement
+          ~partitions ~placement
   | None ->
   if arrival <> "poisson" || offered_load <> 100_000.0 || admission <> "off" then
     usage_error "--arrival/--offered-load/--admission have no effect without --groups"
@@ -345,10 +340,10 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
     match prog_of ~bench ~file ~n with
     | Error msg -> usage_error msg
     | Ok prog ->
-        run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-          ~hrt_cores:(resolve_hrt ~scale:false) ~partitions ~placement ~work_stealing
-          ~stats ~quiet prog;
-        0)
+        with_guest_errors prog (fun () ->
+            run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
+              ~partitions ~placement ~work_stealing ~stats ~quiet prog;
+            0))
 
 let () =
   let open Args in
@@ -407,24 +402,19 @@ let () =
           "Machine geometry as SOCKETSxCORES_PER_SOCKET (default 2x4, the \
            reference box).  Geometries that cannot hold a ROS core are \
            rejected."
-    $ opt_opt int ~names:[ "hrt-cores" ] ~docv:"N"
-        ~doc:
-          "Cores carved out for the HRT partition (default 1; scale mode \
-           defaults to the load generator's sizing).  Must leave at least \
-           one ROS core."
     $ opt_opt partitions ~names:[ "partitions" ] ~docv:"SPEC"
         ~doc:
           "Elastic partition spec as comma-separated core counts, one HRT \
            partition per entry carved from the top of the core range (e.g. \
-           2,1 gives partition 1 two cores and partition 2 one).  \
-           Multiverse mode only; mutually exclusive with --hrt-cores; must \
-           leave at least one ROS core."
-    $ opt
-        (enum [ ("spread", Runtime.Spread); ("affine", Runtime.Affine) ])
-        ~default:Runtime.Spread ~names:[ "placement" ] ~docv:"POLICY"
+           2,1 gives partition 1 two cores and partition 2 one).  Default \
+           1 (one HRT core); scale mode defaults to the load generator's \
+           sizing.  Must leave at least one ROS core."
+    $ opt (enum placements) ~default:Mv_hvm.Fabric.Spread ~names:[ "placement" ]
+        ~docv:"POLICY"
         ~doc:
-          "Execution-group placement: spread (historical round-robin) or \
-           affine (group cores, frames and pollers kept on one socket)."
+          "Execution-group placement: spread (server cores spread over the \
+           ROS partition, one poller pool) or affine (each group's server \
+           core and poller group on its HRT core's socket)."
     $ flag ~names:[ "work-stealing" ]
         ~doc:
           "Enable deterministic work stealing across the ROS cores' \

@@ -80,6 +80,9 @@ let run_scenarios name seeds shrink_budget jobs topology partitions out =
       Printf.eprintf "mvcheck run: --jobs %d: need at least 1\n" jobs;
       ignore scenarios;
       2
+  | Ok _ when seeds < 0 ->
+      Printf.eprintf "mvcheck run: --seeds %d: need at least 0\n" seeds;
+      2
   | Ok scenarios ->
       let pool = if jobs > 1 then Some (Mv_host_par.Pool.create ~jobs) else None in
       let verdicts =

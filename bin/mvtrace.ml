@@ -24,6 +24,10 @@ let run_traced ~bench ~n ~mode =
       exit 2
   | b ->
       let n = Option.value n ~default:b.Mv_workloads.Benchmarks.b_test_n in
+      if n < 1 then begin
+        Printf.eprintf "mvtrace: N must be at least 1 (got %d)\n" n;
+        exit 2
+      end;
       let prog = Mv_workloads.Benchmarks.program b ~n in
       let rs =
         match mode with

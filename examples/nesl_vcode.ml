@@ -48,7 +48,7 @@ let () =
          Mv_parallel.Pool.shutdown pool));
   Sim.run machine.Machine.sim;
   (* AeroKernel backend *)
-  let machine2 = Machine.create ~hrt_cores:5 () in
+  let machine2 = Machine.create ~hrt_parts:[ 5 ] () in
   let nk = Mv_aerokernel.Nautilus.create machine2 in
   let t_hrt = ref 0 in
   let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in

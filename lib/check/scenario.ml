@@ -36,13 +36,12 @@ let partitions_override : int list option ref = ref None
 let set_partitions o = partitions_override := o
 let partitions () = !partitions_override
 
-let make_machine ?(hrt_cores = 1) ?hrt_parts ?(work_stealing = false) () =
+let make_machine ?hrt_parts ?(work_stealing = false) () =
   let hrt_parts = match hrt_parts with Some _ as p -> p | None -> !partitions_override in
   match !topology_override with
-  | None -> Mv_engine.Machine.create ~hrt_cores ?hrt_parts ~work_stealing ()
+  | None -> Mv_engine.Machine.create ?hrt_parts ~work_stealing ()
   | Some (sockets, cores_per_socket) ->
-      Mv_engine.Machine.create ~sockets ~cores_per_socket ~hrt_cores ?hrt_parts
-        ~work_stealing ()
+      Mv_engine.Machine.create ~sockets ~cores_per_socket ?hrt_parts ~work_stealing ()
 
 let failf fmt = Format.kasprintf (fun s -> Fail s) fmt
 

@@ -48,7 +48,7 @@ val set_partitions : int list option -> unit
 val partitions : unit -> int list option
 
 val make_machine :
-  ?hrt_cores:int -> ?hrt_parts:int list -> ?work_stealing:bool -> unit -> Mv_engine.Machine.t
+  ?hrt_parts:int list -> ?work_stealing:bool -> unit -> Mv_engine.Machine.t
 (** Build a scenario machine honouring the topology and partition overrides
     (reference geometry when none is installed).  An explicit [?hrt_parts]
     takes precedence over the CLI override — scenarios that need a fixed

@@ -13,10 +13,6 @@ type t = {
       (* Large-page support: 1G identity maps in the AeroKernel, transparent
          2M promotion of big anonymous VMAs in the ROS, range-batched
          shootdowns.  On by default; the mempath bench A/Bs it. *)
-  mutable numa_local_alloc : bool;
-      (* Demand-paged frames come from the faulting core's NUMA zone
-         (falling back by distance) instead of the flat first-fit order.
-         Off by default — the flat order is part of the golden trace. *)
   mutable work_stealing : bool;
       (* Whether deterministic work stealing is on; remembered so core
          lending can recompute the steal domain when the ROS core set
@@ -24,10 +20,9 @@ type t = {
 }
 
 let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
-    ?(hrt_cores = 1) ?hrt_parts ?(hrt_mem_fraction = 0.25) ?(huge_pages = true)
-    ?(work_stealing = false) () =
+    ?hrt_parts ?(huge_pages = true) ?(work_stealing = false) () =
   let sim = Sim.create () in
-  let topo = Mv_hw.Topology.create ~sockets ~cores_per_socket ?hrt_parts ~hrt_cores () in
+  let topo = Mv_hw.Topology.create ~sockets ~cores_per_socket ?hrt_parts () in
   let ncores = Mv_hw.Topology.ncores topo in
   let exec = Exec.create sim ~ncpus:ncores in
   if work_stealing then
@@ -35,8 +30,7 @@ let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
        and their pinning is part of the partition contract. *)
     Exec.set_steal_domain exec (Some (Mv_hw.Topology.ros_cores topo));
   let phys =
-    Mv_hw.Phys_mem.create ~sockets ~cores_per_socket
-      ~hrt_fraction:hrt_mem_fraction ()
+    Mv_hw.Phys_mem.create ~sockets ~cores_per_socket ~hrt_fraction:0.25 ()
   in
   let cpus = Array.init ncores (fun core_id -> Mv_hw.Cpu.create ~core_id) in
   (* ROS cores run a preemptive scheduler; HRT cores are cooperative and
@@ -74,7 +68,6 @@ let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
     metrics = Mv_obs.Metrics.create ();
     zero_frame;
     huge_pages;
-    numa_local_alloc = false;
     work_stealing;
   }
 
@@ -106,11 +99,9 @@ let mem_access_cost t ~core ~frame =
   Mv_hw.Costs.remote_access_cost t.costs ~distance:d
 
 let alloc_frame t region =
-  if t.numa_local_alloc then
-    match Exec.self_opt t.exec with
-    | Some th -> Mv_hw.Phys_mem.alloc_near t.phys ~core:(Exec.cpu_of th) region
-    | None -> Mv_hw.Phys_mem.alloc t.phys region
-  else Mv_hw.Phys_mem.alloc t.phys region
+  match Exec.self_opt t.exec with
+  | Some th -> Mv_hw.Phys_mem.alloc_near t.phys ~core:(Exec.cpu_of th) region
+  | None -> Mv_hw.Phys_mem.alloc t.phys region
 
 let cpu_of_current t =
   let th = Exec.self t.exec in

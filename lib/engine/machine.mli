@@ -24,11 +24,6 @@ type t = {
   mutable huge_pages : bool;
       (** large-page memory path: 1G AeroKernel identity maps, transparent
           2M promotion of big anonymous VMAs, range-batched shootdowns *)
-  mutable numa_local_alloc : bool;
-      (** demand-paged frames come from the faulting core's NUMA zone
-          ({!Mv_hw.Phys_mem.alloc_near}) instead of the flat first-fit
-          order; off by default (the flat order is part of the golden
-          trace) *)
   mutable work_stealing : bool;
       (** whether deterministic work stealing is on; core lending reads
           this to recompute the steal domain when partition membership
@@ -39,17 +34,15 @@ val create :
   ?costs:Mv_hw.Costs.t ->
   ?sockets:int ->
   ?cores_per_socket:int ->
-  ?hrt_cores:int ->
   ?hrt_parts:int list ->
-  ?hrt_mem_fraction:float ->
   ?huge_pages:bool ->
   ?work_stealing:bool ->
   unit ->
   t
 (** Build the reference machine: 2 sockets x 4 cores at 2.2 GHz by default,
-    with [hrt_cores] (default 1) assigned to HRT partition 1.  [hrt_parts]
-    generalizes to N HRT partitions (per-partition core counts, see
-    {!Mv_hw.Topology.create}); when present it overrides [hrt_cores].
+    with one HRT partition per entry of [hrt_parts] (per-partition core
+    counts, default [[1]]: one HRT core; see {!Mv_hw.Topology.create}).
+    The top quarter of each NUMA zone's frames is reserved for the HRT.
     [huge_pages] (default [true]) enables the large-page memory path.
     [work_stealing] (default [false]) turns on deterministic work stealing
     among the ROS cores ({!Exec.set_steal_domain}); the default is off,
@@ -77,10 +70,9 @@ val cpu_of_current : t -> Mv_hw.Cpu.t
 (** Architectural state of the core the current thread runs on. *)
 
 val alloc_frame : t -> Mv_hw.Phys_mem.region -> int
-(** Allocate a physical frame honouring the machine's placement policy:
-    with [numa_local_alloc] set (and a current thread), the frame comes
-    from the faulting core's zone via {!Mv_hw.Phys_mem.alloc_near};
-    otherwise — and always outside thread context — this is exactly
+(** Allocate a physical frame NUMA-locally: from a thread, the frame
+    comes from the zone of the core the thread runs on
+    ({!Mv_hw.Phys_mem.alloc_near}); outside thread context this is
     [Phys_mem.alloc]. *)
 
 val mem_access_cost : t -> core:int -> frame:int -> Mv_util.Cycles.t

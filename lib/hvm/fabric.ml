@@ -60,8 +60,6 @@ type admission = {
   ad_queue_capacity : int;  (* max blocked callers per endpoint (Block) *)
   ad_rate : float;  (* token-bucket refill, tokens per cycle per endpoint *)
   ad_burst : int;  (* token-bucket ceiling *)
-  ad_high_water : float;  (* ring-occupancy fraction entering shed mode *)
-  ad_low_water : float;  (* ring-occupancy fraction leaving shed mode *)
   ad_shed_retries : int;  (* stub backoff retries before [offer] gives up *)
 }
 
@@ -70,11 +68,11 @@ type overload = { ov_kind : string; ov_endpoint : string; ov_sheds : int }
 (* --- poller groups -------------------------------------------------- *)
 
 (* The shared poller pool is a set of groups, each with its own run queue,
-   parked set and cores.  The default is one global group — byte-identical
-   to the pre-group fabric — while [Per_socket] grouping shards the pool by
-   topology so doorbells are served by a poller on the endpoint's own
-   socket and wake tokens never cross the interconnect. *)
-type grouping = Global | Per_socket
+   parked set and cores.  [Spread] placement keeps one global group;
+   [Affine] placement shards the pool by topology so doorbells are served
+   by a poller on the endpoint's own socket and wake tokens never cross
+   the interconnect. *)
+type placement = Spread | Affine
 
 type pgroup = {
   pg_socket : int;  (* socket served, -1 for the global group *)
@@ -100,9 +98,8 @@ type t = {
   fb_kind : Event_channel.kind;
   fb_faults : Fault_plan.t;
   fb_heartbeat : int;
-  mutable fb_batching : bool;
   mutable fb_groups : pgroup array;  (* poller groups; one global group by default *)
-  mutable fb_grouping : grouping;
+  mutable fb_placement : placement;
   mutable fb_spawn : (name:string -> core:int -> (unit -> unit) -> Exec.thread) option;
   mutable fb_next_poller : int;  (* global poller-name counter *)
   mutable fb_stop : bool;
@@ -152,22 +149,24 @@ type t = {
 let default_attentive_polls = 4
 let shed_attentive_widening = 4
 
-let create ?(faults = Fault_plan.none) ?(batching = true) ?heartbeat machine ~kind =
-  let heartbeat =
-    match heartbeat with
-    | Some h -> h
-    | None -> 4 * machine.Machine.costs.Costs.async_channel_rtt
-  in
+(* Load-shedding hysteresis, as fractions of ring capacity: the watchdog
+   enters shed mode at [high_water] occupancy and leaves it at
+   [low_water]. *)
+let high_water = 0.75
+let low_water = 0.25
+
+let create ?(faults = Fault_plan.none) machine ~kind =
   let m = machine.Machine.metrics in
   let counter = Metrics.counter m ~ns:"fabric" in
   {
     fb_machine = machine;
     fb_kind = kind;
     fb_faults = faults;
-    fb_heartbeat = heartbeat;
-    fb_batching = batching;
+    (* Watchdog period: a few async round trips — long enough that a
+       healthy poller always beats it, short enough to respawn quickly. *)
+    fb_heartbeat = 4 * machine.Machine.costs.Costs.async_channel_rtt;
     fb_groups = [| make_pgroup [] |];
-    fb_grouping = Global;
+    fb_placement = Spread;
     fb_spawn = None;
     fb_next_poller = 0;
     fb_stop = false;
@@ -206,8 +205,6 @@ let create ?(faults = Fault_plan.none) ?(batching = true) ?heartbeat machine ~ki
     c_chan_retries = Metrics.counter m ~ns:"event_channel" "retries";
   }
 
-let set_batching t flag = t.fb_batching <- flag
-let batching t = t.fb_batching
 let resilient t = Fault_plan.enabled t.fb_faults
 let channel ep = ep.ep_chan
 let endpoint_name ep = ep.ep_name
@@ -321,13 +318,12 @@ let drain_ring t ep =
 
 (* --- poller pool (the ROS side) --- *)
 
-(* The poller group an endpoint with this server core routes to: group 0
-   under global pooling, the core's socket group under per-socket
-   grouping. *)
+(* The poller group an endpoint with this server core routes to: the one
+   global group under [Spread], the core's socket group under [Affine]. *)
 let group_index_for t ~ros_core =
-  match t.fb_grouping with
-  | Global -> 0
-  | Per_socket ->
+  match t.fb_placement with
+  | Spread -> 0
+  | Affine ->
       let s = Topology.socket_of t.fb_machine.Machine.topo ros_core in
       let idx = ref 0 in
       Array.iteri (fun i pg -> if pg.pg_socket = s then idx := i) t.fb_groups;
@@ -480,14 +476,14 @@ let rec pool_monitor t () =
     Sim.schedule_after (Exec.sim exec) t.fb_heartbeat (pool_monitor t)
   end
 
-let start_pool t ~spawn ~cores ?size ?(grouping = Global) () =
-  let total = match size with Some n -> max 1 n | None -> max 2 (List.length cores) in
+let start_pool t ~spawn ~cores ?(placement = Spread) () =
+  let total = max 2 (List.length cores) in
   t.fb_spawn <- Some spawn;
-  t.fb_grouping <- grouping;
+  t.fb_placement <- placement;
   let groups =
-    match grouping with
-    | Global -> [| make_pgroup cores |]
-    | Per_socket ->
+    match placement with
+    | Spread -> [| make_pgroup cores |]
+    | Affine ->
         (* One group per socket that owns at least one pool core, in
            ascending socket order — the routing is a pure function of the
            topology. *)
@@ -637,10 +633,10 @@ let restore_endpoints t =
   t.fb_shed_flipped <- []
 
 (* The watchdog samples ring occupancy every heartbeat and runs the
-   high/low-water hysteresis: crossing [ad_high_water] (as a fraction of
-   ring capacity) enters shed mode — Sync endpoints flip to Async and the
-   doorbell-suppression window widens — and draining below [ad_low_water]
-   restores both.  It also publishes the occupancy gauges. *)
+   high/low-water hysteresis: crossing [high_water] enters shed mode —
+   Sync endpoints flip to Async and the doorbell-suppression window
+   widens — and draining below [low_water] restores both.  It also
+   publishes the occupancy gauges. *)
 let rec shed_monitor t () =
   match t.fb_admission with
   | None -> t.fb_monitor_armed <- false
@@ -665,14 +661,14 @@ let rec shed_monitor t () =
       Metrics.set_gauge g_waiters
         (float_of_int (List.fold_left (fun a ep -> a + ep.ep_nwaiters) 0 t.fb_endpoints));
       let frac = float_of_int occ /. float_of_int cap in
-      if (not t.fb_shed_mode) && frac >= ad.ad_high_water then begin
+      if (not t.fb_shed_mode) && frac >= high_water then begin
         t.fb_shed_mode <- true;
         Metrics.inc t.c_shed_flips ();
         t.fb_attentive_polls <- default_attentive_polls * shed_attentive_widening;
         flip_endpoints_async t;
         Machine.emit t.fb_machine (Trace.Shed_mode { on = true })
       end
-      else if t.fb_shed_mode && frac <= ad.ad_low_water then begin
+      else if t.fb_shed_mode && frac <= low_water then begin
         t.fb_shed_mode <- false;
         Metrics.inc t.c_shed_restores ();
         t.fb_attentive_polls <- default_attentive_polls;
@@ -698,20 +694,15 @@ let admission t = t.fb_admission
 let shed_mode t = t.fb_shed_mode
 
 let make_admission ?(policy = Shed) ?(ring_capacity = 8) ?(queue_capacity = 16)
-    ?(rate = 1e-4) ?(burst = 4) ?(high_water = 0.75) ?(low_water = 0.25)
-    ?(shed_retries = 6) () =
+    ?(rate = 1e-4) ?(burst = 4) ?(shed_retries = 6) () =
   if ring_capacity < 1 then invalid_arg "Fabric.make_admission: ring_capacity < 1";
   if queue_capacity < 0 then invalid_arg "Fabric.make_admission: queue_capacity < 0";
-  if not (low_water <= high_water) then
-    invalid_arg "Fabric.make_admission: low_water > high_water";
   {
     ad_policy = policy;
     ad_ring_capacity = ring_capacity;
     ad_queue_capacity = queue_capacity;
     ad_rate = rate;
     ad_burst = burst;
-    ad_high_water = high_water;
-    ad_low_water = low_water;
     ad_shed_retries = shed_retries;
   }
 
@@ -774,7 +765,7 @@ let transport t ep (req : Event_channel.request) =
    leader's doorbell is pending, or the endpoint's server is attentively
    polling the shared page. *)
 let rec dispatch t ep (req : Event_channel.request) =
-  if t.fb_batching && (ep.ep_inflight || ep.ep_attentive) then ride t ep req
+  if ep.ep_inflight || ep.ep_attentive then ride t ep req
   else lead t ep req
 
 (* The leader rings the doorbell for everyone: its payload carries a ring

@@ -55,10 +55,10 @@ type endpoint
       explicit capacity [ad_queue_capacity], applying backpressure to the
       enqueuing group ({!Block}; queue overflow sheds).
     - {b Load-shedding watchdog.}  Every heartbeat, ring occupancy is
-      compared against the high/low-water hysteresis: crossing
-      [ad_high_water * ring_capacity] flips Sync endpoints to Async and
-      widens the doorbell-suppression window; draining below
-      [ad_low_water * ring_capacity] restores both. *)
+      compared against a fixed high/low-water hysteresis: reaching three
+      quarters of [ad_ring_capacity] flips Sync endpoints to Async and
+      widens the doorbell-suppression window; draining to a quarter
+      restores both. *)
 
 type overload_policy = Shed | Block
 
@@ -68,8 +68,6 @@ type admission = {
   ad_queue_capacity : int;
   ad_rate : float;
   ad_burst : int;
-  ad_high_water : float;
-  ad_low_water : float;
   ad_shed_retries : int;
 }
 
@@ -83,51 +81,46 @@ val make_admission :
   ?queue_capacity:int ->
   ?rate:float ->
   ?burst:int ->
-  ?high_water:float ->
-  ?low_water:float ->
   ?shed_retries:int ->
   unit ->
   admission
 (** Validated constructor (defaults: Shed, ring 8, queue 16, 1e-4
-    tokens/cycle, burst 4, high water 0.75, low water 0.25, 6 retries).
-    @raise Invalid_argument on a non-positive ring capacity, a negative
-    queue capacity, or [low_water > high_water]. *)
+    tokens/cycle, burst 4, 6 retries).
+    @raise Invalid_argument on a non-positive ring capacity or a negative
+    queue capacity. *)
 
-val create :
-  ?faults:Mv_faults.Fault_plan.t ->
-  ?batching:bool ->
-  ?heartbeat:int ->
-  Mv_engine.Machine.t ->
-  kind:Event_channel.kind ->
-  t
-(** [heartbeat] is the poller-watchdog period in cycles (default: four
-    async round trips); the watchdog only runs under an enabled fault
-    plan.  [batching] defaults to [true]. *)
+val create : ?faults:Mv_faults.Fault_plan.t -> Mv_engine.Machine.t -> kind:Event_channel.kind -> t
+(** The poller watchdog's period is four async round trips; the watchdog
+    only runs under an enabled fault plan or an installed admission
+    policy. *)
 
-val set_batching : t -> bool -> unit
-val batching : t -> bool
-
-type grouping = Global | Per_socket
-(** Poller-pool sharding.  [Global] (the default) is one pool serving every
-    endpoint — byte-identical to the pre-group fabric.  [Per_socket]
-    derives the pool layout from the machine topology: one poller group per
-    socket that owns pool cores, endpoints routed to the group of their
-    server-side core's socket, so doorbells are answered locally and wake
-    tokens never cross the interconnect. *)
+type placement =
+  | Spread
+      (** One global poller group serves every endpoint; the caller
+          spreads server-side cores by its own rule.  The default. *)
+  | Affine
+      (** Keep each execution group on one socket: the caller puts a
+          group's server-side core on the ROS core nearest its HRT core
+          ({!Mv_hw.Topology.nearest_ros_core}), and the poller pool is
+          sharded per socket — one poller group per socket that owns pool
+          cores, each endpoint routed to its server core's socket group —
+          so doorbells are answered locally and wake tokens never cross
+          the interconnect. *)
+(** Execution-group placement, shared by every fabric client.  Neither
+    side dominates: see DESIGN §6. *)
 
 val start_pool :
   t ->
   spawn:(name:string -> core:int -> (unit -> unit) -> Mv_engine.Exec.thread) ->
   cores:int list ->
-  ?size:int ->
-  ?grouping:grouping ->
+  ?placement:placement ->
   unit ->
   unit
-(** Spawn the shared ROS-side poller pool ([size] defaults to
-    [max 2 (length cores)]), spreading pollers round-robin over [cores].
-    With [~grouping:Per_socket] the pool is sharded by topology instead:
-    [size] is split evenly across the socket groups (at least one poller
-    each), and each group round-robins over its own socket's cores.
+(** Spawn the shared ROS-side poller pool of [max 2 (length cores)]
+    pollers, spreading them round-robin over [cores].  Under [Affine]
+    placement the pool is sharded by topology instead: the pollers are
+    split across the socket groups in proportion to their cores (at least
+    one each), and each group round-robins over its own socket's cores.
     [spawn] is the host's thread factory (the runtime passes
     [Kernel.spawn_thread] so pollers account like any process thread).
     Under an enabled fault plan this also arms the pool watchdog:
@@ -260,7 +253,7 @@ val endpoints : t -> int
 val pollers : t -> int
 
 val poller_groups : t -> int
-(** Number of poller groups (1 under [Global] pooling). *)
+(** Number of poller groups (1 under [Spread] placement). *)
 
 val group_cores : t -> group:int -> int list
 (** The cores a poller group round-robins over ([[]] out of range). *)

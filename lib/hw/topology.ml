@@ -18,14 +18,8 @@ type t = {
 let spec_string spec =
   "[" ^ String.concat "," (List.map string_of_int spec) ^ "]"
 
-let create ?(sockets = 2) ?(cores_per_socket = 4) ?hrt_parts ?(hrt_cores = 1) () =
+let create ?(sockets = 2) ?(cores_per_socket = 4) ?hrt_parts:(spec = [ 1 ]) () =
   let n = sockets * cores_per_socket in
-  (* The legacy single-HRT count is sugar for a one-partition spec. *)
-  let spec =
-    match hrt_parts with
-    | Some l -> l
-    | None -> if hrt_cores = 0 then [] else [ hrt_cores ]
-  in
   List.iteri
     (fun i size ->
       if size <= 0 then
@@ -42,8 +36,7 @@ let create ?(sockets = 2) ?(cores_per_socket = 4) ?hrt_parts ?(hrt_cores = 1) ()
          (spec_string spec) sockets cores_per_socket);
   (* HRT partitions are carved from the top of the core range, in spec
      order: partition 1 gets the lowest of the reserved cores, the last
-     partition the highest.  With a single partition this reproduces the
-     historical "last N cores" layout exactly. *)
+     partition the highest. *)
   let base = n - total in
   let bounds =
     (* partition id -> (first core, size); id 0 is the ROS remainder *)
@@ -122,6 +115,14 @@ let home_of t i = t.cores.(i).home
 
 let ros_cores t = cores_of t Partition.ros_id
 let role t i = t.cores.(i).role
+
+let nearest_ros_core t ~rotate core =
+  let scored =
+    List.sort compare (List.map (fun c -> (distance t c core, c)) (ros_cores t))
+  in
+  let d0 = fst (List.hd scored) in
+  let nearest = List.filter (fun (d, _) -> d = d0) scored in
+  snd (List.nth nearest (rotate mod List.length nearest))
 
 let reassign t ~core pid =
   let dst = partition t pid in

@@ -21,22 +21,15 @@ type core = {
 
 type t
 
-val create :
-  ?sockets:int ->
-  ?cores_per_socket:int ->
-  ?hrt_parts:int list ->
-  ?hrt_cores:int ->
-  unit ->
-  t
-(** [create ~hrt_cores ()] builds the machine and assigns the {e last}
-    [hrt_cores] cores (default 1) to HRT partition 1 (the ROS keeps core 0,
-    where the control process runs).  [?hrt_parts] generalizes this to N HRT
-    partitions: a list of per-partition core counts, carved from the top
-    of the core range in spec order (so [~hrt_parts:[n]] is exactly
-    [~hrt_cores:n], and [~hrt_parts:[2;1]] on 2x4 gives partition 1 cores
-    5,6 and partition 2 core 7).  Default geometry is 2 sockets x 4 cores.
-    Raises [Invalid_argument] naming the offending partition spec if any
-    partition is empty or the spec leaves no ROS core. *)
+val create : ?sockets:int -> ?cores_per_socket:int -> ?hrt_parts:int list -> unit -> t
+(** [create ~hrt_parts ()] builds the machine and carves one HRT partition
+    per entry of [hrt_parts] (per-partition core counts, default [[1]])
+    from the top of the core range in spec order; the ROS keeps the rest,
+    including core 0, where the control process runs.  [~hrt_parts:[2;1]]
+    on 2x4 gives partition 1 cores 5,6 and partition 2 core 7.  Default
+    geometry is 2 sockets x 4 cores.  Raises [Invalid_argument] naming the
+    offending partition spec if any partition is empty or the spec leaves
+    no ROS core. *)
 
 val ncores : t -> int
 val nsockets : t -> int
@@ -58,6 +51,14 @@ val socket_distance : t -> int -> int -> int
 (** [socket_of t i] is the socket index of core [i]. *)
 val socket_of : t -> int -> int
 
+val nearest_ros_core : t -> rotate:int -> int -> int
+(** [nearest_ros_core t ~rotate core] is a ROS core at the smallest NUMA
+    {!distance} from [core].  When several ROS cores tie, the
+    [(rotate mod k)]-th of the [k] tied cores (ascending ids) is chosen, so
+    callers passing a group index spread same-socket groups over that
+    socket's ROS cores.  This is the server-core rule of affine
+    placement. *)
+
 (** {1 Partitions} *)
 
 val nparts : t -> int
@@ -75,9 +76,8 @@ val hrt_partitions : t -> Partition.t list
 (** The HRT partition handles, in id order. *)
 
 val cores_of : t -> Partition.id -> int list
-(** The cores {e currently} owned by a partition, ascending.  This replaces
-    the old [hrt_cores]/[first_hrt_core] accessors: partition 0 is the ROS,
-    [cores_of t 1] is the first (default) HRT partition.
+(** The cores {e currently} owned by a partition, ascending: partition 0
+    is the ROS, [cores_of t 1] is the first (default) HRT partition.
     @raise Invalid_argument naming the pid when out of range. *)
 
 val partition_of : t -> int -> Partition.id

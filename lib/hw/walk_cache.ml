@@ -21,8 +21,7 @@ type t = {
   mutable misses : int;
 }
 
-let create ?(pdpte_capacity = 16) ?(pde_capacity = 32) () =
-  { pdpte = make_klass pdpte_capacity; pde = make_klass pde_capacity; hits = 0; misses = 0 }
+let create () = { pdpte = make_klass 16; pde = make_klass 32; hits = 0; misses = 0 }
 
 let skip t addr =
   (* Levels of the walk a hit lets us skip: 3 with a cached PDE

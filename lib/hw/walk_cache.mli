@@ -8,7 +8,8 @@
 
 type t
 
-val create : ?pdpte_capacity:int -> ?pde_capacity:int -> unit -> t
+val create : unit -> t
+(** An empty cache of 16 PDPTE and 32 PDE entries (FIFO eviction). *)
 
 val skip : t -> Addr.t -> int
 (** Walk levels a miss at this address may skip: 3 (PDE cached), 2 (PDPTE

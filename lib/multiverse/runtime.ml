@@ -15,8 +15,6 @@ type porting = { port_mmap : bool; port_signals : bool; port_faults : bool }
 let no_porting = { port_mmap = false; port_signals = false; port_faults = false }
 let full_porting = { port_mmap = true; port_signals = true; port_faults = true }
 
-type placement = Spread | Affine
-
 type group = {
   g_id : int;
   g_name : string;
@@ -48,7 +46,7 @@ type t = {
   mutable the_env : Mv_guest.Env.t option;
   mutable shutting_down : bool;
   mutable hrt_rr : int;  (* round-robin cursor over the HRT cores *)
-  placement : placement;
+  placement : Fabric.placement;
 }
 
 let hrt_stack_size = 64 * 1024
@@ -193,19 +191,6 @@ let finish_group g =
     | None -> ()
   end
 
-(* Affine placement: the ROS core nearest the group's HRT core (ties
-   rotated by group id, so same-socket groups still spread over the
-   socket's ROS cores). *)
-let affine_ros_core t ~gid ~hrt_core =
-  let topo = (machine t).Machine.topo in
-  let scored =
-    List.sort compare
-      (List.map (fun c -> (Topology.distance topo c hrt_core, c)) (Topology.ros_cores topo))
-  in
-  let d0 = fst (List.hd scored) in
-  let nearest = List.filter (fun (d, _) -> d = d0) scored in
-  snd (List.nth nearest ((gid - 1) mod List.length nearest))
-
 let create_group t ~name fn =
   let gid = t.next_group in
   t.next_group <- t.next_group + 1;
@@ -216,8 +201,8 @@ let create_group t ~name fn =
   t.hrt_rr <- t.hrt_rr + 1;
   let ros_core =
     match t.placement with
-    | Spread -> List.hd (Topology.ros_cores mach.Machine.topo)
-    | Affine -> affine_ros_core t ~gid ~hrt_core
+    | Fabric.Spread -> List.hd (Topology.ros_cores mach.Machine.topo)
+    | Fabric.Affine -> Topology.nearest_ros_core mach.Machine.topo ~rotate:(gid - 1) hrt_core
   in
   let ep = Fabric.endpoint t.the_fabric ~name ~ros_core ~hrt_core in
   let g =
@@ -542,7 +527,7 @@ let register_nk_variants nk config =
 
 let init ~hvm ~proc ~fat ~nk ?(channel_kind = Event_channel.Async)
     ?(use_symbol_cache = false) ?(porting = no_porting) ?(faults = Fault_plan.none)
-    ?(placement = Spread) () =
+    ?(placement = Fabric.Spread) () =
   if porting.port_signals && not porting.port_faults then
     invalid_arg "Multiverse: porting signals requires porting fault handling";
   let ros = Hvm.ros hvm in
@@ -592,13 +577,8 @@ let init ~hvm ~proc ~fat ~nk ?(channel_kind = Event_channel.Async)
   Fault_plan.bind faults mach;
   Hvm.set_faults hvm faults;
   (* The forwarding fabric: one transport layer for every ROS<->HRT
-     interaction.  Watchdog period: a few async round trips — long enough
-     that a healthy poller always beats it, short enough to respawn
-     quickly. *)
-  let fabric =
-    Fabric.create ~faults ~heartbeat:(4 * costs.Costs.async_channel_rtt) mach
-      ~kind:channel_kind
-  in
+     interaction. *)
+  let fabric = Fabric.create ~faults mach ~kind:channel_kind in
   let t =
     {
       hvm;
@@ -623,10 +603,6 @@ let init ~hvm ~proc ~fat ~nk ?(channel_kind = Event_channel.Async)
       placement;
     }
   in
-  (* Affine placement also pulls a group's demand-paged frames from the
-     faulting core's NUMA zone, so stacks and heap pages land on the
-     group's socket. *)
-  if placement = Affine then mach.Machine.numa_local_alloc <- true;
   (* Init tasks (Section 3.5): signal handlers, exit hook, linkage,
      image installation, boot, merger, fabric bring-up. *)
   Kernel.count_syscall ros proc "rt_sigaction";
@@ -644,9 +620,7 @@ let init ~hvm ~proc ~fat ~nk ?(channel_kind = Event_channel.Async)
   let ros_cores = Topology.ros_cores mach.Machine.topo in
   Fabric.start_pool fabric
     ~spawn:(fun ~name ~core body -> Kernel.spawn_thread ros proc ~name ~cpu:core body)
-    ~cores:ros_cores
-    ~grouping:(if placement = Affine then Fabric.Per_socket else Fabric.Global)
-    ();
+    ~cores:ros_cores ~placement ();
   (* HRT-to-ROS signal injection rides a dedicated fabric endpoint. *)
   let inject_ep =
     Fabric.endpoint fabric ~name:"signals" ~ros_core:(List.hd ros_cores)

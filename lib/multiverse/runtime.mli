@@ -29,17 +29,6 @@ type porting = {
 val no_porting : porting
 val full_porting : porting
 
-type placement = Spread | Affine
-(** Execution-group placement policy.  [Spread] (the default, and the
-    historical behaviour) serves every group from the first ROS core and
-    round-robins HRT threads over the whole HRT partition.  [Affine] keeps
-    a group on one socket: the HRT round-robin is unchanged, but the
-    group's partner/endpoint lands on the ROS core nearest its HRT core
-    (ties rotated by group id), the fabric poller pool is sharded
-    per-socket ({!Mv_hvm.Fabric.Per_socket}), and demand-paged frames come
-    from the faulting core's NUMA zone
-    ({!Mv_engine.Machine.alloc_frame}). *)
-
 type t
 
 val init :
@@ -51,7 +40,7 @@ val init :
   ?use_symbol_cache:bool ->
   ?porting:porting ->
   ?faults:Mv_faults.Fault_plan.t ->
-  ?placement:placement ->
+  ?placement:Mv_hvm.Fabric.placement ->
   unit ->
   t
 (** Run the Multiverse initialization sequence (thread context: call from
@@ -63,7 +52,13 @@ val init :
     respawns killed pollers, spurious-errno retry on forwarded syscalls,
     and graceful degradation (Sync -> Async endpoint fallback, ROS-native
     rerouting when an endpoint dies).  With the default [Fault_plan.none]
-    every code path is byte-identical to the fault-free runtime. *)
+    every code path is byte-identical to the fault-free runtime.
+
+    Execution groups round-robin over the partition's HRT cores under
+    either [placement].  [Spread] (the default) serves every group from
+    the first ROS core; [Affine] serves a group from the ROS core nearest
+    its HRT core (ties rotated by group id) and shards the poller pool per
+    socket. *)
 
 val hrt_env : t -> Mv_guest.Env.t
 (** The guest ABI as seen from HRT context: syscalls forward over the

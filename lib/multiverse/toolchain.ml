@@ -55,9 +55,8 @@ type mv_options = {
   mv_huge_pages : bool;
   mv_sockets : int;
   mv_cores_per_socket : int;
-  mv_hrt_cores : int;
-  mv_partitions : int list option;
-  mv_placement : Runtime.placement;
+  mv_partitions : int list;
+  mv_placement : Mv_hvm.Fabric.placement;
   mv_work_stealing : bool;
 }
 
@@ -70,9 +69,8 @@ let default_mv_options =
     mv_huge_pages = true;
     mv_sockets = 2;
     mv_cores_per_socket = 4;
-    mv_hrt_cores = 1;
-    mv_partitions = None;
-    mv_placement = Runtime.Spread;
+    mv_partitions = [ 1 ];
+    mv_placement = Mv_hvm.Fabric.Spread;
     mv_work_stealing = false;
   }
 
@@ -112,9 +110,9 @@ let prepare_stdin proc stdin =
   | None -> Vfs.close_stream proc.Process.stdin
 
 let run_plain ~virtualized ?costs ?stdin ?(trace = false) ?(huge_pages = true)
-    ?(topology = (2, 4)) ?(hrt_cores = 1) program =
+    ?(topology = (2, 4)) ?hrt_parts program =
   let sockets, cores_per_socket = topology in
-  let machine = Machine.create ?costs ~huge_pages ~sockets ~cores_per_socket ~hrt_cores () in
+  let machine = Machine.create ?costs ~huge_pages ~sockets ~cores_per_socket ?hrt_parts () in
   if trace then Machine.set_tracing machine true;
   let kernel = Kernel.create ~virtualized machine in
   let proc =
@@ -130,17 +128,17 @@ let run_plain ~virtualized ?costs ?stdin ?(trace = false) ?(huge_pages = true)
     failwith (program.prog_name ^ ": simulation quiesced before process exit");
   collect ~mode ~kernel ~machine ~proc ~runtime:None
 
-let run_native ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program =
-  run_plain ~virtualized:false ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program
+let run_native ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program =
+  run_plain ~virtualized:false ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program
 
-let run_virtual ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program =
-  run_plain ~virtualized:true ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_cores program
+let run_virtual ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program =
+  run_plain ~virtualized:true ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program
 
 let setup_multiverse ?costs ~options ~name ~fat body =
   let machine =
     Machine.create ?costs ~huge_pages:options.mv_huge_pages ~sockets:options.mv_sockets
-      ~cores_per_socket:options.mv_cores_per_socket ~hrt_cores:options.mv_hrt_cores
-      ?hrt_parts:options.mv_partitions ~work_stealing:options.mv_work_stealing ()
+      ~cores_per_socket:options.mv_cores_per_socket ~hrt_parts:options.mv_partitions
+      ~work_stealing:options.mv_work_stealing ()
   in
   let kernel = Kernel.create machine in
   let hvm = Hvm.create machine ~ros:kernel in

@@ -39,20 +39,17 @@ type mv_options = {
           shootdowns).  Default [true]; the mempath bench A/Bs this. *)
   mv_sockets : int;  (** machine geometry (default 2 x 4, the reference box) *)
   mv_cores_per_socket : int;
-  mv_hrt_cores : int;  (** cores carved out for the HRT partition (default 1) *)
-  mv_partitions : int list option;
-      (** elastic partition spec: [Some [n1; n2; ...]] carves one HRT
+  mv_partitions : int list;
+      (** elastic partition spec: [[n1; n2; ...]] carves one HRT
           partition of [ni] cores per entry from the top of the core range
-          (ids 1, 2, ... in spec order).  Overrides [mv_hrt_cores] when
-          set; [Some [n]] is byte-identical to [mv_hrt_cores = n].  The
-          runtime binds to partition 1; further partitions are for
-          multi-tenant drivers that create their own Nautilus instances
-          ({!Mv_aerokernel.Nautilus.create} with [~part]).  Default
-          [None]. *)
-  mv_placement : Runtime.placement;
-      (** execution-group placement (default [Spread], the historical
-          behaviour; [Affine] keeps each group's cores, frames and poller
-          group on one socket) *)
+          (ids 1, 2, ... in spec order).  The runtime binds to partition
+          1; further partitions are for multi-tenant drivers that create
+          their own Nautilus instances ({!Mv_aerokernel.Nautilus.create}
+          with [~part]).  Default [[1]]: one HRT core. *)
+  mv_placement : Mv_hvm.Fabric.placement;
+      (** execution-group placement (default [Spread]; [Affine] keeps each
+          group's server core and poller group on its HRT core's
+          socket) *)
   mv_work_stealing : bool;
       (** deterministic work stealing across the ROS cores' per-core
           runqueues (default [false] — off is byte-identical to the
@@ -82,13 +79,14 @@ val run_native :
   ?trace:bool ->
   ?huge_pages:bool ->
   ?topology:int * int ->
-  ?hrt_cores:int ->
+  ?hrt_parts:int list ->
   program ->
   run_stats
 (** Bare-metal Linux execution (the paper's "Native" rows).  [huge_pages]
     (default [true]) toggles the machine's huge-page memory path;
     [topology] is [(sockets, cores_per_socket)] (default [(2, 4)], the
-    reference box). *)
+    reference box); [hrt_parts] is the partition spec the machine is
+    carved into (default [[1]], see {!Mv_engine.Machine.create}). *)
 
 val run_virtual :
   ?costs:Mv_hw.Costs.t ->
@@ -96,7 +94,7 @@ val run_virtual :
   ?trace:bool ->
   ?huge_pages:bool ->
   ?topology:int * int ->
-  ?hrt_cores:int ->
+  ?hrt_parts:int list ->
   program ->
   run_stats
 (** The same, as an HVM guest: exit and nested-paging overheads apply. *)

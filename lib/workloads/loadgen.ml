@@ -9,7 +9,6 @@ module Cycles = Mv_util.Cycles
 module Metrics = Mv_obs.Metrics
 
 type arrival = Poisson | Bursty
-type placement = Round_robin | Affine_socket
 
 type config = {
   lg_groups : int;
@@ -23,9 +22,8 @@ type config = {
   lg_seed : int;
   lg_sockets : int;
   lg_cores_per_socket : int;
-  lg_hrt_cores : int;
-  lg_pool_size : int option;
-  lg_placement : placement;
+  lg_partitions : int list;
+  lg_placement : Fabric.placement;
 }
 
 let default_config =
@@ -41,9 +39,8 @@ let default_config =
     lg_seed = 42;
     lg_sockets = 2;
     lg_cores_per_socket = 4;
-    lg_hrt_cores = 4;
-    lg_pool_size = None;
-    lg_placement = Round_robin;
+    lg_partitions = [ 4 ];
+    lg_placement = Fabric.Spread;
   }
 
 type results = {
@@ -110,7 +107,7 @@ let run cfg =
   if cfg.lg_offered_cps <= 0.0 then invalid_arg "Loadgen.run: lg_offered_cps must be > 0";
   let machine =
     Machine.create ~sockets:cfg.lg_sockets ~cores_per_socket:cfg.lg_cores_per_socket
-      ~hrt_cores:cfg.lg_hrt_cores ()
+      ~hrt_parts:cfg.lg_partitions ()
   in
   let exec = machine.Machine.exec in
   let ros_cores = Topology.ros_cores machine.Machine.topo in
@@ -122,28 +119,15 @@ let run cfg =
   Fabric.set_admission fabric cfg.lg_admission;
   Fabric.start_pool fabric
     ~spawn:(fun ~name ~core body -> Exec.spawn exec ~cpu:core ~name body)
-    ~cores:ros_cores ?size:cfg.lg_pool_size
-    ~grouping:
-      (match cfg.lg_placement with
-      | Round_robin -> Fabric.Global
-      | Affine_socket -> Fabric.Per_socket)
-    ();
+    ~cores:ros_cores ~placement:cfg.lg_placement ();
   let nros = List.length ros_cores and nhrt = List.length hrt_cores in
-  (* Server-side core per group: the historical round-robin stride, or —
-     affine — the ROS core nearest the group's HRT core (ties rotated by
-     group id, spreading same-socket groups over that socket's cores). *)
+  (* Server-side core per group: a round-robin stride over the ROS cores
+     under [Spread], the ROS core nearest the group's HRT core under
+     [Affine]. *)
   let ros_core_for g hrt_core =
     match cfg.lg_placement with
-    | Round_robin -> List.nth ros_cores (g mod nros)
-    | Affine_socket ->
-        let topo = machine.Machine.topo in
-        let scored =
-          List.sort compare
-            (List.map (fun c -> (Topology.distance topo c hrt_core, c)) ros_cores)
-        in
-        let d0 = fst (List.hd scored) in
-        let near = List.filter (fun (d, _) -> d = d0) scored in
-        snd (List.nth near (g mod List.length near))
+    | Fabric.Spread -> List.nth ros_cores (g mod nros)
+    | Fabric.Affine -> Topology.nearest_ros_core machine.Machine.topo ~rotate:g hrt_core
   in
   let sojourn = Metrics.latency machine.Machine.metrics ~ns:"loadgen" "sojourn" in
   let master = Rng.create ~seed:cfg.lg_seed in
@@ -229,12 +213,3 @@ let arrival_of_string = function
   | _ -> None
 
 let arrival_to_string = function Poisson -> "poisson" | Bursty -> "bursty"
-
-let placement_of_string = function
-  | "round-robin" -> Some Round_robin
-  | "affine" -> Some Affine_socket
-  | _ -> None
-
-let placement_to_string = function
-  | Round_robin -> "round-robin"
-  | Affine_socket -> "affine"

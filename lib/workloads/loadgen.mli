@@ -20,15 +20,6 @@ type arrival =
       (** the same mean rate delivered as on/off duty-cycle bursts
           (4x rate during 25% duty), phase-staggered across groups *)
 
-type placement =
-  | Round_robin
-      (** the historical stride: group [g]'s server core is
-          [ros_cores[g mod nros]], regardless of where its HRT core sits *)
-  | Affine_socket
-      (** group-affine: the server core nearest the group's HRT core (ties
-          rotated by group id), and the poller pool sharded per socket
-          ({!Mv_hvm.Fabric.Per_socket}) so doorbells stay on-socket *)
-
 type config = {
   lg_groups : int;  (** execution groups = fabric endpoints *)
   lg_calls_per_group : int;
@@ -45,14 +36,20 @@ type config = {
   lg_seed : int;
   lg_sockets : int;
   lg_cores_per_socket : int;
-  lg_hrt_cores : int;
-  lg_pool_size : int option;  (** poller pool size; [None] = topology-sized *)
-  lg_placement : placement;  (** endpoint/pool placement (default round-robin) *)
+  lg_partitions : int list;
+      (** HRT partition spec ({!Mv_engine.Machine.create}'s [hrt_parts]);
+          the groups round-robin over every HRT core *)
+  lg_placement : Mv_hvm.Fabric.placement;
+      (** endpoint/pool placement.  Under [Spread] (the default) group
+          [g]'s server core is [ros_cores[g mod nros]], wherever its HRT
+          core sits; under [Affine] it is the ROS core nearest the group's
+          HRT core. *)
 }
 
 val default_config : config
 (** 1000 groups x 4 calls (4 workers each), 100k calls/s Poisson, sync
-    channels, 20k-cycle service, admission off, 2x4 cores with 4 HRT. *)
+    channels, 20k-cycle service, admission off, 2x4 cores with one
+    4-core HRT partition, spread placement. *)
 
 type results = {
   r_offered_cps : float;
@@ -81,8 +78,3 @@ val run : config -> results
 
 val arrival_of_string : string -> arrival option
 val arrival_to_string : arrival -> string
-
-val placement_of_string : string -> placement option
-(** ["round-robin"] or ["affine"]. *)
-
-val placement_to_string : placement -> string

@@ -314,35 +314,6 @@ let test_steal_disabled_golden_trace () =
       "stealing-disabled run diverged from the golden trace (per-core \
        runqueues must be inert when stealing is off)"
 
-(* The elastic-partition surface must be invisible at the default
-   geometry: an explicit singleton spec ([--partitions 1]) carves exactly
-   the legacy single-HRT box, so the full hybridized golden workload
-   reproduces the committed trace byte-for-byte. *)
-let test_partitions_golden_trace () =
-  let module Toolchain = Multiverse.Toolchain in
-  let expected =
-    try read_file golden_path
-    with Sys_error _ -> Alcotest.failf "missing %s" golden_path
-  in
-  let b = Mv_workloads.Benchmarks.find Golden.benchmark in
-  let prog =
-    Mv_workloads.Benchmarks.program b ~n:b.Mv_workloads.Benchmarks.b_test_n
-  in
-  let hx = Toolchain.hybridize prog in
-  let options =
-    { Toolchain.default_mv_options with Toolchain.mv_partitions = Some [ 1 ] }
-  in
-  let rs = Toolchain.run_multiverse ~trace:true ~options hx in
-  let actual =
-    Format.asprintf "%a" Mv_engine.Trace.pp
-      rs.Toolchain.rs_machine.Machine.trace
-  in
-  if actual <> expected then
-    Alcotest.fail
-      "partitions [1] run diverged from the golden trace (a singleton \
-       partition spec must be byte-identical to the legacy single-HRT \
-       geometry)"
-
 let suite =
   [
     ("strategy: fifo decides 0", `Quick, test_strategy_fifo);
@@ -367,7 +338,6 @@ let suite =
     ("work stealing: disabled stays on its core", `Quick, test_stealing_disabled_stays_put);
     ("work stealing: migrates within the ROS partition", `Quick, test_stealing_migrates_within_ros);
     ("work stealing: disabled reproduces the golden trace", `Quick, test_steal_disabled_golden_trace);
-    ("partitions [1] reproduces the golden trace", `Quick, test_partitions_golden_trace);
     ("work-steal clean (small sweep)", `Quick, assert_clean ~seeds:2 "work-steal");
     ("ping-pong-async clean (wide sweep)", `Slow, assert_clean ~seeds:25 "ping-pong-async");
     ("fabric-batch clean (wide sweep)", `Slow, assert_clean ~seeds:15 "fabric-batch");

@@ -338,6 +338,26 @@ let test_trace_records_memoized () =
   Alcotest.(check (list string)) "emit invalidates the memo" [ "a"; "b"; "c" ]
     (trace_msgs t)
 
+(* --- Machine --- *)
+
+(* Frames come from the NUMA zone of the core the allocating thread runs
+   on; outside thread context the search starts at zone 0. *)
+let test_machine_alloc_frame_local () =
+  let machine = Machine.create () in
+  let zone f = Mv_hw.Phys_mem.zone_of_frame machine.Machine.phys f in
+  let zone_from core =
+    let z = ref (-1) in
+    ignore
+      (Exec.spawn machine.Machine.exec ~cpu:core ~name:"alloc" (fun () ->
+           z := zone (Machine.alloc_frame machine Mv_hw.Phys_mem.Ros_region)));
+    Sim.run machine.Machine.sim;
+    !z
+  in
+  check_int "ROS core 5 (socket 1) allocates in zone 1" 1 (zone_from 5);
+  check_int "core 0 allocates in zone 0" 0 (zone_from 0);
+  check_int "outside thread context: zone 0" 0
+    (zone (Machine.alloc_frame machine Mv_hw.Phys_mem.Ros_region))
+
 let suite =
   [
     ("event-queue: time order", `Quick, test_eq_order);
@@ -362,4 +382,5 @@ let suite =
     ("exec: kill blocked thread", `Quick, test_exec_kill_blocked);
     ("trace: capacity drops the oldest records", `Quick, test_trace_capacity_drops_oldest);
     ("trace: records memoized until next emit", `Quick, test_trace_records_memoized);
+    ("machine: alloc_frame takes the current core's zone", `Quick, test_machine_alloc_frame_local);
   ]

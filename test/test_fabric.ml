@@ -86,8 +86,7 @@ let test_four_groups_routed () =
 (* Four nested AeroKernel threads share the top-level group's endpoint;
    whenever one of them has a call in flight, the others ride the
    shared-page ring instead of ringing their own doorbell. *)
-let rider_workload ~batching rt =
-  Fabric.set_batching (Runtime.fabric rt) batching;
+let rider_workload rt =
   let partner =
     Runtime.hrt_invoke rt ~name:"top" (fun env ->
         let nested =
@@ -105,7 +104,7 @@ let rider_workload ~batching rt =
 let test_riders_batch () =
   let rs =
     Toolchain.run_accelerator ~name:"fabric-riders" (fun ~ros_env:_ ~rt ->
-        rider_workload ~batching:true rt)
+        rider_workload rt)
   in
   let f = Runtime.fabric (runtime rs) in
   check_bool "doorbells were suppressed (riders > 0)" true (Fabric.riders f > 0);
@@ -114,23 +113,6 @@ let test_riders_batch () =
   check_bool "fewer doorbells than calls" true
     (Fabric.transport_calls f < Fabric.calls f);
   check_bool "drain rounds happened" true (Fabric.drains f > 0)
-
-let test_batching_toggle () =
-  let run batching =
-    Toolchain.run_accelerator ~name:"fabric-toggle" (fun ~ros_env:_ ~rt ->
-        rider_workload ~batching rt)
-  in
-  let rs_on = run true in
-  let rs_off = run false in
-  let f_on = Runtime.fabric (runtime rs_on) in
-  let f_off = Runtime.fabric (runtime rs_off) in
-  check_int "batching off rides nothing" 0 (Fabric.riders f_off);
-  check_bool "batching on rides" true (Fabric.riders f_on > 0);
-  check_int "same entry-call count either way" (Fabric.calls f_off) (Fabric.calls f_on);
-  check_bool "batching rings fewer doorbells" true
-    (Fabric.transport_calls f_on < Fabric.transport_calls f_off);
-  check_bool "batching is faster end-to-end" true
-    (rs_on.Toolchain.rs_wall_cycles < rs_off.Toolchain.rs_wall_cycles)
 
 (* --- promotion table: vdso-like calls never touch the transport --- *)
 
@@ -200,7 +182,6 @@ let suite =
   [
     ("four groups routed over the shared pool", `Quick, test_four_groups_routed);
     ("concurrent nested callers batch as riders", `Quick, test_riders_batch);
-    ("batching toggle: fewer doorbells, faster", `Quick, test_batching_toggle);
     ("vdso fast path stays local", `Quick, test_vdso_local_path);
     ("counters live in machine.metrics", `Quick, test_counters_live_in_metrics);
   ]

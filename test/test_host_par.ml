@@ -276,10 +276,11 @@ let test_mvcheck_exit_zero_when_clean () =
   let code, _ = run_mvcheck "run ping-pong-async --seeds 2 --jobs 2" in
   check_int "clean scenario exits 0" 0 code
 
-(* A usage error: exit 2, and the first output line is the one-line
-   error naming the binary, never an uncaught-exception report. *)
-let check_usage_error ~prefix (code, text) =
-  check_int "exit code 2" 2 code;
+(* A usage error: exit 2 (a guest program's own error: exit 1), and the
+   first output line is the one-line error naming the binary, never an
+   uncaught-exception report. *)
+let check_usage_error ?(code = 2) ~prefix (actual, text) =
+  check_int (Printf.sprintf "exit code %d" code) code actual;
   let first = List.hd (String.split_on_char '\n' text) in
   check_bool (Printf.sprintf "one-line %s error, got %S" prefix first) true
     (String.length first > String.length prefix
@@ -289,22 +290,78 @@ let check_usage_error ~prefix (code, text) =
        (fun line -> String.length line >= 11 && String.sub line 0 11 = "Fatal error")
        (String.split_on_char '\n' text))
 
-let test_multiverse_run_bad_mode () =
-  check_usage_error ~prefix:"multiverse_run: option --mode"
-    (run_exe (exe "../bin/multiverse_run.exe") "-b binary-tree-2 --mode bogus")
+let run_multiverse = run_exe (exe "../bin/multiverse_run.exe")
 
-let test_multiverse_run_bad_porting () =
-  check_usage_error ~prefix:"multiverse_run: option --porting"
-    (run_exe (exe "../bin/multiverse_run.exe")
-       "-b binary-tree-2 --mode multiverse --porting bogus")
+(* Bad input on every CLI: (test name, run, expected first-line prefix). *)
+let usage_cases =
+  [
+    ( "cli: multiverse_run --mode typo exits 2",
+      (fun () -> run_multiverse "-b binary-tree-2 --mode bogus"),
+      "multiverse_run: option --mode" );
+    ( "cli: multiverse_run --porting typo exits 2",
+      (fun () -> run_multiverse "-b binary-tree-2 --mode multiverse --porting bogus"),
+      "multiverse_run: option --porting" );
+    ( "cli: mvcheck replay of a missing file exits 2",
+      (fun () -> run_mvcheck "replay does-not-exist.counterexample"),
+      "mvcheck replay: " );
+    ( "cli: bench with an unknown section exits 2",
+      (fun () -> run_exe (exe "../bench/main.exe") "bogus"),
+      "bench: unknown section bogus" );
+    ( "cli: multiverse_run --file of a missing file exits 2",
+      (fun () -> run_multiverse "--file does-not-exist.scm"),
+      "multiverse_run: does-not-exist.scm: " );
+    ( "cli: multiverse_run -n 0 exits 2",
+      (fun () -> run_multiverse "-b fannkuch-redux -n 0"),
+      "multiverse_run: -n must be at least 1" );
+    ( "cli: multiverse_run -n -1 exits 2",
+      (fun () -> run_multiverse "-b binary-tree-2 -n -1"),
+      "multiverse_run: -n must be at least 1" );
+    ( "cli: mvtrace with a negative size exits 2",
+      (fun () -> run_exe (exe "../bin/mvtrace.exe") "summary binary-tree-2 -3"),
+      "mvtrace: N must be at least 1" );
+    ( "cli: mvcheck run --seeds -1 exits 2",
+      (fun () -> run_mvcheck "run all --seeds -1"),
+      "mvcheck run: --seeds -1" );
+    ( "cli: multiverse_run --hrt-cores is not an option",
+      (fun () -> run_multiverse "-b fasta --hrt-cores 2"),
+      "multiverse_run: unknown option" );
+    ( "cli: multiverse_run --partitions 8 leaves no ROS core on 2x4",
+      (fun () -> run_multiverse "-b fasta --partitions 8"),
+      "multiverse_run: --partitions 8 does not leave a ROS core" );
+  ]
 
-let test_mvcheck_replay_missing_file () =
-  check_usage_error ~prefix:"mvcheck replay: "
-    (run_mvcheck "replay does-not-exist.counterexample")
+(* A guest program that fails to parse or run: exit 1 with one line
+   naming the program, the same in every mode. *)
+let test_guest_errors () =
+  List.iter
+    (fun (src, message) ->
+      let path = Filename.temp_file "guest" ".scm" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc src);
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          List.iter
+            (fun mode ->
+              check_usage_error ~code:1
+                ~prefix:
+                  (Printf.sprintf "multiverse_run: %s: %s" (Filename.basename path) message)
+                (run_multiverse
+                   (Printf.sprintf "--file %s --mode %s" (Filename.quote path) mode)))
+            [ "native"; "virtual"; "multiverse" ]))
+    [ ("(display (car 5))\n", "car: expected pair"); ("(display (+ 1 2)\n", "unterminated") ]
 
-let test_bench_unknown_section () =
-  check_usage_error ~prefix:"bench: unknown section bogus"
-    (run_exe (exe "../bench/main.exe") "bogus")
+(* --partitions works in every mode, scale mode included. *)
+let test_partitions_every_mode () =
+  List.iter
+    (fun args ->
+      let code, text = run_multiverse args in
+      if code <> 0 then Alcotest.failf "%s: exit %d\n%s" args code text)
+    [
+      "-b fasta -q --mode native --partitions 2";
+      "-b fasta -q --mode virtual --partitions 2,1";
+      "-b fasta -q --mode multiverse --partitions 2";
+      "--groups 50 --partitions 4";
+    ]
 
 let suite =
   [
@@ -324,8 +381,9 @@ let suite =
     ( "mvcheck run: nonzero exit + full report on failure",
       `Quick, test_mvcheck_exit_nonzero_and_full_report );
     ("mvcheck run: zero exit on a clean sweep", `Quick, test_mvcheck_exit_zero_when_clean);
-    ("cli: multiverse_run --mode typo exits 2", `Quick, test_multiverse_run_bad_mode);
-    ("cli: multiverse_run --porting typo exits 2", `Quick, test_multiverse_run_bad_porting);
-    ("cli: mvcheck replay of a missing file exits 2", `Quick, test_mvcheck_replay_missing_file);
-    ("cli: bench with an unknown section exits 2", `Quick, test_bench_unknown_section);
+    ("cli: a guest program error exits 1 in every mode", `Quick, test_guest_errors);
+    ("cli: --partitions works in every mode", `Quick, test_partitions_every_mode);
   ]
+  @ List.map
+      (fun (name, run, prefix) -> (name, `Quick, fun () -> check_usage_error ~prefix (run ())))
+      usage_cases

@@ -225,7 +225,7 @@ let test_phys_exhaustion_and_free () =
 (* --- Topology --- *)
 
 let test_topology_partition () =
-  let topo = Topology.create ~hrt_cores:2 () in
+  let topo = Topology.create ~hrt_parts:[ 2 ] () in
   Alcotest.(check (list int)) "hrt cores are the last two" [ 6; 7 ] (Topology.cores_of topo 1);
   check_int "six ros cores" 6 (List.length (Topology.ros_cores topo));
   check_bool "same socket" true (Topology.same_socket topo 0 3);
@@ -242,13 +242,7 @@ let test_topology_multi_partition () =
   Alcotest.(check (list int)) "partition 1 gets the lower carve" [ 5; 6 ] (Topology.cores_of topo 1);
   Alcotest.(check (list int)) "partition 2 gets the top core" [ 7 ] (Topology.cores_of topo 2);
   Alcotest.(check (list int)) "ros keeps the rest" [ 0; 1; 2; 3; 4 ] (Topology.ros_cores topo);
-  check_bool "partition 2 is hrt" true (Partition.is_hrt (Topology.partition topo 2));
-  (* A singleton spec is byte-identical to the legacy hrt_cores carve. *)
-  let legacy = Topology.create ~hrt_cores:2 () in
-  let speced = Topology.create ~hrt_parts:[ 2 ] ~hrt_cores:0 () in
-  Alcotest.(check (list int))
-    "singleton spec matches legacy carve"
-    (Topology.cores_of legacy 1) (Topology.cores_of speced 1)
+  check_bool "partition 2 is hrt" true (Partition.is_hrt (Topology.partition topo 2))
 
 let test_topology_reassign () =
   let topo = Topology.create ~hrt_parts:[ 2; 1 ] () in
@@ -263,7 +257,7 @@ let test_topology_reassign () =
   Alcotest.(check (list int)) "ros grew" [ 0; 1; 2; 3; 4; 5 ] (Topology.ros_cores topo)
 
 let test_topology_distance () =
-  let topo = Topology.create ~sockets:4 ~cores_per_socket:32 ~hrt_cores:16 () in
+  let topo = Topology.create ~sockets:4 ~cores_per_socket:32 ~hrt_parts:[ 16 ] () in
   check_int "local" 0 (Topology.distance topo 0 31);
   check_int "one hop" 1 (Topology.distance topo 0 32);
   check_int "three hops" 3 (Topology.distance topo 0 127);
@@ -271,9 +265,26 @@ let test_topology_distance () =
     (Topology.distance topo 127 0 = Topology.distance topo 0 127);
   check_int "socket_of" 3 (Topology.socket_of topo 100);
   (* Two sockets reduce to the same_socket boolean. *)
-  let two = Topology.create ~hrt_cores:1 () in
+  let two = Topology.create () in
   check_int "2-socket local" 0 (Topology.distance two 0 3);
   check_int "2-socket remote" 1 (Topology.distance two 0 4)
+
+(* The 4x32 box with HRT cores 112-127: the ROS keeps all of sockets 0-2
+   and cores 96-111 of socket 3. *)
+let test_topology_nearest_ros_core () =
+  let topo = Topology.create ~sockets:4 ~cores_per_socket:32 ~hrt_parts:[ 16 ] () in
+  check_int "socket-3 HRT core: first of socket 3's ROS cores" 96
+    (Topology.nearest_ros_core topo ~rotate:0 127);
+  check_int "ties rotate in id order" 97 (Topology.nearest_ros_core topo ~rotate:1 120);
+  check_int "rotation wraps over the 16 tied cores" 96
+    (Topology.nearest_ros_core topo ~rotate:16 112);
+  check_int "a ROS core ties with all 32 cores of its socket" 40
+    (Topology.nearest_ros_core topo ~rotate:8 32);
+  (* Lend socket 3's ROS cores away: the nearest ROS cores are then one hop
+     away on socket 2. *)
+  List.iter (fun c -> Topology.reassign topo ~core:c 1) (List.init 16 (fun i -> 96 + i));
+  check_int "next socket when the local one has no ROS core" 65
+    (Topology.nearest_ros_core topo ~rotate:1 127)
 
 let test_phys_alloc_near () =
   let pm =
@@ -293,15 +304,15 @@ let test_topology_invalid () =
   Alcotest.check_raises "all cores HRT rejected"
     (Invalid_argument
        "Topology.create: partition spec [8] leaves no ROS core on the 2x4 machine")
-    (fun () -> ignore (Topology.create ~hrt_cores:8 ()));
+    (fun () -> ignore (Topology.create ~hrt_parts:[ 8 ] ()));
   Alcotest.check_raises "greedy spec rejected"
     (Invalid_argument
        "Topology.create: partition spec [4,4] leaves no ROS core on the 2x4 machine")
-    (fun () -> ignore (Topology.create ~hrt_parts:[ 4; 4 ] ~hrt_cores:0 ()));
+    (fun () -> ignore (Topology.create ~hrt_parts:[ 4; 4 ] ()));
   Alcotest.check_raises "empty partition rejected"
     (Invalid_argument
        "Topology.create: partition 2 of spec [2,0] must have at least one core")
-    (fun () -> ignore (Topology.create ~hrt_parts:[ 2; 0 ] ~hrt_cores:0 ()))
+    (fun () -> ignore (Topology.create ~hrt_parts:[ 2; 0 ] ()))
 
 (* --- Mmu --- *)
 
@@ -400,6 +411,7 @@ let suite =
     ("topology: multi-partition spec", `Quick, test_topology_multi_partition);
     ("topology: reassign under lending", `Quick, test_topology_reassign);
     ("topology: NUMA distance", `Quick, test_topology_distance);
+    ("topology: nearest ROS core with tie rotation", `Quick, test_topology_nearest_ros_core);
     ("topology: invalid geometry", `Quick, test_topology_invalid);
     ("mmu: hit and not-present fault", `Quick, test_mmu_hit_and_fault);
     ("mmu: tlb caches translations", `Quick, test_mmu_tlb_caches);

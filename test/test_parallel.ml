@@ -22,8 +22,8 @@ let in_linux_proc f =
   ignore p;
   match !out with Some r -> r | None -> Alcotest.fail "body did not run"
 
-let in_hrt ?(hrt_cores = 5) f =
-  let machine = Machine.create ~hrt_cores () in
+let in_hrt f =
+  let machine = Machine.create ~hrt_parts:[ 5 ] () in
   let nk = Mv_aerokernel.Nautilus.create machine in
   let out = ref None in
   let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in
