@@ -1598,6 +1598,7 @@ type host_cell = {
   ho_minor_words : float;
   ho_promoted_words : float;
   ho_major_words : float;
+  ho_minor_collections : int;
 }
 
 let measure_host_cell name f =
@@ -1615,6 +1616,7 @@ let measure_host_cell name f =
     ho_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
     ho_promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
     ho_major_words = s1.Gc.major_words -. s0.Gc.major_words;
+    ho_minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
   }
 
 let ho_events_per_sec c =
@@ -1728,7 +1730,15 @@ let host_bench () =
   let t =
     Table.create
       ~headers:
-        [ "workload"; "events"; "wall (s)"; "events/sec"; "minor w/event"; "promoted w/event" ]
+        [
+          "workload";
+          "events";
+          "wall (s)";
+          "events/sec";
+          "minor w/event";
+          "promoted w/event";
+          "minor GCs";
+        ]
   in
   List.iter
     (fun c ->
@@ -1742,6 +1752,7 @@ let host_bench () =
           Printf.sprintf "%.2f"
             (if c.ho_events = 0 then 0.0
              else c.ho_promoted_words /. float_of_int c.ho_events);
+          string_of_int c.ho_minor_collections;
         ])
     cells;
   print_string (Table.to_string t);
@@ -1756,8 +1767,8 @@ let host_bench () =
     \ words/instr are the knobs host-perf work is allowed to move)\n"
 
 (* BENCH_host.json.  Wall-clock fields are machine-dependent noise; the
-   CI allocation guard keys on minor_words_per_event and
-   minor_words_per_instr only. *)
+   CI allocation guard keys on minor_words_per_event,
+   minor_words_per_instr and minor_collections only. *)
 let write_host_json path =
   let cells = Lazy.force host_cells in
   let rk = Lazy.force host_racket in
@@ -1773,6 +1784,7 @@ let write_host_json path =
         ("minor_words", Float (c.ho_minor_words, 0));
         ("promoted_words", Float (c.ho_promoted_words, 0));
         ("major_words", Float (c.ho_major_words, 0));
+        ("minor_collections", Int c.ho_minor_collections);
       ]
   in
   write ~path ~kind:"multiverse-host-bench"
@@ -1828,7 +1840,19 @@ let microbench () =
   let tlb = Mv_hw.Tlb.create () in
   let pte = Mv_hw.Page_table.{ frame = 1; pte_flags = flags } in
   Mv_hw.Tlb.fill tlb ~page:5 pte;
+  (* The queue holds a steady 5.5k pending events, the mean depth of a
+     fabric-open run, so every push+pop pays full-depth sifts.  Each push
+     lands a pseudo-random delay after the time just popped, as in a
+     running simulation. *)
   let q = Mv_engine.Event_queue.create () in
+  let lcg = ref 1 in
+  let delay () =
+    lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
+    !lcg land 0xFFFF
+  in
+  for _ = 1 to 5_500 do
+    Mv_engine.Event_queue.push q ~time:(delay ()) ()
+  done;
   let tests =
     [
       Test.make ~name:"page_table.walk" (Staged.stage (fun () -> Mv_hw.Page_table.walk pt 0x5000));
@@ -1839,8 +1863,9 @@ let microbench () =
       Test.make ~name:"tlb.lookup" (Staged.stage (fun () -> Mv_hw.Tlb.lookup tlb ~page:5));
       Test.make ~name:"event_queue.push+pop"
         (Staged.stage (fun () ->
-             Mv_engine.Event_queue.push q ~time:5 ();
-             ignore (Mv_engine.Event_queue.pop q)));
+             let now = Mv_engine.Event_queue.next_time q in
+             Mv_engine.Event_queue.push q ~time:(now + delay ()) ();
+             Mv_engine.Event_queue.pop_exn q));
       Test.make ~name:"sexp.parse"
         (Staged.stage (fun () -> Mv_racket.Sexp.parse_all "(define (f x) (+ x 1))"));
     ]

@@ -219,7 +219,9 @@ let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology 
           lg_placement = placement;
         }
       in
-      let r = run cfg in
+      match run cfg with
+      | exception Invalid_argument msg -> usage_error msg
+      | r ->
       Printf.printf
         "[scale] %d groups | %s arrivals | offered %.0f calls/s | admission %s | %dx%d \
          cores (%d hrt) | placement %s\n"
@@ -280,6 +282,8 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
          (Printf.sprintf "--partitions %s does not leave a ROS core on a %dx%d machine"
             (String.concat "," (List.map string_of_int partitions))
             sockets cores_per_socket))
+  else if not (fault_rate >= 0. && fault_rate <= 1.) then
+    usage_error (Printf.sprintf "--fault-rate must be in [0,1] (got %g)" fault_rate)
   else
   match fault_sweep with
   | Some sweep ->

@@ -1,27 +1,45 @@
-(* Struct-of-arrays binary min-heap.  The hot loop processes one event per
-   [push]/[pop] pair, so the representation is chosen for zero allocation
-   per operation: times and sequence numbers live in parallel unboxed
-   [int array]s (compared without chasing a pointer per node), payloads in
-   a third parallel array.  The payload array is created lazily from the
-   first pushed element (there is no [:'a] dummy to pre-fill with), and
-   popped slots keep a stale duplicate reference exactly as the previous
-   boxed-record heap did — retention is bounded by heap capacity either
-   way. *)
+(* Struct-of-arrays 4-ary min-heap.  The hot loop processes one event per
+   [push]/[pop_exn] pair, so the representation is chosen for zero
+   allocation and no write barrier per sift level:
+
+   - the heap itself is three parallel unboxed [int array]s — [times],
+     [seqs] and [slots] — so a sift moves a hole and stores only ints;
+   - each payload is written once, at push, into [payloads.(slot)], and
+     never moves while it waits.  Popping a payload pushes its slot onto
+     the [free] stack, and the next push takes it back (LIFO).
+
+   A pointer store into an array that has been promoted to the major heap
+   goes through [caml_modify], and a young payload adds a remembered-set
+   entry; a full remembered set forces a minor collection.  Moving
+   payloads at every sift level would pay that at every level and double
+   the minor collections of a fabric run at the same minor words.  One
+   store per push is the floor.
+
+   [n + nfree] slots have been handed out, so when the free stack is
+   empty the next fresh slot is [n].  Popped slots keep a stale reference
+   until they are reused; retention is bounded by the heap's high-water
+   mark.  The payload array is created from the first pushed element
+   (there is no ['a] dummy to pre-fill with). *)
 
 type 'a t = {
   mutable times : int array;
   mutable seqs : int array;
-  mutable payloads : 'a array;  (* length 0 until the first push *)
+  mutable slots : int array;  (* heap position -> payload slot *)
+  mutable payloads : 'a array;  (* slot -> payload; length 0 until the first push *)
+  mutable free : int array;  (* stack of popped slots, [nfree] deep *)
+  mutable nfree : int;
   mutable n : int;
   mutable next_seq : int;
 }
 
-let create ?(capacity = 0) () =
-  let cap = if capacity > 0 then capacity else 0 in
+let create () =
   {
-    times = Array.make (max cap 0) 0;
-    seqs = Array.make (max cap 0) 0;
+    times = [||];
+    seqs = [||];
+    slots = [||];
     payloads = [||];
+    free = [||];
+    nfree = 0;
     n = 0;
     next_seq = 0;
   }
@@ -29,87 +47,100 @@ let create ?(capacity = 0) () =
 let is_empty t = t.n = 0
 let size t = t.n
 
-let before t i j =
-  let ti = t.times.(i) and tj = t.times.(j) in
-  ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
-
-let swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let p = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- p
-
 let grow t fill =
   let cap = Array.length t.times in
-  if t.n >= cap then begin
-    let ncap = max 16 (cap * 2) in
-    let nt = Array.make ncap 0 and ns = Array.make ncap 0 in
-    Array.blit t.times 0 nt 0 t.n;
-    Array.blit t.seqs 0 ns 0 t.n;
-    t.times <- nt;
-    t.seqs <- ns
-  end;
-  if t.n >= Array.length t.payloads then begin
-    let ncap = Array.length t.times in
-    let np = Array.make ncap fill in
-    Array.blit t.payloads 0 np 0 t.n;
-    t.payloads <- np
-  end
+  let ncap = max 16 (cap * 2) in
+  let extend a =
+    let b = Array.make ncap 0 in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times;
+  t.seqs <- extend t.seqs;
+  t.slots <- extend t.slots;
+  t.free <- extend t.free;
+  let p = Array.make ncap fill in
+  Array.blit t.payloads 0 p 0 cap;
+  t.payloads <- p
 
 let push t ~time payload =
-  grow t payload;
-  let i = t.n in
-  t.times.(i) <- time;
-  t.seqs.(i) <- t.next_seq;
-  t.payloads.(i) <- payload;
-  t.next_seq <- t.next_seq + 1;
+  if t.n = Array.length t.times then grow t payload;
+  let slot =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else t.n
+  in
+  t.payloads.(slot) <- payload;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  (* Sift the hole up.  [seq] is larger than every queued sequence number,
+     so on a time tie the new event stays below its parent. *)
+  let i = ref t.n in
   t.n <- t.n + 1;
-  (* sift up *)
-  let i = ref i in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    before t !i parent
-  do
-    let parent = (!i - 1) / 2 in
-    swap t !i parent;
-    i := parent
-  done
-
-let sift_down t =
-  let i = ref 0 in
   let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.n && before t l !smallest then smallest := l;
-    if r < t.n && before t r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap t !i !smallest;
-      i := !smallest
+  while !continue && !i > 0 do
+    let parent = (!i - 1) lsr 2 in
+    let tp = times.(parent) in
+    if time < tp then begin
+      times.(!i) <- tp;
+      seqs.(!i) <- seqs.(parent);
+      slots.(!i) <- slots.(parent);
+      i := parent
     end
     else continue := false
-  done
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
 let next_time t = if t.n = 0 then max_int else t.times.(0)
 
 let pop_exn t =
   if t.n = 0 then invalid_arg "Event_queue.pop_exn: empty";
-  let top = t.payloads.(0) in
-  t.n <- t.n - 1;
-  if t.n > 0 then begin
-    t.times.(0) <- t.times.(t.n);
-    t.seqs.(0) <- t.seqs.(t.n);
-    t.payloads.(0) <- t.payloads.(t.n);
-    sift_down t
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let top = slots.(0) in
+  t.free.(t.nfree) <- top;
+  t.nfree <- t.nfree + 1;
+  let n = t.n - 1 in
+  t.n <- n;
+  if n > 0 then begin
+    (* The last entry fills the hole left at the root and sifts down: at
+       each level the hole takes the earliest of up to four children. *)
+    let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let first = (4 * !i) + 1 in
+      if first >= n then continue := false
+      else begin
+        let last = if first + 3 < n then first + 3 else n - 1 in
+        let m = ref first in
+        let mt = ref times.(first) and ms = ref seqs.(first) in
+        for c = first + 1 to last do
+          let tc = times.(c) in
+          if tc < !mt || (tc = !mt && seqs.(c) < !ms) then begin
+            m := c;
+            mt := tc;
+            ms := seqs.(c)
+          end
+        done;
+        if !mt < time || (!mt = time && !ms < seq) then begin
+          times.(!i) <- !mt;
+          seqs.(!i) <- !ms;
+          slots.(!i) <- slots.(!m);
+          i := !m
+        end
+        else continue := false
+      end
+    done;
+    times.(!i) <- time;
+    seqs.(!i) <- seq;
+    slots.(!i) <- slot
   end;
-  top
+  t.payloads.(top)
 
 let pop t =
   if t.n = 0 then None

@@ -1,17 +1,17 @@
-(** Priority queue of timed events (binary min-heap).
+(** Priority queue of timed events (4-ary min-heap).
 
     Ordered by (time, insertion sequence) so simultaneous events fire in
     insertion order, which keeps the whole simulation deterministic.
 
-    The heap is struct-of-arrays — parallel unboxed [int] arrays for
-    time/seq plus a payload array — so [push]/[pop] allocate nothing
-    (amortized; growth doubles the arrays). *)
+    The heap is struct-of-arrays: parallel unboxed [int] arrays for
+    time, sequence and payload slot, plus a payload array written once
+    per push.  [push]/[pop_exn] allocate nothing (amortized; growth
+    doubles the arrays) and sift by storing ints only. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** [capacity] pre-sizes the time/seq arrays to avoid growth doublings
-    when the caller knows the expected concurrent-event high-water mark. *)
+val create : unit -> 'a t
+(** An empty queue; it grows on demand. *)
 
 val is_empty : 'a t -> bool
 val size : 'a t -> int

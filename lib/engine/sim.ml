@@ -4,7 +4,7 @@ type t = {
   mutable processed : int;
 }
 
-let create ?capacity () = { clock = 0; queue = Event_queue.create ?capacity (); processed = 0 }
+let create () = { clock = 0; queue = Event_queue.create (); processed = 0 }
 
 let now t = t.clock
 

@@ -2,8 +2,7 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] pre-sizes the event queue ({!Event_queue.create}). *)
+val create : unit -> t
 
 val now : t -> Mv_util.Cycles.t
 (** Current virtual time (the timestamp of the event being processed). *)

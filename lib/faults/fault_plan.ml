@@ -92,7 +92,7 @@ let none =
   }
 
 let create ~seed ?(rate = 0.05) ?(sites = all_sites) () =
-  if rate < 0. || rate > 1. then invalid_arg "Fault_plan.create: rate not in [0,1]";
+  if not (rate >= 0. && rate <= 1.) then invalid_arg "Fault_plan.create: rate not in [0,1]";
   let root = Rng.create ~seed in
   (* Streams are split off in fixed site order so the [sites] filter never
      shifts another site's randomness. *)

@@ -47,7 +47,8 @@ val create : seed:int -> ?rate:float -> ?sites:site list -> unit -> t
 (** [create ~seed ~rate ~sites ()] arms the listed sites (default: all)
     with per-query probability [rate] (default 0.05).  A rate of [0.] is a
     {e zero-fault plan}: the resilience machinery runs armed but no fault
-    ever fires — used to prove the machinery itself is cycle-neutral. *)
+    ever fires — used to prove the machinery itself is cycle-neutral.
+    @raise Invalid_argument unless [0. <= rate <= 1.] (NaN included). *)
 
 val enabled : t -> bool
 (** [true] for any created plan (even rate 0), [false] for {!none}.

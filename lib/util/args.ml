@@ -17,7 +17,8 @@ let float =
     cv_parse =
       (fun s ->
         match float_of_string_opt s with
-        | Some f -> Ok f
+        | Some f when Float.is_finite f -> Ok f
+        | Some _ -> Error (Printf.sprintf "expected a finite number, got %S" s)
         | None -> Error (Printf.sprintf "expected a number, got %S" s));
     cv_kind = "float";
   }

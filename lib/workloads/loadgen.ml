@@ -75,12 +75,26 @@ let exp_draw rng ~mean =
   let u = 1.0 -. Rng.float rng 1.0 in
   max 1 (int_of_float (-.mean *. log u))
 
+(* Mean interarrival of one group's source, in cycles. *)
+let group_mean cfg =
+  let group_cps = cfg.lg_offered_cps /. float_of_int cfg.lg_groups in
+  Cycles.of_sec 1.0 |> float_of_int |> fun cps -> cps /. group_cps
+
+(* A nonzero [u] in [exp_draw] is at least [epsilon_float /. 2.] (1 minus
+   the largest float below 1), so a draw is at most about 36.7 means, and
+   a Bursty step adds at most one burst period.  A schedule whose largest
+   possible end does not fit an [int] would wrap, in [int_of_float] or in
+   the sum. *)
+let schedule_fits cfg =
+  float_of_int cfg.lg_calls_per_group
+  *. ((group_mean cfg *. -.log (epsilon_float /. 2.)) +. float_of_int burst_period_cycles)
+  < float_of_int max_int
+
 (* Precompute each group's absolute arrival schedule.  Open-loop: the
    schedule depends only on the seed and the offered rate, never on how
    the system responds. *)
 let arrival_schedule cfg rng ~group =
-  let group_cps = cfg.lg_offered_cps /. float_of_int cfg.lg_groups in
-  let mean = Cycles.of_sec 1.0 |> float_of_int |> fun cps -> cps /. group_cps in
+  let mean = group_mean cfg in
   let n = cfg.lg_calls_per_group in
   let arr = Array.make n 0 in
   (* Stagger each group's duty window so bursts from different groups
@@ -104,7 +118,14 @@ let arrival_schedule cfg rng ~group =
 
 let run cfg =
   if cfg.lg_groups < 1 then invalid_arg "Loadgen.run: lg_groups must be >= 1";
-  if cfg.lg_offered_cps <= 0.0 then invalid_arg "Loadgen.run: lg_offered_cps must be > 0";
+  if not (Float.is_finite cfg.lg_offered_cps && cfg.lg_offered_cps > 0.0) then
+    invalid_arg "Loadgen.run: lg_offered_cps must be finite and > 0";
+  if not (schedule_fits cfg) then
+    invalid_arg
+      (Printf.sprintf
+         "Loadgen.run: offered load %g calls/s over %d groups is too low: the arrival \
+          schedule overflows the cycle clock"
+         cfg.lg_offered_cps cfg.lg_groups);
   let machine =
     Machine.create ~sockets:cfg.lg_sockets ~cores_per_socket:cfg.lg_cores_per_socket
       ~hrt_parts:cfg.lg_partitions ()

@@ -74,7 +74,9 @@ val run : config -> results
 (** Build a machine, run the generator to completion, return the
     aggregate.  Deterministic for a fixed config (all randomness flows
     from [lg_seed]).
-    @raise Invalid_argument on [lg_groups < 1] or a non-positive rate. *)
+    @raise Invalid_argument on [lg_groups < 1], a rate that is not finite
+    and positive, or a per-group rate so low that its arrival schedule
+    could overflow the cycle clock. *)
 
 val arrival_of_string : string -> arrival option
 val arrival_to_string : arrival -> string

@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Allocation-regression guard for the host bench.
 
-Compares every `minor_words_per_event` cell (the engine) and every
-`minor_words_per_instr` cell (the Racket VM) in a fresh BENCH_host.json
-against the committed baseline (bench/host_alloc_baseline.json) and fails
-if any cell grew more than the tolerance.  Wall-clock and events/sec are
-machine-dependent noise and are deliberately not checked; words per event
-or instruction is deterministic for a fixed workload, so a >20% jump means
-a real allocation regression on the host hot path, not a slow runner.
+Compares every `minor_words_per_event` and `minor_collections` cell (the
+engine) and every `minor_words_per_instr` cell (the Racket VM) in a fresh
+BENCH_host.json against the committed baseline
+(bench/host_alloc_baseline.json) and fails if any cell grew more than the
+tolerance.  Wall-clock and events/sec are machine-dependent noise and are
+deliberately not checked; words per event or instruction and the minor
+collection count are deterministic for a fixed workload and build, so a
+>20% jump means a real regression on the host hot path, not a slow runner.
+Minor collections catch what words cannot: a pointer stored into an old
+array fills the remembered set and forces a collection at the same
+allocation.
 
 Usage: check_alloc_regression.py BASELINE.json CURRENT.json
 """
@@ -15,7 +19,11 @@ import json
 import sys
 
 TOLERANCE = 1.20  # fail when current > baseline * TOLERANCE
-UNITS = {"minor_words_per_event": "w/event", "minor_words_per_instr": "w/instr"}
+UNITS = {
+    "minor_words_per_event": "w/event",
+    "minor_words_per_instr": "w/instr",
+    "minor_collections": "minor GCs",
+}
 
 
 def cells(doc, path=""):
@@ -34,7 +42,7 @@ def main(baseline_path, current_path):
     with open(current_path) as f:
         current = {(path, unit): words for path, unit, words in cells(json.load(f))}
     if not current:
-        print(f"{current_path}: no minor-words cells found", file=sys.stderr)
+        print(f"{current_path}: no guarded cells found", file=sys.stderr)
         return 1
     failed = False
     for (path, unit), words in sorted(current.items()):
@@ -50,8 +58,8 @@ def main(baseline_path, current_path):
             print(f"ok   {path}: {words:.2f} {unit} (baseline {ref:.2f}, limit {limit:.2f})")
     if failed:
         print(
-            "allocation regression: minor words per event or instruction grew >20% "
-            "vs the committed baseline; if intentional, regenerate "
+            "allocation regression: minor words per event or instruction, or minor "
+            "collections, grew >20% vs the committed baseline; if intentional, regenerate "
             "bench/host_alloc_baseline.json from a release-profile `bench host --json` run",
             file=sys.stderr,
         )

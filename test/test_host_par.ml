@@ -328,6 +328,24 @@ let usage_cases =
     ( "cli: multiverse_run --partitions 8 leaves no ROS core on 2x4",
       (fun () -> run_multiverse "-b fasta --partitions 8"),
       "multiverse_run: --partitions 8 does not leave a ROS core" );
+    ( "cli: multiverse_run --offered-load nan exits 2",
+      (fun () -> run_multiverse "--groups 2 --offered-load nan"),
+      "multiverse_run: option --offered-load CPS: expected a finite number" );
+    ( "cli: multiverse_run --offered-load inf exits 2",
+      (fun () -> run_multiverse "--groups 2 --offered-load inf"),
+      "multiverse_run: option --offered-load CPS: expected a finite number" );
+    ( "cli: multiverse_run --offered-load 1e-300 overflows the schedule",
+      (fun () -> run_multiverse "--groups 2 --offered-load 1e-300"),
+      "multiverse_run: Loadgen.run: offered load 1e-300 calls/s over 2 groups is too low" );
+    ( "cli: multiverse_run --fault-rate nan exits 2",
+      (fun () -> run_multiverse "--mode multiverse -b fasta --fault-seed 1 --fault-rate nan"),
+      "multiverse_run: option --fault-rate RATE: expected a finite number" );
+    ( "cli: multiverse_run --fault-rate 2 names the option",
+      (fun () -> run_multiverse "--mode multiverse -b fasta --fault-seed 1 --fault-rate 2"),
+      "multiverse_run: --fault-rate must be in [0,1]" );
+    ( "cli: multiverse_run --fault-sweep with --fault-rate 2 exits 2",
+      (fun () -> run_multiverse "--mode multiverse -b fasta --fault-sweep 2 --fault-rate 2"),
+      "multiverse_run: --fault-rate must be in [0,1]" );
   ]
 
 (* A guest program that fails to parse or run: exit 1 with one line

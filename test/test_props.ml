@@ -599,60 +599,76 @@ module Event_queue = Mv_engine.Event_queue
 
 (* The heap's contract — pops come out as a stable sort by (time, push
    sequence) — is what makes the whole simulation deterministic, and the
-   SoA heap's swap/sift code is exactly the kind of index arithmetic a
-   model test catches.  Ops are interleaved pushes (Some time) and pops
-   (None) against a naive insertion-ordered list model. *)
+   SoA heap's sift and slot code is exactly the kind of index arithmetic
+   a model test catches.  Ops are interleaved pushes (Some time) and pops
+   (None) against a set ordered by (time, seq).  Each payload is its own
+   [(time, seq)], so a pop must return the model's minimum, payload
+   included; [size] and [next_time] must agree after every op. *)
+module Time_seq = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let event_queue_agrees_with_model ops =
+  let q = Event_queue.create () in
+  let model = ref Time_seq.empty and pending = ref 0 and seq = ref 0 in
+  let pop_agrees () =
+    let least = Time_seq.min_elt_opt !model in
+    Event_queue.next_time q = (match least with Some (t, _) -> t | None -> max_int)
+    &&
+    match (Event_queue.pop q, least) with
+    | None, None -> true
+    | Some (t, payload), Some ((mt, _) as m) ->
+        model := Time_seq.remove m !model;
+        decr pending;
+        t = mt && payload = m
+    | Some _, None | None, Some _ -> false
+  in
+  let step = function
+    | Some time ->
+        Event_queue.push q ~time (time, !seq);
+        model := Time_seq.add (time, !seq) !model;
+        incr seq;
+        incr pending;
+        true
+    | None -> pop_agrees ()
+  in
+  let rec drain () = Time_seq.is_empty !model || (pop_agrees () && drain ()) in
+  List.for_all (fun op -> step op && Event_queue.size q = !pending) ops
+  && drain ()
+  && Event_queue.next_time q = max_int
+  && Event_queue.peek_time q = None
+
 let qcheck_event_queue_vs_model =
   QCheck.Test.make
     ~name:"event_queue: pop order = stable sort by (time, seq) under interleaved push/pop"
     ~count:200
     QCheck.(list (option (int_bound 1000)))
-    (fun ops ->
-      let q = Event_queue.create ~capacity:2 () in
-      (* Model: (time, seq, payload) in insertion order; popping takes the
-         first entry with the minimal time (stability = insertion order). *)
-      let model = ref [] in
-      let seq = ref 0 in
-      let ok = ref true in
-      let model_pop () =
-        match !model with
-        | [] -> None
-        | first :: rest ->
-            let best =
-              List.fold_left
-                (fun (bt, bs, bv) (t, s, v) ->
-                  if t < bt then (t, s, v) else (bt, bs, bv))
-                first rest
-            in
-            let _, bs, _ = best in
-            model := List.filter (fun (_, s, _) -> s <> bs) !model;
-            Some best
+    event_queue_agrees_with_model
+
+(* The same contract at the depths the fabric runs reach (fabric-open
+   averages 5.5k pending events, fabric-shed peaks at 16k).  4-ary index
+   arithmetic only goes wrong below depth 3, and a reused payload slot
+   only after many pop/push cycles, so each run fills the heap to a few
+   thousand events, churns at a steady depth, then drains — over 64
+   distinct times, so ties are everywhere. *)
+let qcheck_event_queue_deep_churn =
+  let gen =
+    QCheck.Gen.(
+      let op push_weight =
+        frequency
+          [ (push_weight, map Option.some (int_bound 63)); (4 - push_weight, return None) ]
       in
-      let check_pop () =
-        (* next_time must agree with the model's minimum before the pop. *)
-        let expect_next =
-          List.fold_left (fun acc (t, _, _) -> min acc t) max_int !model
-        in
-        if Event_queue.next_time q <> expect_next then ok := false;
-        match (Event_queue.pop q, model_pop ()) with
-        | None, None -> ()
-        | Some (t, v), Some (mt, _, mv) -> if t <> mt || v <> mv then ok := false
-        | Some _, None | None, Some _ -> ok := false
-      in
-      List.iter
-        (fun op ->
-          (match op with
-          | Some time ->
-              Event_queue.push q ~time !seq;
-              model := !model @ [ (time, !seq, !seq) ];
-              incr seq
-          | None -> check_pop ());
-          if Event_queue.size q <> List.length !model then ok := false)
-        ops;
-      while not (Event_queue.is_empty q) || !model <> [] do
-        check_pop ()
-      done;
-      !ok && Event_queue.next_time q = max_int && Event_queue.peek_time q = None)
+      let* fill = list_size (int_range 2_000 8_000) (op 3) in
+      let* churn = list_size (int_range 2_000 8_000) (op 2) in
+      return (fill @ churn))
+  in
+  QCheck.Test.make
+    ~name:"event_queue: payloads pop by (time, seq) through thousands of tie-heavy ops"
+    ~count:20
+    (QCheck.make ~print:(fun ops -> Printf.sprintf "<%d ops>" (List.length ops)) gen)
+    event_queue_agrees_with_model
 
 (* --- Partition lending: ownership, no stranding, FIFO drain ------- *)
 
@@ -779,5 +795,6 @@ let suite =
     to_alcotest qcheck_pm_hinted_alloc_vs_model;
     to_alcotest qcheck_pm_conservation;
     to_alcotest qcheck_event_queue_vs_model;
+    to_alcotest qcheck_event_queue_deep_churn;
     to_alcotest qcheck_lending_invariants;
   ]

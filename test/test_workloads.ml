@@ -204,6 +204,18 @@ let test_loadgen_bursty_deterministic () =
   check_int "makespan identical" a.Loadgen.r_makespan b.Loadgen.r_makespan;
   check_bool "p99 identical" true (a.Loadgen.r_p99_us = b.Loadgen.r_p99_us)
 
+let test_loadgen_rejects_bad_rates () =
+  (* A rate that is not finite and positive, or so low that the arrival
+     schedule would overflow the cycle clock, is rejected up front: 1e-300
+     would otherwise wrap [exp_draw] to one-cycle gaps and run at the
+     maximum rate. *)
+  List.iter
+    (fun cps ->
+      match Loadgen.run { lg_small with Loadgen.lg_offered_cps = cps } with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "offered %g calls/s ran" cps)
+    [ nan; infinity; neg_infinity; 0.0; -1.0; 1e-300 ]
+
 let suite =
   [
     ("binary-tree-2: reference output", `Quick, test_binary_tree_output);
@@ -221,4 +233,5 @@ let suite =
     ("loadgen: open-loop smoke, admission off", `Quick, test_loadgen_smoke);
     ("loadgen: overload sheds, all calls accounted", `Quick, test_loadgen_overload_sheds);
     ("loadgen: bursty schedule deterministic", `Quick, test_loadgen_bursty_deterministic);
+    ("loadgen: rejects non-finite and overflowing rates", `Quick, test_loadgen_rejects_bad_rates);
   ]
