@@ -562,7 +562,9 @@ let hpcg_linux ~nx ~workers =
   Option.get !out
 
 let hpcg_hrt ~nx ~workers =
-  let machine = Machine.create ~hrt_parts:[ workers + 1 ] () in
+  let machine =
+    Machine.create ~config:{ Machine.default_config with partitions = [ workers + 1 ] } ()
+  in
   let nk = Nautilus.create machine in
   let out = ref None in
   let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in
@@ -626,7 +628,9 @@ let native_model () =
     !out
   in
   let vcode_hrt ~n ~workers =
-    let machine = Machine.create ~hrt_parts:[ workers + 1 ] () in
+    let machine =
+      Machine.create ~config:{ Machine.default_config with partitions = [ workers + 1 ] } ()
+    in
     let nk = Nautilus.create machine in
     let out = ref 0 in
     let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in
@@ -875,8 +879,8 @@ let measure_mempath_side ~huge_pages =
             (Mv_racket.Sgc.stats (Mv_racket.Engine.gc engine)).Mv_racket.Sgc.collections);
     }
   in
-  let options = { Toolchain.default_mv_options with mv_huge_pages = huge_pages } in
-  let rs = Toolchain.run_multiverse ~options (Toolchain.hybridize prog) in
+  let machine = { Machine.default_config with huge_pages } in
+  let rs = Toolchain.run_multiverse ~machine (Toolchain.hybridize prog) in
   let ru = rs.Toolchain.rs_rusage in
   let open Mv_ros.Rusage in
   {
@@ -912,7 +916,7 @@ type hh_side = {
 }
 
 let measure_hh_sweep ~huge_pages =
-  let machine = Machine.create ~huge_pages () in
+  let machine = Machine.create ~config:{ Machine.default_config with huge_pages } () in
   let nk = Nautilus.create machine in
   let hrt = List.hd (Mv_aerokernel.Nautilus.cores nk) in
   let out = ref None in
@@ -1204,27 +1208,27 @@ let write_scale_json path =
 (* NUMA: group-affine vs round-robin placement on a big box            *)
 (* ------------------------------------------------------------------ *)
 
-(* Geometry for the NUMA section (override with --topology SxC).  The
-   default is the 4x32 box with HRT pinned to the upper half of the last
-   socket: affine placement can then co-locate a group's server core,
-   poller group and frames on one socket, while round-robin scatters the
-   server cores across all four. *)
-let numa_topology = ref (4, 32)
+(* The NUMA section's machine (override its geometry with --topology
+   SxC).  The default is the 4x32 box with HRT pinned to the upper half of
+   the last socket: affine placement can then co-locate a group's server
+   core, poller group and frames on one socket, while round-robin scatters
+   the server cores across all four. *)
+let numa_machine_of (sockets, cores_per_socket) =
+  let hrt = min 16 (max 1 (sockets * cores_per_socket / 2)) in
+  { Machine.default_config with sockets; cores_per_socket; partitions = [ hrt ] }
+
+let numa_machine = ref (numa_machine_of (4, 32))
 
 let numa_geometry () =
-  let sockets, cores_per_socket = !numa_topology in
-  let total = sockets * cores_per_socket in
-  (sockets, cores_per_socket, min 16 (max 1 (total / 2)))
+  let m = !numa_machine in
+  (m.sockets, m.cores_per_socket, List.hd m.partitions)
 
 let numa_loadgen placement =
-  let sockets, cores_per_socket, hrt = numa_geometry () in
   Loadgen.run
     {
       Loadgen.default_config with
       Loadgen.lg_groups = 400;
-      lg_sockets = sockets;
-      lg_cores_per_socket = cores_per_socket;
-      lg_partitions = [ hrt ];
+      lg_machine = !numa_machine;
       lg_placement = placement;
     }
 
@@ -1239,8 +1243,7 @@ let numa_frames_per_core = 64
 let numa_accesses_per_frame = 32
 
 let measure_numa_mem ~local =
-  let sockets, cores_per_socket, hrt = numa_geometry () in
-  let machine = Machine.create ~sockets ~cores_per_socket ~hrt_parts:[ hrt ] () in
+  let machine = Machine.create ~config:!numa_machine () in
   let topo = machine.Machine.topo in
   let phys = machine.Machine.phys in
   let cores =
@@ -1395,7 +1398,7 @@ let write_numa_json path =
    idles.  The consolidation story is A's p99 sojourn collapsing while
    B's burst latency stays put (the reclaim returns the core in time). *)
 
-let partition_spec = ref [ 2; 2 ]
+let partition_machine = ref { Machine.default_config with partitions = [ 2; 2 ] }
 
 let part_jobs_a = 360
 let part_inter_a = 3_750 (* cycles between tenant-A arrivals *)
@@ -1419,7 +1422,7 @@ type partition_res = {
 }
 
 let measure_partition ~lending =
-  let machine = Machine.create ~hrt_parts:!partition_spec () in
+  let machine = Machine.create ~config:!partition_machine () in
   let exec = machine.Machine.exec in
   let topo = machine.Machine.topo in
   let kernel = Mv_ros.Kernel.create machine in
@@ -1508,7 +1511,7 @@ let partition_bench () =
   section
     (Printf.sprintf
        "Partition: 2-tenant consolidation (hrt_parts [%s]), core lending on vs off"
-       (String.concat ";" (List.map string_of_int !partition_spec)));
+       (String.concat ";" (List.map string_of_int !partition_machine.partitions)));
   let off, on = Lazy.force partition_cells in
   let t =
     Table.create
@@ -1565,7 +1568,7 @@ let write_partition_json path =
   write ~path ~kind:"multiverse-partition-bench"
     [
       ( "partitions",
-        List (List.map (fun n -> Int n) !partition_spec) );
+        List (List.map (fun n -> Int n) !partition_machine.partitions) );
       ("jobs_a", Int part_jobs_a);
       ("service_cycles_a", Int part_svc_a);
       ("interarrival_cycles_a", Int part_inter_a);
@@ -1911,82 +1914,81 @@ let sections =
     ("microbench", microbench);
   ]
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* --json additionally writes machine-readable metrics next to the text
-     output (CI uploads them as artifacts); it composes with section
-     names: the fabric file is written when the fabric section is in
-     scope, the mempath file when mempath is.  With no section names,
-     --json writes both and skips the text sections. *)
-  let json = List.mem "--json" args in
-  let args = List.filter (fun a -> a <> "--json") args in
-  (* --jobs N: worker domains for the measurement matrices.  Output is
-     identical at any N. *)
-  let rec take_jobs acc = function
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some j when j >= 1 -> jobs := j
-        | _ ->
-            prerr_endline ("bench: bad --jobs " ^ n);
-            exit 2);
-        take_jobs acc rest
-    (* --topology SxC: geometry for the numa section (default 4x32). *)
-    | "--topology" :: s :: rest ->
-        (match String.index_opt s 'x' with
-        | Some i -> (
-            let a = String.sub s 0 i
-            and b = String.sub s (i + 1) (String.length s - i - 1) in
-            match (int_of_string_opt a, int_of_string_opt b) with
-            | Some sk, Some cp when sk > 0 && cp > 0 && sk * cp >= 2 ->
-                numa_topology := (sk, cp)
-            | _ ->
-                prerr_endline
-                  ("bench: bad --topology " ^ s ^ " (want SOCKETSxCORES, e.g. 4x32)");
-                exit 2)
-        | None ->
-            prerr_endline
-              ("bench: bad --topology " ^ s ^ " (want SOCKETSxCORES, e.g. 4x32)");
-            exit 2);
-        take_jobs acc rest
-    (* --partitions SPEC: HRT partition geometry for the partition
-       section (comma-separated core counts, default 2,2; the last
-       partition must keep a core when it lends, so every entry must be
-       at least 1 and the lending tenant's at least 2). *)
-    | "--partitions" :: s :: rest ->
-        let parts =
-          try List.map int_of_string (String.split_on_char ',' s) with _ -> []
-        in
-        (match parts with
-        | _ :: _ :: _ when List.for_all (fun n -> n > 0) parts ->
-            partition_spec := parts
-        | _ ->
-            prerr_endline
-              ("bench: bad --partitions " ^ s
-             ^ " (want two or more comma-separated positive core counts, e.g. 2,2)");
-            exit 2);
-        take_jobs acc rest
-    | a :: rest -> take_jobs (a :: acc) rest
-    | [] -> List.rev acc
+(* Install the machines the flags describe, or say why they cannot be
+   built.  The partition section lends the last core of partition 2 to
+   partition 1, so partition 2 needs a core left to keep. *)
+let configure ~jobs:j ~topology ~partitions =
+  let ( let* ) = Result.bind in
+  let numa = numa_machine_of topology in
+  let part = { Machine.default_config with partitions } in
+  let* () = if j >= 1 then Ok () else Error (Printf.sprintf "--jobs %d: need at least 1" j) in
+  let* () = Machine.check_config numa in
+  let* () = Machine.check_config part in
+  let* () =
+    match partitions with
+    | _ :: lender :: _ when lender >= 2 -> Ok ()
+    | _ ->
+        Error
+          (Printf.sprintf
+             "--partitions %s: the partition section lends from a partition 2 of at \
+              least two cores"
+             (String.concat "," (List.map string_of_int partitions)))
   in
-  let args = take_jobs [] args in
-  let wants name = args = [] || List.mem name args in
-  (match args with
-  | [ "--list" ] -> List.iter (fun (name, _) -> printf "%s\n" name) sections
-  | [] ->
-      if not json then begin
-        printf "Multiverse reproduction benchmarks (all sections)\n";
-        printf "machine: 2 sockets x 4 cores @ 2.2 GHz (simulated)\n";
-        List.iter (fun (_, f) -> f ()) sections
-      end
-  | names -> (
+  jobs := j;
+  numa_machine := numa;
+  partition_machine := part;
+  Ok ()
+
+let main json list j topology partitions names =
+  match configure ~jobs:j ~topology ~partitions with
+  | Error msg ->
+      prerr_endline ("bench: " ^ msg);
+      2
+  | Ok () when list ->
+      List.iter (fun (name, _) -> printf "%s\n" name) sections;
+      0
+  | Ok () -> (
       match List.find_opt (fun name -> not (List.mem_assoc name sections)) names with
       | Some name ->
           prerr_endline ("bench: unknown section " ^ name ^ " (try --list)");
-          exit 2
-      | None -> List.iter (fun name -> (List.assoc name sections) ()) names));
-  if json && (wants "fig2" || wants "fabric") then write_fabric_json "BENCH_fabric.json";
-  if json && wants "mempath" then write_mempath_json "BENCH_mempath.json";
-  if json && wants "scale" then write_scale_json "BENCH_scale.json";
-  if json && wants "numa" then write_numa_json "BENCH_numa.json";
-  if json && wants "partition" then write_partition_json "BENCH_partition.json";
-  if json && wants "host" then write_host_json "BENCH_host.json"
+          2
+      | None ->
+          if names <> [] then List.iter (fun name -> (List.assoc name sections) ()) names
+          else if not json then begin
+            printf "Multiverse reproduction benchmarks (all sections)\n";
+            printf "machine: 2 sockets x 4 cores @ 2.2 GHz (simulated)\n";
+            List.iter (fun (_, f) -> f ()) sections
+          end;
+          let wants name = names = [] || List.mem name names in
+          if json && (wants "fig2" || wants "fabric") then write_fabric_json "BENCH_fabric.json";
+          if json && wants "mempath" then write_mempath_json "BENCH_mempath.json";
+          if json && wants "scale" then write_scale_json "BENCH_scale.json";
+          if json && wants "numa" then write_numa_json "BENCH_numa.json";
+          if json && wants "partition" then write_partition_json "BENCH_partition.json";
+          if json && wants "host" then write_host_json "BENCH_host.json";
+          0)
+
+let () =
+  let open Mv_util.Args in
+  let term =
+    const main
+    $ flag ~names:[ "json" ]
+        ~doc:
+          "Also write the BENCH_*.json files of the sections in scope (with no \
+           SECTION: every file, and no text sections)."
+    $ flag ~names:[ "list" ] ~doc:"List the sections."
+    $ opt int ~default:1 ~names:[ "jobs" ] ~docv:"N"
+        ~doc:"Worker domains for the measurement matrices.  Output is identical at any N."
+    $ opt topology ~default:(4, 32) ~names:[ "topology" ] ~docv:"SxC"
+        ~doc:"Machine geometry of the numa section (default 4x32)."
+    $ opt partitions ~default:[ 2; 2 ] ~names:[ "partitions" ] ~docv:"SPEC"
+        ~doc:
+          "HRT partition spec of the partition section on the 2x4 box \
+           (comma-separated core counts, default 2,2).  Partition 2 lends a \
+           core, so it needs at least two cores."
+    $ pos_all string ~docv:"SECTION" ~doc:"Sections to run (default: all; see --list)."
+  in
+  exit
+    (run ~name:"bench"
+       ~doc:"Regenerate the paper's tables and figures on the Multiverse simulation" term
+       (List.tl (Array.to_list Sys.argv)))

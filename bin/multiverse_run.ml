@@ -11,6 +11,7 @@
 open Multiverse
 module Args = Mv_util.Args
 module Fault_plan = Mv_faults.Fault_plan
+module Machine = Mv_engine.Machine
 
 let parse_fault_sites spec =
   match Fault_plan.sites_of_string spec with
@@ -21,37 +22,16 @@ type mode = Native | Virtual | Multiverse
 
 let placements = [ ("spread", Mv_hvm.Fabric.Spread); ("affine", Mv_hvm.Fabric.Affine) ]
 
-let options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-    ~partitions ~placement ~work_stealing =
-  let sockets, cores_per_socket = topology in
-  {
-    Toolchain.mv_channel =
-      (if sync_channel then Mv_hvm.Event_channel.Sync else Mv_hvm.Event_channel.Async);
-    mv_symbol_cache = symbol_cache;
-    mv_porting = porting;
-    mv_faults = faults;
-    mv_huge_pages = huge_pages;
-    mv_sockets = sockets;
-    mv_cores_per_socket = cores_per_socket;
-    mv_partitions = partitions;
-    mv_placement = placement;
-    mv_work_stealing = work_stealing;
-  }
-
-let run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-    ~partitions ~placement ~work_stealing ~stats ~quiet prog =
-  let options =
-    options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-      ~partitions ~placement ~work_stealing
-  in
+let run_one ~mode ~machine ~options ~stats ~quiet prog =
+  let faults = options.Toolchain.mv_faults in
   (* A fault run keeps the trace on so the injected faults and the
      resilience reactions can be shown afterwards. *)
   let trace = Fault_plan.enabled faults in
   let rs =
     match mode with
-    | Native -> Toolchain.run_native ~huge_pages ~topology ~hrt_parts:partitions prog
-    | Virtual -> Toolchain.run_virtual ~huge_pages ~topology ~hrt_parts:partitions prog
-    | Multiverse -> Toolchain.run_multiverse ~trace ~options (Toolchain.hybridize prog)
+    | Native -> Toolchain.run_native ~machine prog
+    | Virtual -> Toolchain.run_virtual ~machine prog
+    | Multiverse -> Toolchain.run_multiverse ~machine ~trace ~options (Toolchain.hybridize prog)
   in
   if not quiet then print_string rs.Toolchain.rs_stdout;
   Printf.eprintf "\n[%s] wall %.4f s | %d syscalls | %d page faults | maxrss %d KB | exit %d\n"
@@ -124,15 +104,11 @@ type sweep_row = {
   sw_wall : float;
 }
 
-let run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology
-    ~partitions ~placement ~work_stealing ~rate ~sites ~sweep ~jobs prog =
+let run_fault_sweep ~machine ~options ~rate ~sites ~sweep ~jobs prog =
   let cell seed =
     let faults = Fault_plan.create ~seed ~rate ~sites () in
-    let options =
-      options_of ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-        ~partitions ~placement ~work_stealing
-    in
-    let rs = Toolchain.run_multiverse ~options (Toolchain.hybridize prog) in
+    let options = { options with Toolchain.mv_faults = faults } in
+    let rs = Toolchain.run_multiverse ~machine ~options (Toolchain.hybridize prog) in
     let retries, fallbacks, respawns, reroutes =
       match rs.Toolchain.rs_runtime with
       | Some rt ->
@@ -184,8 +160,7 @@ let run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages ~topology
 
 (* --groups: the open-loop scale mode (no program; the load generator
    drives the fabric directly). *)
-let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology ~partitions
-    ~placement =
+let run_scale ~machine ~options ~groups ~arrival ~offered_load ~admission =
   let open Mv_workloads.Loadgen in
   match
     match arrival_of_string arrival with
@@ -203,7 +178,6 @@ let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology 
       usage_error "--groups must be between 1 and 100000"
   | Ok _ when offered_load <= 0.0 -> usage_error "--offered-load must be positive"
   | Ok (arr, adm) ->
-      let sockets, cores_per_socket = topology in
       let cfg =
         {
           default_config with
@@ -211,12 +185,9 @@ let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology 
           lg_arrival = arr;
           lg_offered_cps = offered_load;
           lg_admission = adm;
-          lg_kind =
-            (if sync_channel then Mv_hvm.Event_channel.Sync else Mv_hvm.Event_channel.Async);
-          lg_sockets = sockets;
-          lg_cores_per_socket = cores_per_socket;
-          lg_partitions = partitions;
-          lg_placement = placement;
+          lg_kind = options.Toolchain.mv_channel;
+          lg_machine = machine;
+          lg_placement = options.Toolchain.mv_placement;
         }
       in
       match run cfg with
@@ -225,9 +196,10 @@ let run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology 
       Printf.printf
         "[scale] %d groups | %s arrivals | offered %.0f calls/s | admission %s | %dx%d \
          cores (%d hrt) | placement %s\n"
-        groups arrival offered_load admission sockets cores_per_socket
-        (List.fold_left ( + ) 0 partitions)
-        (fst (List.find (fun (_, p) -> p = placement) placements));
+        groups arrival offered_load admission machine.Machine.sockets
+        machine.Machine.cores_per_socket
+        (List.fold_left ( + ) 0 machine.Machine.partitions)
+        (fst (List.find (fun (_, p) -> p = options.Toolchain.mv_placement) placements));
       Printf.printf
         "[scale] issued %d | completed %d | dropped %d | throughput %.0f calls/s\n"
         r.r_issued r.r_completed r.r_dropped r.r_throughput_cps;
@@ -265,24 +237,36 @@ let prog_of ~bench ~file ~n =
 let main bench file n mode porting sync_channel symbol_cache fault_seed fault_rate fault_sites
     fault_sweep jobs groups arrival offered_load admission topology partitions placement
     work_stealing no_huge_pages stats quiet list_benches =
-  let huge_pages = not no_huge_pages in
   let sockets, cores_per_socket = topology in
   (* Scale mode keeps the load generator's own HRT sizing when no spec is
      given; program modes keep the reference machine's single HRT core. *)
-  let partitions =
-    match partitions with
-    | Some spec -> spec
-    | None when groups <> None ->
-        Mv_workloads.Loadgen.default_config.Mv_workloads.Loadgen.lg_partitions
-    | None -> [ 1 ]
+  let default =
+    if groups <> None then Mv_workloads.Loadgen.default_config.Mv_workloads.Loadgen.lg_machine
+    else Machine.default_config
   in
-  if List.fold_left ( + ) 0 partitions >= sockets * cores_per_socket then
-    exit
-      (usage_error
-         (Printf.sprintf "--partitions %s does not leave a ROS core on a %dx%d machine"
-            (String.concat "," (List.map string_of_int partitions))
-            sockets cores_per_socket))
-  else if not (fault_rate >= 0. && fault_rate <= 1.) then
+  let machine =
+    {
+      Machine.sockets;
+      cores_per_socket;
+      partitions = Option.value partitions ~default:default.Machine.partitions;
+      huge_pages = not no_huge_pages;
+      work_stealing;
+    }
+  in
+  let options =
+    {
+      Toolchain.mv_channel =
+        (if sync_channel then Mv_hvm.Event_channel.Sync else Mv_hvm.Event_channel.Async);
+      mv_symbol_cache = symbol_cache;
+      mv_porting = porting;
+      mv_faults = Fault_plan.none;
+      mv_placement = placement;
+    }
+  in
+  match Machine.check_config machine with
+  | Error msg -> usage_error msg
+  | Ok () ->
+  if not (fault_rate >= 0. && fault_rate <= 1.) then
     usage_error (Printf.sprintf "--fault-rate must be in [0,1] (got %g)" fault_rate)
   else
   match fault_sweep with
@@ -300,9 +284,8 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
             | Error msg -> usage_error msg
             | Ok prog ->
                 with_guest_errors prog (fun () ->
-                    run_fault_sweep ~porting ~sync_channel ~symbol_cache ~huge_pages
-                      ~topology ~partitions ~placement ~work_stealing ~rate:fault_rate ~sites
-                      ~sweep ~jobs prog)))
+                    run_fault_sweep ~machine ~options ~rate:fault_rate ~sites ~sweep ~jobs
+                      prog)))
   | None ->
   if jobs <> 1 then usage_error "--jobs has no effect without --fault-sweep"
   else
@@ -327,8 +310,7 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
       else if Fault_plan.enabled faults then
         usage_error "fault injection is not supported in scale mode"
       else
-        run_scale ~groups ~arrival ~offered_load ~admission ~sync_channel ~topology
-          ~partitions ~placement
+        run_scale ~machine ~options ~groups ~arrival ~offered_load ~admission
   | None ->
   if arrival <> "poisson" || offered_load <> 100_000.0 || admission <> "off" then
     usage_error "--arrival/--offered-load/--admission have no effect without --groups"
@@ -345,8 +327,8 @@ let main bench file n mode porting sync_channel symbol_cache fault_seed fault_ra
     | Error msg -> usage_error msg
     | Ok prog ->
         with_guest_errors prog (fun () ->
-            run_one ~mode ~porting ~sync_channel ~symbol_cache ~faults ~huge_pages ~topology
-              ~partitions ~placement ~work_stealing ~stats ~quiet prog;
+            run_one ~mode ~machine ~options:{ options with mv_faults = faults } ~stats
+              ~quiet prog;
             0))
 
 let () =
@@ -422,7 +404,7 @@ let () =
     $ flag ~names:[ "work-stealing" ]
         ~doc:
           "Enable deterministic work stealing across the ROS cores' \
-           per-core runqueues (multiverse only)."
+           per-core runqueues."
     $ flag ~names:[ "no-huge-pages" ]
         ~doc:"Disable the huge-page memory path (4 KiB mappings only)."
     $ flag ~names:[ "stats" ] ~doc:"Print the per-syscall histogram."

@@ -8,6 +8,7 @@
    canonical traced run used by the golden regression test. *)
 
 module Args = Mv_util.Args
+module Machine = Mv_engine.Machine
 module Explore = Mv_check.Explore
 module Scenario = Mv_check.Scenario
 module Scenarios = Mv_check.Scenarios
@@ -57,20 +58,16 @@ let run_scenario ~pool ~seeds ~shrink_budget ~out sc =
         r.Explore.ex_runs;
       true
 
-let run_scenarios name seeds shrink_budget jobs topology partitions out =
-  (* Install the geometry override before the sweep (and before any worker
-     domains spawn) so every scenario machine sees it. *)
-  Scenario.set_topology topology;
-  Scenario.set_partitions partitions;
+let run_scenarios name seeds shrink_budget jobs (sockets, cores_per_socket) partitions out =
+  let machine = { Machine.default_config with sockets; cores_per_socket; partitions } in
   let selected =
-    match Option.value name ~default:"all" with
-    | "all" -> Ok Scenarios.all_scenarios
-    | name -> (
-        match Scenarios.find name with
-        | Some sc -> Ok [ sc ]
-        | None ->
-            Error
-              (Printf.sprintf "unknown scenario %S (try `mvcheck list')" name))
+    Result.bind (Machine.check_config machine) (fun () ->
+        match Option.value name ~default:"all" with
+        | "all" -> Ok Scenarios.all_scenarios
+        | name -> (
+            match Scenarios.find name with
+            | Some sc -> Ok [ sc ]
+            | None -> Error (Printf.sprintf "unknown scenario %S (try `mvcheck list')" name)))
   in
   match selected with
   | Error msg ->
@@ -84,6 +81,9 @@ let run_scenarios name seeds shrink_budget jobs topology partitions out =
       Printf.eprintf "mvcheck run: --seeds %d: need at least 0\n" seeds;
       2
   | Ok scenarios ->
+      (* Install the machine before the sweep (and before any worker
+         domains spawn) so every scenario machine sees it. *)
+      Scenario.set_machine machine;
       let pool = if jobs > 1 then Some (Mv_host_par.Pool.create ~jobs) else None in
       let verdicts =
         Fun.protect
@@ -147,17 +147,21 @@ let () =
           ~doc:
             "Worker domains for the schedule sweep (default 1 = sequential). \
              Verdicts, counterexamples and run counts are identical at any N."
-      $ opt_opt topology ~names:[ "topology" ] ~docv:"SxC"
+      $ opt topology
+          ~default:(Machine.default_config.sockets, Machine.default_config.cores_per_socket)
+          ~names:[ "topology" ] ~docv:"SxC"
           ~doc:
             "Run every scenario machine on this geometry \
              (SOCKETSxCORES_PER_SOCKET, e.g. 4x32) instead of the reference \
              2x4 box."
-      $ opt_opt partitions ~names:[ "partitions" ] ~docv:"SPEC"
+      $ opt partitions ~default:Machine.default_config.partitions ~names:[ "partitions" ]
+          ~docv:"SPEC"
           ~doc:
             "Carve the scenario machines' HRT side into this elastic \
              partition spec (comma-separated core counts, e.g. 2,1) \
              instead of the single default HRT partition.  Scenarios that \
-             fix their own geometry (repartition) ignore it."
+             fix their own geometry (repartition) ignore it.  Must leave \
+             at least one ROS core."
       $ opt_opt string ~names:[ "out"; "o" ] ~docv:"FILE"
           ~doc:"Write the counterexample artifact to FILE.")
       (fun code -> code)

@@ -40,7 +40,9 @@ let () =
 
   (* Native model: the same runtime as pure AeroKernel threads. *)
   let hrt = ref None in
-  let machine2 = Machine.create ~hrt_parts:[ workers + 1 ] () in
+  let machine2 =
+    Machine.create ~config:{ Machine.default_config with partitions = [ workers + 1 ] } ()
+  in
   let nk = Mv_aerokernel.Nautilus.create machine2 in
   let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in
   ignore

@@ -82,7 +82,7 @@ let create ?(part = 1) machine =
      fault and a few TLB entries give full reach.  With them off we model
      the pre-large-page world: a presence marker at the base, the rest
      filled 4 KiB at a time on first touch. *)
-  if machine.Machine.huge_pages then begin
+  if machine.Machine.config.huge_pages then begin
     let gigs = (phys_pages + Addr.pages_per_1g - 1) / Addr.pages_per_1g in
     for i = 0 to max 0 (gigs - 1) do
       Page_table.map_size pt
@@ -287,7 +287,7 @@ let access t addr ~write =
                mapped span.  Without them, the direct map fills 4 KiB at a
                time on first touch. *)
             let hh_page = Addr.page_of (addr - Addr.higher_half_base) in
-            if t.machine.Machine.huge_pages || hh_page >= t.phys_pages then
+            if t.machine.Machine.config.huge_pages || hh_page >= t.phys_pages then
               failwith "Nautilus.access: fault in AeroKernel half"
             else begin
               Machine.charge t.machine (costs.Costs.demand_page / 4);
@@ -354,4 +354,3 @@ let stats_faults_forwarded t = t.n_faults_forwarded
 let stats_remerges t = t.n_remerges
 let stats_syscalls_forwarded t = t.n_syscalls_forwarded
 let stats_hh_fills t = t.n_hh_fills
-let boot_count t = t.boots

@@ -138,5 +138,3 @@ val stats_syscalls_forwarded : t -> int
 val stats_hh_fills : t -> int
 (** 4 KiB demand fills of the higher-half direct map (zero when the 1 GiB
     identity map is active). *)
-
-val boot_count : t -> int

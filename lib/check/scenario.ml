@@ -21,27 +21,19 @@ type t = {
    ever reaches the budget, and hitting it is itself a verdict. *)
 let default_max_events = 400_000
 
-(* Geometry override for scenario machines, installed by the mvcheck CLI's
-   --topology flag before any sweep starts (so worker domains observe it
-   without synchronization).  Scenarios build their machines through
-   [make_machine] and derive cores from the resulting topology rather than
-   hardcoding ids, so the whole sweep runs on the requested box. *)
-let topology_override : (int * int) option ref = ref None
-let set_topology o = topology_override := o
-let topology () = !topology_override
+(* The machine every scenario builds, installed by the mvcheck CLI from
+   its --topology and --partitions flags before any sweep starts (so
+   worker domains observe it without synchronization).  Scenarios derive
+   cores from the resulting topology rather than hardcoding ids, so the
+   whole sweep runs on the requested machine. *)
+let machine_override = ref Mv_engine.Machine.default_config
+let set_machine config = machine_override := config
+let machine () = !machine_override
 
-(* Elastic partition spec override, installed by the CLI's --partitions
-   flag; same discipline as [topology_override]. *)
-let partitions_override : int list option ref = ref None
-let set_partitions o = partitions_override := o
-let partitions () = !partitions_override
-
-let make_machine ?hrt_parts ?(work_stealing = false) () =
-  let hrt_parts = match hrt_parts with Some _ as p -> p | None -> !partitions_override in
-  match !topology_override with
-  | None -> Mv_engine.Machine.create ?hrt_parts ~work_stealing ()
-  | Some (sockets, cores_per_socket) ->
-      Mv_engine.Machine.create ~sockets ~cores_per_socket ?hrt_parts ~work_stealing ()
+let make_machine ?partitions ?(work_stealing = false) () =
+  let config = !machine_override in
+  let partitions = Option.value partitions ~default:config.partitions in
+  Mv_engine.Machine.create ~config:{ config with partitions; work_stealing } ()
 
 let failf fmt = Format.kasprintf (fun s -> Fail s) fmt
 

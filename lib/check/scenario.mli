@@ -32,27 +32,23 @@ val default_max_events : int
 (** Event budget for one bounded run (generous: a healthy run is orders of
     magnitude below it; only livelocks hit it). *)
 
-val set_topology : (int * int) option -> unit
-(** Install a [(sockets, cores_per_socket)] geometry override for every
-    scenario machine (the mvcheck [--topology] flag).  Install it before
-    starting a sweep; [None] restores the reference 2x4 box. *)
+val set_machine : Mv_engine.Machine.config -> unit
+(** Install the machine every scenario builds (the mvcheck [--topology]
+    and [--partitions] flags).  Install it before starting a sweep;
+    {!Mv_engine.Machine.default_config}, the initial value, is the
+    reference box. *)
 
-val topology : unit -> (int * int) option
-
-val set_partitions : int list option -> unit
-(** Install an elastic partition spec override for every scenario machine
-    (the mvcheck [--partitions] flag): one HRT partition per entry, same
-    semantics as [Topology.create ~hrt_parts].  [None] restores the
-    single-HRT default, which is byte-identical to no override. *)
-
-val partitions : unit -> int list option
+val machine : unit -> Mv_engine.Machine.config
+(** The installed machine.  The full-stack scenarios pass it to
+    {!Multiverse.Toolchain.setup_multiverse}; the others build through
+    {!make_machine}. *)
 
 val make_machine :
-  ?hrt_parts:int list -> ?work_stealing:bool -> unit -> Mv_engine.Machine.t
-(** Build a scenario machine honouring the topology and partition overrides
-    (reference geometry when none is installed).  An explicit [?hrt_parts]
-    takes precedence over the CLI override — scenarios that need a fixed
-    multi-partition geometry (e.g. [repartition]) pass their own.
+  ?partitions:int list -> ?work_stealing:bool -> unit -> Mv_engine.Machine.t
+(** Build a scenario machine from the installed one, with work stealing
+    set to [work_stealing] (default [false]).  An explicit [?partitions]
+    takes precedence over the installed spec — scenarios that need a
+    fixed multi-partition geometry (e.g. [repartition]) pass their own.
     Scenarios must derive core ids from the machine's topology instead of
     hardcoding them. *)
 

@@ -401,14 +401,8 @@ let run_full ?(options = Toolchain.default_mv_options) ~name ~expect_stdout
     ~extra_checks prog ~strategy ~faults =
   let hx = Toolchain.hybridize prog in
   let rt_box = ref None in
-  let options =
-    match topology () with
-    | None -> options
-    | Some (sockets, cores_per_socket) ->
-        { options with Toolchain.mv_sockets = sockets; mv_cores_per_socket = cores_per_socket }
-  in
   let machine, _kernel, proc =
-    Toolchain.setup_multiverse
+    Toolchain.setup_multiverse ~machine:(Scenario.machine ())
       ~options:{ options with Toolchain.mv_faults = faults }
       ~name ~fat:hx.Toolchain.hx_fat
       (fun _kernel _p rt ->
@@ -832,10 +826,13 @@ let repartition_run ~strategy ~faults:_ =
   let machine =
     (* The [2;1]+ROS carve needs at least four cores; below that, fall
        back to the reference box rather than reject the sweep. *)
-    match topology () with
-    | Some (s, c) when s * c >= 4 -> make_machine ~hrt_parts:[ 2; 1 ] ~work_stealing:true ()
-    | Some _ | None ->
-        Machine.create ~hrt_parts:[ 2; 1 ] ~work_stealing:true ()
+    let installed = Scenario.machine () in
+    if installed.sockets * installed.cores_per_socket >= 4 then
+      make_machine ~partitions:[ 2; 1 ] ~work_stealing:true ()
+    else
+      Machine.create
+        ~config:{ Machine.default_config with partitions = [ 2; 1 ]; work_stealing = true }
+        ()
   in
   let exec = machine.Machine.exec in
   Strategy.install strategy exec;

@@ -26,3 +26,20 @@
 
 val all_scenarios : Scenario.t list
 val find : string -> Scenario.t option
+
+val run_full :
+  ?options:Multiverse.Toolchain.mv_options ->
+  name:string ->
+  expect_stdout:string ->
+  extra_checks:(Multiverse.Runtime.t -> Scenario.outcome) list ->
+  Multiverse.Toolchain.program ->
+  strategy:Strategy.t ->
+  faults:Mv_faults.Fault_plan.t ->
+  Scenario.outcome
+(** The full-stack scenario body: hybridize the program, build the whole
+    stack on the installed machine ({!Scenario.machine}) with
+    {!Multiverse.Toolchain.setup_multiverse}, run it bounded under the
+    strategy and fault plan, then check quiescence, a zero exit code, the
+    expected stdout and each of [extra_checks] against the runtime.
+    [boot-handshake], [group-respawn], [merge-fault] and [multi-group] are
+    this with their own programs and checks. *)

@@ -674,15 +674,6 @@ let name th = th.t_name
 let tid th = th.t_id
 let cpu_of th = th.t_cpu
 
-let on_exit t th fn =
-  match th.t_state with
-  | Finished ->
-      (* The target may have host-executed ahead of the caller's virtual
-         time; fire no earlier than its recorded exit time. *)
-      let at = max (local_now t) th.t_exit_time in
-      Sim.schedule_at t.sim (max at (Sim.now t.sim)) fn
-  | Ready | Running | Blocked _ -> th.t_on_exit <- fn :: th.t_on_exit
-
 let join t target =
   match target.t_state with
   | Finished when target.t_exit_time <= local_now t -> ()

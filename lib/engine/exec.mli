@@ -139,10 +139,6 @@ val sleep : t -> Mv_util.Cycles.t -> unit
 val join : t -> thread -> unit
 (** Block until the target thread finishes (no-op if it already has). *)
 
-val on_exit : t -> thread -> (unit -> unit) -> unit
-(** Run a callback (in event context, at the thread's exit time) when the
-    thread finishes; immediate if already finished. *)
-
 val after : t -> Mv_util.Cycles.t -> (unit -> unit) -> unit
 (** Schedule an event [delay] after the caller's local time. *)
 

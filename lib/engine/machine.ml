@@ -1,3 +1,18 @@
+type config = {
+  sockets : int;
+  cores_per_socket : int;
+  partitions : int list;
+  huge_pages : bool;
+  work_stealing : bool;
+}
+
+let default_config =
+  { sockets = 2; cores_per_socket = 4; partitions = [ 1 ]; huge_pages = true; work_stealing = false }
+
+let check_config c =
+  Mv_hw.Topology.check_spec ~sockets:c.sockets ~cores_per_socket:c.cores_per_socket
+    c.partitions
+
 type t = {
   sim : Sim.t;
   exec : Exec.t;
@@ -9,20 +24,14 @@ type t = {
   obs : Mv_obs.Tracer.t;
   metrics : Mv_obs.Metrics.t;
   zero_frame : int;
-  mutable huge_pages : bool;
-      (* Large-page support: 1G identity maps in the AeroKernel, transparent
-         2M promotion of big anonymous VMAs in the ROS, range-batched
-         shootdowns.  On by default; the mempath bench A/Bs it. *)
-  mutable work_stealing : bool;
-      (* Whether deterministic work stealing is on; remembered so core
-         lending can recompute the steal domain when the ROS core set
-         changes. *)
+  config : config;
 }
 
-let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
-    ?hrt_parts ?(huge_pages = true) ?(work_stealing = false) () =
+let create ?(config = default_config) () =
+  let { sockets; cores_per_socket; partitions; huge_pages = _; work_stealing } = config in
+  let costs = Mv_hw.Costs.default in
   let sim = Sim.create () in
-  let topo = Mv_hw.Topology.create ~sockets ~cores_per_socket ?hrt_parts () in
+  let topo = Mv_hw.Topology.create ~sockets ~cores_per_socket ~hrt_parts:partitions () in
   let ncores = Mv_hw.Topology.ncores topo in
   let exec = Exec.create sim ~ncpus:ncores in
   if work_stealing then
@@ -67,8 +76,7 @@ let create ?(costs = Mv_hw.Costs.default) ?(sockets = 2) ?(cores_per_socket = 4)
     obs;
     metrics = Mv_obs.Metrics.create ();
     zero_frame;
-    huge_pages;
-    work_stealing;
+    config;
   }
 
 let charge t c = Exec.charge t.exec c
@@ -87,7 +95,7 @@ let apply_core_params t ~core =
         ~slice:None ()
 
 let refresh_steal_domain t =
-  if t.work_stealing then
+  if t.config.work_stealing then
     Exec.set_steal_domain t.exec (Some (Mv_hw.Topology.ros_cores t.topo))
 
 let mem_access_cost t ~core ~frame =

@@ -6,6 +6,37 @@
     One machine hosts both the ROS and the HRT; the HVM partitions its
     cores and memory between them. *)
 
+type config = {
+  sockets : int;
+  cores_per_socket : int;
+  partitions : int list;
+      (** one HRT partition per entry, of that many cores, carved from the
+          top of the core range in spec order (ids 1, 2, ...; see
+          {!Mv_hw.Topology.create}); the ROS keeps the rest *)
+  huge_pages : bool;
+      (** large-page memory path: 1G AeroKernel identity maps, transparent
+          2M promotion of big anonymous VMAs, range-batched shootdowns *)
+  work_stealing : bool;
+      (** deterministic work stealing among the ROS cores
+          ({!Exec.set_steal_domain}); off is byte-identical to the
+          pre-stealing scheduler *)
+}
+(** Everything that describes one machine: its geometry, its split into a
+    ROS partition and HRT partitions, and its memory and scheduling
+    options.  Every run mode, the load generator and the model checker
+    build their machines from one of these. *)
+
+val default_config : config
+(** The reference box: 2 sockets x 4 cores, one 1-core HRT partition
+    ([[1]]), huge pages on, work stealing off. *)
+
+val check_config : config -> (unit, string) result
+(** Reject a partition spec that does not fit the geometry — an empty
+    partition, or one that leaves no ROS core — with
+    {!Mv_hw.Topology.check_spec}'s message.  The binaries run this on the
+    configuration they build from their flags before building anything;
+    {!create} raises [Invalid_argument] on a config it rejects. *)
+
 type t = {
   sim : Sim.t;
   exec : Exec.t;
@@ -21,32 +52,13 @@ type t = {
       (** per-subsystem counters/gauges/latencies; the fabric and its
           event channels update their slots here live *)
   zero_frame : int;  (** the shared all-zeroes frame used for anonymous reads *)
-  mutable huge_pages : bool;
-      (** large-page memory path: 1G AeroKernel identity maps, transparent
-          2M promotion of big anonymous VMAs, range-batched shootdowns *)
-  mutable work_stealing : bool;
-      (** whether deterministic work stealing is on; core lending reads
-          this to recompute the steal domain when partition membership
-          changes *)
+  config : config;  (** what the machine was built from *)
 }
 
-val create :
-  ?costs:Mv_hw.Costs.t ->
-  ?sockets:int ->
-  ?cores_per_socket:int ->
-  ?hrt_parts:int list ->
-  ?huge_pages:bool ->
-  ?work_stealing:bool ->
-  unit ->
-  t
-(** Build the reference machine: 2 sockets x 4 cores at 2.2 GHz by default,
-    with one HRT partition per entry of [hrt_parts] (per-partition core
-    counts, default [[1]]: one HRT core; see {!Mv_hw.Topology.create}).
-    The top quarter of each NUMA zone's frames is reserved for the HRT.
-    [huge_pages] (default [true]) enables the large-page memory path.
-    [work_stealing] (default [false]) turns on deterministic work stealing
-    among the ROS cores ({!Exec.set_steal_domain}); the default is off,
-    which is byte-identical to the pre-stealing scheduler. *)
+val create : ?config:config -> unit -> t
+(** Build a machine at 2.2 GHz from [config] (default {!default_config})
+    with the reference cost model ({!Mv_hw.Costs.default}).  The top
+    quarter of each NUMA zone's frames is reserved for the HRT. *)
 
 val apply_core_params : t -> core:int -> unit
 (** Re-derive one core's scheduling parameters (switch cost, preemption

@@ -111,7 +111,6 @@ let create ~seed ?(rate = 0.05) ?(sites = all_sites) () =
   }
 
 let enabled t = t.p_enabled
-let site_enabled t site = t.p_enabled && t.p_mask.(site_index site)
 let bind t machine = if t.p_enabled then t.p_machine <- Some machine
 let seed t = t.p_seed
 let rate t = t.p_rate

@@ -54,8 +54,6 @@ val enabled : t -> bool
 (** [true] for any created plan (even rate 0), [false] for {!none}.
     Consumers arm their resilience paths iff this is set. *)
 
-val site_enabled : t -> site -> bool
-
 val bind : t -> Mv_engine.Machine.t -> unit
 (** Attach the trace sink; injected faults emit records at the machine's
     current virtual time. *)

@@ -338,15 +338,6 @@ let mark_failed t =
     Machine.emit t.machine Trace.Channel_marked_failed
   end
 
-let reset_server t =
-  (* A dead server's parked waker and half-served entry are both stale;
-     the respawned server re-enters [serve_next] against a clean slate.
-     Unserved entries stay queued, an unacknowledged-but-executed entry is
-     recovered by its caller's retry hitting the [e_done] dedup path. *)
-  t.server_wake <- None;
-  t.serving <- None
-
-let queue_depth t = Queue.length t.queue
 let calls t = Metrics.counter_value t.c_calls
 let timeouts t = Metrics.counter_value t.c_timeouts
 let retries t = Metrics.counter_value t.c_retries

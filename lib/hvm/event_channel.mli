@@ -119,18 +119,9 @@ val restore_sync : t -> unit
     watchdog) must only restore channels they themselves degraded — a
     channel that fell back because its sync path died must stay Async. *)
 
-val queue_depth : t -> int
-(** Entries enqueued but not yet taken by the server — the channel's
-    contribution to endpoint occupancy. *)
-
 val mark_failed : t -> unit
 (** Declare the channel dead: subsequent {!call}s raise {!Channel_failure}
     immediately so the runtime reroutes work ROS-natively. *)
-
-val reset_server : t -> unit
-(** Drop server-side state left behind by a dead partner thread (parked
-    waker, half-served entry) so a respawned partner can re-enter
-    {!serve_next} cleanly. *)
 
 val failed : t -> bool
 

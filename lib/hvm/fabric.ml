@@ -207,7 +207,6 @@ let create ?(faults = Fault_plan.none) machine ~kind =
 
 let resilient t = Fault_plan.enabled t.fb_faults
 let channel ep = ep.ep_chan
-let endpoint_name ep = ep.ep_name
 
 (* Ring costs: shared-memory stores and flag polls, a fraction of the
    sync-channel round trip (both live in the shared data page). *)
@@ -1148,13 +1147,6 @@ let endpoints t = List.length t.fb_endpoints
 let pollers t =
   Array.fold_left (fun acc pg -> acc + List.length pg.pg_pollers) 0 t.fb_groups
 
-let poller_groups t = Array.length t.fb_groups
-
-let group_cores t ~group =
-  if group < 0 || group >= Array.length t.fb_groups then []
-  else t.fb_groups.(group).pg_cores
-
-let endpoint_group _t ep = ep.ep_group
 let sheds t = Metrics.counter_value t.c_sheds
 let shed_retries t = Metrics.counter_value t.c_shed_retries
 let admission_blocked t = Metrics.counter_value t.c_blocked

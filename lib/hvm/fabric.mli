@@ -144,7 +144,6 @@ val rehome_core : t -> core:int -> ?ros_to:int -> ?hrt_to:int -> unit -> int
     caller. *)
 
 val channel : endpoint -> Event_channel.t
-val endpoint_name : endpoint -> string
 
 val call :
   t ->
@@ -251,15 +250,6 @@ val respawns : t -> int
 
 val endpoints : t -> int
 val pollers : t -> int
-
-val poller_groups : t -> int
-(** Number of poller groups (1 under [Spread] placement). *)
-
-val group_cores : t -> group:int -> int list
-(** The cores a poller group round-robins over ([[]] out of range). *)
-
-val endpoint_group : t -> endpoint -> int
-(** The poller group an endpoint routes to. *)
 
 val sheds : t -> int
 (** Admission refusals (each emits an [Overload_shed] trace event). *)

@@ -216,14 +216,3 @@ let hypercalls t = t.n_hypercalls
 let exits t = t.n_exits
 let lends t = t.n_lends
 let reclaims t = t.n_reclaims
-
-let pp_stats ppf t =
-  let part_status s =
-    Printf.sprintf "p%d=%s" s.ps_id
-      (match s.ps_nk with
-      | Some nk -> if Nautilus.booted nk then "booted" else "installed"
-      | None -> "none")
-  in
-  Format.fprintf ppf "hvm: hypercalls=%d exits=%d lends=%d reclaims=%d hrt=[%s]"
-    t.n_hypercalls t.n_exits t.n_lends t.n_reclaims
-    (String.concat " " (Array.to_list (Array.map part_status t.slots)))

@@ -128,4 +128,3 @@ val lends : t -> int
 val reclaims : t -> int
 (** Completed {!reclaim_core} moves. *)
 
-val pp_stats : Format.formatter -> t -> unit

@@ -18,22 +18,24 @@ type t = {
 let spec_string spec =
   "[" ^ String.concat "," (List.map string_of_int spec) ^ "]"
 
+let check_spec ~sockets ~cores_per_socket spec =
+  match List.find_index (fun size -> size <= 0) spec with
+  | Some i ->
+      Error
+        (Printf.sprintf "partition %d of spec %s must have at least one core" (i + 1)
+           (spec_string spec))
+  | None when List.fold_left ( + ) 0 spec >= sockets * cores_per_socket ->
+      Error
+        (Printf.sprintf "partition spec %s leaves no ROS core on the %dx%d machine"
+           (spec_string spec) sockets cores_per_socket)
+  | None -> Ok ()
+
 let create ?(sockets = 2) ?(cores_per_socket = 4) ?hrt_parts:(spec = [ 1 ]) () =
+  (match check_spec ~sockets ~cores_per_socket spec with
+  | Error msg -> invalid_arg ("Topology.create: " ^ msg)
+  | Ok () -> ());
   let n = sockets * cores_per_socket in
-  List.iteri
-    (fun i size ->
-      if size <= 0 then
-        invalid_arg
-          (Printf.sprintf
-             "Topology.create: partition %d of spec %s must have at least one core"
-             (i + 1) (spec_string spec)))
-    spec;
   let total = List.fold_left ( + ) 0 spec in
-  if total >= n then
-    invalid_arg
-      (Printf.sprintf
-         "Topology.create: partition spec %s leaves no ROS core on the %dx%d machine"
-         (spec_string spec) sockets cores_per_socket);
   (* HRT partitions are carved from the top of the core range, in spec
      order: partition 1 gets the lowest of the reserved cores, the last
      partition the highest. *)

@@ -21,15 +21,22 @@ type core = {
 
 type t
 
+val check_spec : sockets:int -> cores_per_socket:int -> int list -> (unit, string) result
+(** Whether a partition spec fits a [sockets x cores_per_socket] machine:
+    every partition needs at least one core and the ROS at least one
+    left over.  The error names the offending spec, e.g. ["partition spec
+    [8] leaves no ROS core on the 2x4 machine"].  {!create} and
+    [Machine.check_config] both run this check. *)
+
 val create : ?sockets:int -> ?cores_per_socket:int -> ?hrt_parts:int list -> unit -> t
 (** [create ~hrt_parts ()] builds the machine and carves one HRT partition
     per entry of [hrt_parts] (per-partition core counts, default [[1]])
     from the top of the core range in spec order; the ROS keeps the rest,
     including core 0, where the control process runs.  [~hrt_parts:[2;1]]
     on 2x4 gives partition 1 cores 5,6 and partition 2 core 7.  Default
-    geometry is 2 sockets x 4 cores.  Raises [Invalid_argument] naming the
-    offending partition spec if any partition is empty or the spec leaves
-    no ROS core. *)
+    geometry is 2 sockets x 4 cores.  Raises [Invalid_argument] with
+    {!check_spec}'s message, prefixed ["Topology.create: "], when the spec
+    does not fit. *)
 
 val ncores : t -> int
 val nsockets : t -> int

@@ -648,9 +648,6 @@ let init ~hvm ~proc ~fat ~nk ?(channel_kind = Event_channel.Async)
   t.the_env <- Some (make_env t);
   t
 
-let hrt_env t =
-  match t.the_env with Some e -> e | None -> failwith "Multiverse: not initialized"
-
 let symbols t = t.the_symbols
 let config t = t.the_config
 let nk t = t.the_nk

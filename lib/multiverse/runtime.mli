@@ -60,18 +60,15 @@ val init :
     its HRT core (ties rotated by group id) and shards the poller pool per
     socket. *)
 
-val hrt_env : t -> Mv_guest.Env.t
-(** The guest ABI as seen from HRT context: syscalls forward over the
-    execution group's fabric endpoint (batching into in-flight calls when
-    possible), vdso calls and overridden functions run locally, memory
-    faults follow the Nautilus forwarding path with promoted repeat faults
-    re-merged locally. *)
-
 val hrt_invoke : t -> name:string -> (Mv_guest.Env.t -> unit) -> Mv_guest.Env.thread_handle
 (** Create an execution group running the function as a top-level HRT
     thread; returns the ROS partner thread (join it to join the group).
     Callable from ROS context or (via the pthread override) from HRT
-    context. *)
+    context.  The function gets the guest ABI as seen from HRT context:
+    syscalls forward over the execution group's fabric endpoint (batching
+    into in-flight calls when possible), vdso calls and overridden
+    functions run locally, memory faults follow the Nautilus forwarding
+    path with promoted repeat faults re-merged locally. *)
 
 val join : t -> Mv_guest.Env.thread_handle -> unit
 

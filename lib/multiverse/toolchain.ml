@@ -52,12 +52,7 @@ type mv_options = {
   mv_symbol_cache : bool;
   mv_porting : Runtime.porting;
   mv_faults : Mv_faults.Fault_plan.t;
-  mv_huge_pages : bool;
-  mv_sockets : int;
-  mv_cores_per_socket : int;
-  mv_partitions : int list;
   mv_placement : Mv_hvm.Fabric.placement;
-  mv_work_stealing : bool;
 }
 
 let default_mv_options =
@@ -66,12 +61,7 @@ let default_mv_options =
     mv_symbol_cache = false;
     mv_porting = Runtime.no_porting;
     mv_faults = Mv_faults.Fault_plan.none;
-    mv_huge_pages = true;
-    mv_sockets = 2;
-    mv_cores_per_socket = 4;
-    mv_partitions = [ 1 ];
     mv_placement = Mv_hvm.Fabric.Spread;
-    mv_work_stealing = false;
   }
 
 type run_stats = {
@@ -89,7 +79,15 @@ type run_stats = {
 let total_syscalls rs = Mv_util.Histogram.total rs.rs_syscalls
 let wall_seconds rs = Mv_util.Cycles.to_sec rs.rs_wall_cycles
 
-let collect ~mode ~kernel ~machine ~proc ~runtime =
+(* Every run mode ends the same way: feed stdin, run the machine until the
+   event queue drains, and collect the process's statistics. *)
+let run_to_exit ~mode ~name ?stdin ?(runtime = ref None) machine kernel proc =
+  Option.iter (Vfs.feed proc.Process.stdin) stdin;
+  Vfs.close_stream proc.Process.stdin;
+  Mv_obs.Tracer.with_span machine.Machine.obs ~name:("run:" ^ mode) ~cat:"sim" (fun () ->
+      Sim.run machine.Machine.sim);
+  if not proc.Process.exited then
+    failwith (name ^ ": simulation quiesced before process exit");
   {
     rs_mode = mode;
     rs_stdout = Process.stdout_contents proc;
@@ -99,20 +97,11 @@ let collect ~mode ~kernel ~machine ~proc ~runtime =
     rs_syscalls = proc.Process.syscall_counts;
     rs_kernel = kernel;
     rs_machine = machine;
-    rs_runtime = runtime;
+    rs_runtime = !runtime;
   }
 
-let prepare_stdin proc stdin =
-  match stdin with
-  | Some data ->
-      Vfs.feed proc.Process.stdin data;
-      Vfs.close_stream proc.Process.stdin
-  | None -> Vfs.close_stream proc.Process.stdin
-
-let run_plain ~virtualized ?costs ?stdin ?(trace = false) ?(huge_pages = true)
-    ?(topology = (2, 4)) ?hrt_parts program =
-  let sockets, cores_per_socket = topology in
-  let machine = Machine.create ?costs ~huge_pages ~sockets ~cores_per_socket ?hrt_parts () in
+let run_plain ~virtualized ?machine ?stdin ?(trace = false) program =
+  let machine = Machine.create ?config:machine () in
   if trace then Machine.set_tracing machine true;
   let kernel = Kernel.create ~virtualized machine in
   let proc =
@@ -120,26 +109,15 @@ let run_plain ~virtualized ?costs ?stdin ?(trace = false) ?(huge_pages = true)
         let env = Mv_guest.Env.native kernel p in
         program.prog_main env)
   in
-  prepare_stdin proc stdin;
-  let mode = if virtualized then "virtual" else "native" in
-  Mv_obs.Tracer.with_span machine.Machine.obs ~name:("run:" ^ mode) ~cat:"sim"
-    (fun () -> Sim.run machine.Machine.sim);
-  if not proc.Process.exited then
-    failwith (program.prog_name ^ ": simulation quiesced before process exit");
-  collect ~mode ~kernel ~machine ~proc ~runtime:None
+  run_to_exit
+    ~mode:(if virtualized then "virtual" else "native")
+    ~name:program.prog_name ?stdin machine kernel proc
 
-let run_native ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program =
-  run_plain ~virtualized:false ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program
+let run_native = run_plain ~virtualized:false
+let run_virtual = run_plain ~virtualized:true
 
-let run_virtual ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program =
-  run_plain ~virtualized:true ?costs ?stdin ?trace ?huge_pages ?topology ?hrt_parts program
-
-let setup_multiverse ?costs ~options ~name ~fat body =
-  let machine =
-    Machine.create ?costs ~huge_pages:options.mv_huge_pages ~sockets:options.mv_sockets
-      ~cores_per_socket:options.mv_cores_per_socket ~hrt_parts:options.mv_partitions
-      ~work_stealing:options.mv_work_stealing ()
-  in
+let setup_multiverse ?machine ~options ~name ~fat body =
+  let machine = Machine.create ?config:machine () in
   let kernel = Kernel.create machine in
   let hvm = Hvm.create machine ~ros:kernel in
   let nk = Nautilus.create machine in
@@ -154,12 +132,12 @@ let setup_multiverse ?costs ~options ~name ~fat body =
   in
   (machine, kernel, proc)
 
-let run_multiverse ?costs ?stdin ?(trace = false) ?(options = default_mv_options) hx =
-  let rt_box = ref None in
+let run_multiverse ?machine ?stdin ?(trace = false) ?(options = default_mv_options) hx =
+  let runtime = ref None in
+  let name = hx.hx_program.prog_name in
   let machine, kernel, proc =
-    setup_multiverse ?costs ~options ~name:hx.hx_program.prog_name ~fat:hx.hx_fat
-      (fun _kernel _p rt ->
-        rt_box := Some rt;
+    setup_multiverse ?machine ~options ~name ~fat:hx.hx_fat (fun _kernel _p rt ->
+        runtime := Some rt;
         (* Incremental model: main() itself becomes a top-level HRT thread;
            the ROS main joins its partner. *)
         let partner =
@@ -168,26 +146,17 @@ let run_multiverse ?costs ?stdin ?(trace = false) ?(options = default_mv_options
         Runtime.join rt partner)
   in
   if trace then Machine.set_tracing machine true;
-  prepare_stdin proc stdin;
-  Mv_obs.Tracer.with_span machine.Machine.obs ~name:"run:multiverse" ~cat:"sim"
-    (fun () -> Sim.run machine.Machine.sim);
-  if not proc.Process.exited then
-    failwith (hx.hx_program.prog_name ^ ": simulation quiesced before process exit");
-  collect ~mode:"multiverse" ~kernel ~machine ~proc ~runtime:!rt_box
+  run_to_exit ~mode:"multiverse" ~name ?stdin ~runtime machine kernel proc
 
-let run_accelerator ?costs ?stdin ?(options = default_mv_options) ~name body =
-  let rt_box = ref None in
+let run_accelerator ?machine ?stdin ?(options = default_mv_options) ~name body =
+  let runtime = ref None in
   let fat =
     (hybridize { prog_name = name; prog_main = (fun _ -> ()) }).hx_fat
   in
   let machine, kernel, proc =
-    setup_multiverse ?costs ~options ~name ~fat (fun kernel p rt ->
-        rt_box := Some rt;
+    setup_multiverse ?machine ~options ~name ~fat (fun kernel p rt ->
+        runtime := Some rt;
         let ros_env = Mv_guest.Env.native kernel p in
         body ~ros_env ~rt)
   in
-  prepare_stdin proc stdin;
-  Mv_obs.Tracer.with_span machine.Machine.obs ~name:"run:accelerator" ~cat:"sim"
-    (fun () -> Sim.run machine.Machine.sim);
-  if not proc.Process.exited then failwith (name ^ ": simulation quiesced before exit");
-  collect ~mode:"accelerator" ~kernel ~machine ~proc ~runtime:!rt_box
+  run_to_exit ~mode:"accelerator" ~name ?stdin ~runtime machine kernel proc

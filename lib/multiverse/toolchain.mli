@@ -33,28 +33,16 @@ type mv_options = {
   mv_faults : Mv_faults.Fault_plan.t;
       (** Fault-injection plan; {!Mv_faults.Fault_plan.none} (the default)
           keeps every code path identical to the fault-free runtime. *)
-  mv_huge_pages : bool;
-      (** Enable the huge-page memory path (1 GiB HRT identity leaves,
-          transparent 2 MiB promotion of anonymous VMAs, range-batched
-          shootdowns).  Default [true]; the mempath bench A/Bs this. *)
-  mv_sockets : int;  (** machine geometry (default 2 x 4, the reference box) *)
-  mv_cores_per_socket : int;
-  mv_partitions : int list;
-      (** elastic partition spec: [[n1; n2; ...]] carves one HRT
-          partition of [ni] cores per entry from the top of the core range
-          (ids 1, 2, ... in spec order).  The runtime binds to partition
-          1; further partitions are for multi-tenant drivers that create
-          their own Nautilus instances ({!Mv_aerokernel.Nautilus.create}
-          with [~part]).  Default [[1]]: one HRT core. *)
   mv_placement : Mv_hvm.Fabric.placement;
       (** execution-group placement (default [Spread]; [Affine] keeps each
           group's server core and poller group on its HRT core's
           socket) *)
-  mv_work_stealing : bool;
-      (** deterministic work stealing across the ROS cores' per-core
-          runqueues (default [false] — off is byte-identical to the
-          pre-stealing scheduler) *)
 }
+(** How the Multiverse runtime runs on its machine.  The machine itself
+    is a separate {!Mv_engine.Machine.config}, the [?machine] argument of
+    every run function; the runtime binds to HRT partition 1, and further
+    partitions are for multi-tenant drivers that create their own
+    Nautilus instances ({!Mv_aerokernel.Nautilus.create} with [~part]). *)
 
 val default_mv_options : mv_options
 
@@ -74,33 +62,17 @@ val total_syscalls : run_stats -> int
 val wall_seconds : run_stats -> float
 
 val run_native :
-  ?costs:Mv_hw.Costs.t ->
-  ?stdin:string ->
-  ?trace:bool ->
-  ?huge_pages:bool ->
-  ?topology:int * int ->
-  ?hrt_parts:int list ->
-  program ->
-  run_stats
-(** Bare-metal Linux execution (the paper's "Native" rows).  [huge_pages]
-    (default [true]) toggles the machine's huge-page memory path;
-    [topology] is [(sockets, cores_per_socket)] (default [(2, 4)], the
-    reference box); [hrt_parts] is the partition spec the machine is
-    carved into (default [[1]], see {!Mv_engine.Machine.create}). *)
+  ?machine:Mv_engine.Machine.config -> ?stdin:string -> ?trace:bool -> program -> run_stats
+(** Bare-metal Linux execution (the paper's "Native" rows) on a fresh
+    machine built from [machine] (default
+    {!Mv_engine.Machine.default_config}, the reference box). *)
 
 val run_virtual :
-  ?costs:Mv_hw.Costs.t ->
-  ?stdin:string ->
-  ?trace:bool ->
-  ?huge_pages:bool ->
-  ?topology:int * int ->
-  ?hrt_parts:int list ->
-  program ->
-  run_stats
+  ?machine:Mv_engine.Machine.config -> ?stdin:string -> ?trace:bool -> program -> run_stats
 (** The same, as an HVM guest: exit and nested-paging overheads apply. *)
 
 val run_multiverse :
-  ?costs:Mv_hw.Costs.t ->
+  ?machine:Mv_engine.Machine.config ->
   ?stdin:string ->
   ?trace:bool ->
   ?options:mv_options ->
@@ -111,7 +83,7 @@ val run_multiverse :
     (stdout, exit code) must match the native run. *)
 
 val setup_multiverse :
-  ?costs:Mv_hw.Costs.t ->
+  ?machine:Mv_engine.Machine.config ->
   options:mv_options ->
   name:string ->
   fat:Fat_binary.t ->
@@ -126,7 +98,7 @@ val setup_multiverse :
     [Sim.run] plus stat collection. *)
 
 val run_accelerator :
-  ?costs:Mv_hw.Costs.t ->
+  ?machine:Mv_engine.Machine.config ->
   ?stdin:string ->
   ?options:mv_options ->
   name:string ->

@@ -53,7 +53,6 @@ let latency t ~ns name =
 
 let observe l v = Mv_util.Stats.add l v
 let latency_stats l = Mv_util.Stats.summary l
-let latency_count l = Mv_util.Stats.count l
 let latency_percentile l p =
   if Mv_util.Stats.count l = 0 then 0. else Mv_util.Stats.percentile_interp l p
 

@@ -32,7 +32,6 @@ val observe : latency -> float -> unit
 (** Record one sample (cycles). *)
 
 val latency_stats : latency -> Mv_util.Stats.summary
-val latency_count : latency -> int
 
 val latency_percentile : latency -> float -> float
 (** Interpolated percentile ([p] in [\[0,100\]]) over the recorded

@@ -68,8 +68,6 @@ let current t =
   | Some task -> task
   | None -> failwith "Kernel.current: thread is not a ROS task"
 
-let charge_user t c = Machine.charge t.machine c
-
 let in_sys t f =
   let th = Exec.self t.machine.Machine.exec in
   let tid = Exec.tid th in
@@ -183,14 +181,6 @@ let exit_process t p ~code =
     | _ -> ()
   end
 
-(* Per-core runqueues with optional deterministic work stealing: spawn
-   placement is round-robin (the initial balance), and when stealing is on
-   an idle ROS core drains half of the most-loaded peer's queue.  The
-   domain is exactly the ROS cores — HRT cores are never touched. *)
-let set_work_stealing t enabled =
-  Exec.set_steal_domain t.machine.Machine.exec
-    (if enabled then Some (Array.to_list t.ros_cores) else None)
-
 (* Spread threads across the ROS cores round-robin (the Linux scheduler's
    load balancing, simplified). *)
 let pick_ros_core t pref =
@@ -240,11 +230,6 @@ let spawn_thread t p ~name ?cpu body =
 let register_foreign_thread t p th =
   p.Process.threads <- th :: p.Process.threads;
   Hashtbl.replace t.by_tid (Exec.tid th) { tk_proc = p; tk_thread = th }
-
-let wait_process t p =
-  if not p.Process.exited then
-    Exec.block t.machine.Machine.exec ~reason:"waitpid" (fun ~now:_ ~wake ->
-        Process.add_exit_hook p (fun _ -> wake ()))
 
 (* --- signals --- *)
 

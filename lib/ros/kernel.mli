@@ -52,12 +52,6 @@ val register_foreign_thread : t -> Process.t -> Mv_engine.Exec.thread -> unit
 (** Associate a thread created elsewhere (an HRT thread) with a process so
     kernel services invoked on its behalf account correctly. *)
 
-val set_work_stealing : t -> bool -> unit
-(** Toggle deterministic work stealing across the ROS cores' per-core
-    runqueues (see {!Mv_engine.Exec.set_steal_domain}).  Spawn placement
-    stays round-robin; stealing rebalances afterwards.  Off by default —
-    disabled scheduling is byte-identical to the pre-stealing kernel. *)
-
 val current : t -> task
 (** @raise Failure outside guest-thread context. *)
 
@@ -66,12 +60,8 @@ val exit_process : t -> Process.t -> code:int -> unit
     called from one of the process's own threads, raises
     {!Process_killed} after teardown. *)
 
-val wait_process : t -> Process.t -> unit
-(** Block (thread context) until the process has exited. *)
-
 (** {1 Accounting} *)
 
-val charge_user : t -> int -> unit
 val in_sys : t -> (unit -> 'a) -> 'a
 (** Attribute cycles charged inside the window to system time. *)
 

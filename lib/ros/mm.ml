@@ -59,7 +59,7 @@ let create machine =
     shadow_roots = [];
   }
 
-let huge_enabled t = t.machine.Machine.huge_pages
+let huge_enabled t = t.machine.Machine.config.huge_pages
 let chunk_head page = page land lnot (Addr.pages_per_2m - 1)
 
 let page_table t = t.pt

@@ -87,6 +87,7 @@ type spec =
   | Sflag of { names : string list; doc : string }
   | Sopt of { names : string list; docv : string; doc : string }
   | Spos of { index : int; docv : string; doc : string; required : bool }
+  | Spos_all of { docv : string; doc : string }
 
 type store = {
   mutable st_flags : string list;  (* canonical names, one entry per hit *)
@@ -190,12 +191,27 @@ let pos_req conv ~index ~docv ~doc =
             | Error e -> Error (Printf.sprintf "argument %s: %s" docv e)));
   }
 
+let pos_all conv ~docv ~doc =
+  {
+    specs = [ Spos_all { docv; doc } ];
+    eval =
+      (fun st ->
+        List.fold_left
+          (fun acc raw ->
+            match (acc, conv.cv_parse raw) with
+            | Ok vs, Ok v -> Ok (vs @ [ v ])
+            | Error _, _ -> acc
+            | _, Error e -> Error (Printf.sprintf "argument %s: %s" docv e))
+          (Ok []) (List.rev st.st_pos));
+  }
+
 (* --- help rendering --- *)
 
 let sorted_positionals specs =
   List.filter_map
     (function
       | Spos { index; docv; doc; required } -> Some (index, docv, doc, required)
+      | Spos_all { docv; doc } -> Some (max_int, docv ^ "...", doc, false)
       | _ -> None)
     specs
   |> List.sort compare
@@ -229,7 +245,7 @@ let print_help ~name ~doc specs oc =
             Printf.fprintf oc "  %-22s %s\n"
               (String.concat ", " (List.map dashed names) ^ " " ^ docv)
               doc
-        | Spos _ -> ())
+        | Spos _ | Spos_all _ -> ())
       opts
   end
 
@@ -239,7 +255,7 @@ let lookup_named specs name =
   List.find_opt
     (function
       | Sflag { names; _ } | Sopt { names; _ } -> List.mem name names
-      | Spos _ -> false)
+      | Spos _ | Spos_all _ -> false)
     specs
 
 let is_option_token tok =
@@ -254,7 +270,12 @@ let strip_dashes tok =
 let parse_tokens specs args =
   let st = { st_flags = []; st_opts = []; st_pos = [] } in
   let npos =
-    List.fold_left (fun n -> function Spos _ -> n + 1 | _ -> n) 0 specs
+    List.fold_left
+      (fun n -> function
+        | Spos _ when n < max_int -> n + 1
+        | Spos_all _ -> max_int
+        | _ -> n)
+      0 specs
   in
   let rec go = function
     | [] -> Ok st
@@ -287,7 +308,7 @@ let parse_tokens specs args =
             | None, [] ->
                 Error
                   (`Msg (Printf.sprintf "option %s needs a %s value" (dashed name) docv)))
-        | Some (Spos _) | None ->
+        | Some (Spos _ | Spos_all _) | None ->
             Error (`Msg (Printf.sprintf "unknown option %s" tok)))
     | tok :: rest ->
         if List.length st.st_pos >= npos then

@@ -67,6 +67,10 @@ val pos : 'a conv -> index:int -> docv:string -> doc:string -> 'a option t
 val pos_req : 'a conv -> index:int -> docv:string -> doc:string -> 'a t
 (** A required positional: parse error when absent. *)
 
+val pos_all : 'a conv -> docv:string -> doc:string -> 'a list t
+(** Every positional argument, in argv order (none is [[]]): a term with
+    this accepts any number of positionals. *)
+
 (** {1 Running} *)
 
 val run : name:string -> doc:string -> 'a t -> string list -> 'a

@@ -20,9 +20,7 @@ type config = {
   lg_kind : Event_channel.kind;
   lg_admission : Fabric.admission option;
   lg_seed : int;
-  lg_sockets : int;
-  lg_cores_per_socket : int;
-  lg_partitions : int list;
+  lg_machine : Machine.config;
   lg_placement : Fabric.placement;
 }
 
@@ -37,9 +35,7 @@ let default_config =
     lg_kind = Event_channel.Sync;
     lg_admission = None;
     lg_seed = 42;
-    lg_sockets = 2;
-    lg_cores_per_socket = 4;
-    lg_partitions = [ 4 ];
+    lg_machine = { Machine.default_config with partitions = [ 4 ] };
     lg_placement = Fabric.Spread;
   }
 
@@ -126,10 +122,7 @@ let run cfg =
          "Loadgen.run: offered load %g calls/s over %d groups is too low: the arrival \
           schedule overflows the cycle clock"
          cfg.lg_offered_cps cfg.lg_groups);
-  let machine =
-    Machine.create ~sockets:cfg.lg_sockets ~cores_per_socket:cfg.lg_cores_per_socket
-      ~hrt_parts:cfg.lg_partitions ()
-  in
+  let machine = Machine.create ~config:cfg.lg_machine () in
   let exec = machine.Machine.exec in
   let ros_cores = Topology.ros_cores machine.Machine.topo in
   let hrt_cores =
@@ -232,5 +225,3 @@ let arrival_of_string = function
   | "poisson" -> Some Poisson
   | "bursty" -> Some Bursty
   | _ -> None
-
-let arrival_to_string = function Poisson -> "poisson" | Bursty -> "bursty"

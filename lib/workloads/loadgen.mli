@@ -34,11 +34,9 @@ type config = {
   lg_kind : Mv_hvm.Event_channel.kind;
   lg_admission : Mv_hvm.Fabric.admission option;  (** [None] = control off *)
   lg_seed : int;
-  lg_sockets : int;
-  lg_cores_per_socket : int;
-  lg_partitions : int list;
-      (** HRT partition spec ({!Mv_engine.Machine.create}'s [hrt_parts]);
-          the groups round-robin over every HRT core *)
+  lg_machine : Mv_engine.Machine.config;
+      (** the machine the generator builds; the groups round-robin over
+          every core of every HRT partition *)
   lg_placement : Mv_hvm.Fabric.placement;
       (** endpoint/pool placement.  Under [Spread] (the default) group
           [g]'s server core is [ros_cores[g mod nros]], wherever its HRT
@@ -48,8 +46,9 @@ type config = {
 
 val default_config : config
 (** 1000 groups x 4 calls (4 workers each), 100k calls/s Poisson, sync
-    channels, 20k-cycle service, admission off, 2x4 cores with one
-    4-core HRT partition, spread placement. *)
+    channels, 20k-cycle service, admission off, the reference 2x4 machine
+    with one 4-core HRT partition ([partitions = [4]]), spread
+    placement. *)
 
 type results = {
   r_offered_cps : float;
@@ -75,8 +74,8 @@ val run : config -> results
     aggregate.  Deterministic for a fixed config (all randomness flows
     from [lg_seed]).
     @raise Invalid_argument on [lg_groups < 1], a rate that is not finite
-    and positive, or a per-group rate so low that its arrival schedule
-    could overflow the cycle clock. *)
+    and positive, a per-group rate so low that its arrival schedule
+    could overflow the cycle clock, or an [lg_machine] that
+    {!Mv_engine.Machine.check_config} rejects. *)
 
 val arrival_of_string : string -> arrival option
-val arrival_to_string : arrival -> string

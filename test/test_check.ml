@@ -182,7 +182,9 @@ let assert_clean ~seeds name () =
    idle.  Stealing disabled must keep every segment on core 0; stealing
    enabled must migrate work, and only within the ROS partition. *)
 let steal_workload stealing =
-  let machine = Machine.create ~work_stealing:stealing () in
+  let machine =
+    Machine.create ~config:{ Machine.default_config with work_stealing = stealing } ()
+  in
   let exec = machine.Machine.exec in
   let ncores = Mv_hw.Topology.ncores machine.Machine.topo in
   let hrt = List.hd (Mv_hw.Topology.cores_of machine.Machine.topo 1) in
@@ -301,10 +303,8 @@ let test_steal_disabled_golden_trace () =
     Mv_workloads.Benchmarks.program b ~n:b.Mv_workloads.Benchmarks.b_test_n
   in
   let hx = Toolchain.hybridize prog in
-  let options =
-    { Toolchain.default_mv_options with Toolchain.mv_work_stealing = false }
-  in
-  let rs = Toolchain.run_multiverse ~trace:true ~options hx in
+  let machine = { Machine.default_config with work_stealing = false } in
+  let rs = Toolchain.run_multiverse ~trace:true ~machine hx in
   let actual =
     Format.asprintf "%a" Mv_engine.Trace.pp
       rs.Toolchain.rs_machine.Machine.trace
@@ -313,6 +313,28 @@ let test_steal_disabled_golden_trace () =
     Alcotest.fail
       "stealing-disabled run diverged from the golden trace (per-core \
        runqueues must be inert when stealing is off)"
+
+(* The installed machine reaches the full-stack scenarios too: with
+   --partitions 2 installed, the stack a full-stack scenario boots has two
+   cores in HRT partition 1. *)
+let test_full_stack_uses_installed_machine () =
+  let prog = { Multiverse.Toolchain.prog_name = "probe"; prog_main = (fun _env -> ()) } in
+  let hrt_cores = ref [] in
+  let probe rt =
+    let machine = Mv_aerokernel.Nautilus.machine (Multiverse.Runtime.nk rt) in
+    hrt_cores := Mv_hw.Topology.cores_of machine.Machine.topo 1;
+    Scenario.Pass
+  in
+  Scenario.set_machine { Machine.default_config with partitions = [ 2 ] };
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Scenario.set_machine Machine.default_config)
+      (fun () ->
+        Scenarios.run_full ~name:"probe" ~expect_stdout:"" ~extra_checks:[ probe ] prog
+          ~strategy:(Strategy.create Strategy.Fifo) ~faults:Mv_faults.Fault_plan.none)
+  in
+  check_string "clean run" "pass" (outcome_msg outcome);
+  check_int "cores in partition 1" 2 (List.length !hrt_cores)
 
 let suite =
   [
@@ -334,6 +356,8 @@ let suite =
     ("group-respawn clean (small sweep)", `Quick, assert_clean ~seeds:2 "group-respawn");
     ("merge-fault clean (small sweep)", `Quick, assert_clean ~seeds:2 "merge-fault");
     ("multi-group clean (small sweep)", `Quick, assert_clean ~seeds:2 "multi-group");
+    ( "full-stack scenarios build the installed machine",
+      `Quick, test_full_stack_uses_installed_machine );
     ("golden trace: byte-identical", `Quick, test_golden_trace);
     ("work stealing: disabled stays on its core", `Quick, test_stealing_disabled_stays_put);
     ("work stealing: migrates within the ROS partition", `Quick, test_stealing_migrates_within_ros);

@@ -327,7 +327,19 @@ let usage_cases =
       "multiverse_run: unknown option" );
     ( "cli: multiverse_run --partitions 8 leaves no ROS core on 2x4",
       (fun () -> run_multiverse "-b fasta --partitions 8"),
-      "multiverse_run: --partitions 8 does not leave a ROS core" );
+      "multiverse_run: partition spec [8] leaves no ROS core on the 2x4" );
+    ( "cli: mvcheck run --partitions 8 leaves no ROS core on 2x4",
+      (fun () -> run_mvcheck "run racy-wakeup --partitions 8"),
+      "mvcheck run: partition spec [8] leaves no ROS core on the 2x4" );
+    ( "cli: mvcheck run --topology 1x2 --partitions 2 leaves no ROS core",
+      (fun () -> run_mvcheck "run all --topology 1x2 --partitions 2"),
+      "mvcheck run: partition spec [2] leaves no ROS core on the 1x2" );
+    ( "cli: bench --partitions 4,4 leaves no ROS core on 2x4",
+      (fun () -> run_exe (exe "../bench/main.exe") "partition --partitions 4,4"),
+      "bench: partition spec [4,4] leaves no ROS core on the 2x4" );
+    ( "cli: bench --partitions 3,1 leaves partition 2 no core to lend",
+      (fun () -> run_exe (exe "../bench/main.exe") "partition --partitions 3,1"),
+      "bench: --partitions 3,1: the partition section lends from a partition 2" );
     ( "cli: multiverse_run --offered-load nan exits 2",
       (fun () -> run_multiverse "--groups 2 --offered-load nan"),
       "multiverse_run: option --offered-load CPS: expected a finite number" );

@@ -198,7 +198,7 @@ let test_nk_fault_forwarding_and_remerge () =
    must never mark the other fresh — each detects the ROS's lower-half
    mutation and re-merges on its own. *)
 let test_two_hrt_merge_generations () =
-  let machine = Machine.create ~hrt_parts:[ 1; 1 ] () in
+  let machine = Machine.create ~config:{ Machine.default_config with partitions = [ 1; 1 ] } () in
   let exec = machine.Machine.exec in
   let ros_pt = Mv_hw.Page_table.create () in
   let flags = Mv_hw.Page_table.(f_present lor f_writable lor f_user) in

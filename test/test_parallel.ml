@@ -23,7 +23,7 @@ let in_linux_proc f =
   match !out with Some r -> r | None -> Alcotest.fail "body did not run"
 
 let in_hrt f =
-  let machine = Machine.create ~hrt_parts:[ 5 ] () in
+  let machine = Machine.create ~config:{ Machine.default_config with partitions = [ 5 ] } () in
   let nk = Mv_aerokernel.Nautilus.create machine in
   let out = ref None in
   let master = List.hd (Mv_aerokernel.Nautilus.cores nk) in

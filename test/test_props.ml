@@ -692,7 +692,9 @@ let qcheck_lending_invariants =
       let module Machine = Mv_engine.Machine in
       let module Exec = Mv_engine.Exec in
       let module Topology = Mv_hw.Topology in
-      let machine = Machine.create ~hrt_parts:[ 2; 1 ] () in
+      let machine =
+        Machine.create ~config:{ Machine.default_config with partitions = [ 2; 1 ] } ()
+      in
       let exec = machine.Machine.exec in
       let topo = machine.Machine.topo in
       let hvm = Mv_hvm.Hvm.create machine ~ros:(Mv_ros.Kernel.create machine) in

@@ -199,6 +199,37 @@ let test_embedded_overrides_take_effect () =
         (Mv_aerokernel.Nautilus.func_address (Runtime.nk rt) "nk_my_func" <> None)
   | None -> Alcotest.fail "no runtime"
 
+(* --- run modes --- *)
+
+(* Every run mode builds its machine from the config it is given: the
+   geometry, the partition spec, huge pages and work stealing all arrive. *)
+let test_run_modes_build_from_config () =
+  let machine =
+    {
+      Mv_engine.Machine.sockets = 4;
+      cores_per_socket = 2;
+      partitions = [ 2; 1 ];
+      huge_pages = false;
+      work_stealing = true;
+    }
+  in
+  let prog = { Toolchain.prog_name = "cfg"; prog_main = (fun _env -> ()) } in
+  List.iter
+    (fun (mode, rs) ->
+      let built = rs.Toolchain.rs_machine in
+      let topo = built.Mv_engine.Machine.topo in
+      check_bool (mode ^ ": config") true (built.Mv_engine.Machine.config = machine);
+      check_int (mode ^ ": sockets") 4 (Mv_hw.Topology.nsockets topo);
+      check_int (mode ^ ": cores") 8 (Mv_hw.Topology.ncores topo);
+      Alcotest.(check (list int)) (mode ^ ": partition 1") [ 5; 6 ] (Mv_hw.Topology.cores_of topo 1);
+      Alcotest.(check (list int)) (mode ^ ": partition 2") [ 7 ] (Mv_hw.Topology.cores_of topo 2))
+    [
+      ("native", Toolchain.run_native ~machine prog);
+      ("virtual", Toolchain.run_virtual ~machine prog);
+      ("multiverse", Toolchain.run_multiverse ~machine (Toolchain.hybridize prog));
+      ("accelerator", Toolchain.run_accelerator ~machine ~name:"cfg" (fun ~ros_env:_ ~rt:_ -> ()));
+    ]
+
 let suite =
   [
     ("fat binary: roundtrip", `Quick, test_fat_roundtrip);
@@ -212,4 +243,5 @@ let suite =
     ("symbols: unknown symbol", `Quick, test_symbol_not_found);
     ("hybridize: embeds image + overrides", `Quick, test_hybridize_embeds_everything);
     ("hybridize: embedded overrides take effect", `Quick, test_embedded_overrides_take_effect);
+    ("run modes: each builds its machine from the given config", `Quick, test_run_modes_build_from_config);
   ]
