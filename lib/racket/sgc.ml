@@ -3,6 +3,12 @@ module Tracer = Mv_obs.Tracer
 open Mv_hw
 
 let words_per_page = Addr.page_size / 8
+let page_words_shift = Addr.page_shift - 3
+
+(* Free blocks of fewer words than this are listed in an array indexed
+   by size: frames, closures, pairs, flonums and boxes.  Larger sizes are
+   rare and keep a table. *)
+let small_sizes = 256
 
 type seg = {
   s_base : Addr.t;
@@ -31,9 +37,20 @@ type t = {
   env : Env.t;
   segment_pages : int;
   mutable segs : seg list;
-  page_map : (int, seg) Hashtbl.t;
-  mutable last : seg;  (* segment of the last heap access; [no_seg] after it is unmapped *)
-  flists : (int, (seg * int) list ref) Hashtbl.t;  (* block words -> blocks *)
+      (* Newest first: the sweep and protect order.  It decides free-list
+         order, hence addresses and simulated touches. *)
+  mutable index : seg array;  (* the mapped segments, sorted by base *)
+  (* A two-entry most-recently-used cache over [index].  Each entry is
+     ints (index, base, end), so a hit or a swap stores no pointer; an
+     empty entry has base = end = 0 and matches no address. *)
+  mutable c0_i : int;
+  mutable c0_base : int;
+  mutable c0_end : int;
+  mutable c1_i : int;
+  mutable c1_base : int;
+  mutable c1_end : int;
+  small_free : (seg * int) list array;  (* block words -> blocks, LIFO *)
+  large_free : (int, (seg * int) list ref) Hashtbl.t;  (* [small_sizes] words and up *)
   mutable cur : seg;
   mutable bytes_since_gc : int;
   mutable threshold : int;
@@ -50,7 +67,7 @@ type t = {
 
 (* --- segments --- *)
 
-(* Matches no address: the segment cache's empty state. *)
+(* [cur] until [create] maps the first segment. *)
 let no_seg =
   {
     s_base = 0;
@@ -65,6 +82,21 @@ let no_seg =
     s_bump = 0;
     s_live_words = 0;
   }
+
+let clear_cache t =
+  t.c0_i <- -1;
+  t.c0_base <- 0;
+  t.c0_end <- 0;
+  t.c1_i <- -1;
+  t.c1_base <- 0;
+  t.c1_end <- 0
+
+(* Map and unmap rebuild the index; its positions move, so the cache goes. *)
+let reindex t =
+  let index = Array.of_list t.segs in
+  Array.sort (fun a b -> Int.compare a.s_base b.s_base) index;
+  t.index <- index;
+  clear_cache t
 
 let map_segment t pages =
   let base = t.env.Env.mmap ~len:(pages * Addr.page_size) ~prot:Mv_ros.Mm.prot_rw ~kind:"gc-heap" in
@@ -84,19 +116,14 @@ let map_segment t pages =
     }
   in
   t.segs <- seg :: t.segs;
-  for i = 0 to pages - 1 do
-    Hashtbl.replace t.page_map (Addr.page_of base + i) seg
-  done;
+  reindex t;
   t.st.segments_mapped <- t.st.segments_mapped + 1;
   seg
 
 let unmap_segment t seg =
   t.env.Env.munmap ~addr:seg.s_base ~len:(seg.s_pages * Addr.page_size);
-  for i = 0 to seg.s_pages - 1 do
-    Hashtbl.remove t.page_map (Addr.page_of seg.s_base + i)
-  done;
   t.segs <- List.filter (fun s -> s != seg) t.segs;
-  if t.last == seg then t.last <- no_seg;
+  reindex t;
   t.st.segments_unmapped <- t.st.segments_unmapped + 1
 
 (* 512 pages = 2 MiB: exactly one huge-page chunk, so heap segments promote
@@ -118,9 +145,15 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       env;
       segment_pages;
       segs = [];
-      page_map = Hashtbl.create 256;
-      last = no_seg;
-      flists = Hashtbl.create 32;
+      index = [||];
+      c0_i = -1;
+      c0_base = 0;
+      c0_end = 0;
+      c1_i = -1;
+      c1_base = 0;
+      c1_end = 0;
+      small_free = Array.make small_sizes [];
+      large_free = Hashtbl.create 8;
       cur = no_seg;  (* set below *)
       bytes_since_gc = 0;
       threshold;
@@ -144,66 +177,98 @@ let set_scannable t ~tag flag = t.scannable.(tag) <- flag
 
 (* --- access --- *)
 
-(* The segment holding [addr], or [no_seg].  Accesses cluster, so the
-   last segment used is checked before the page map; neither path
-   allocates. *)
-let find_seg t addr =
-  let seg = t.last in
-  if addr >= seg.s_base && addr < seg.s_end then seg
+(* Index of the segment holding [addr], or -1: the last segment whose
+   base is at most [addr], if [addr] lies below its end. *)
+let bisect index addr =
+  let lo = ref 0 and hi = ref (Array.length index) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if index.(mid).s_base <= addr then lo := mid + 1 else hi := mid
+  done;
+  let i = !lo - 1 in
+  if i >= 0 && addr < index.(i).s_end then i else -1
+
+(* Make (i, base, end) the first cache entry; the old first entry
+   becomes the second.  Every store is an int. *)
+let push_entry t i base end_ =
+  t.c1_i <- t.c0_i;
+  t.c1_base <- t.c0_base;
+  t.c1_end <- t.c0_end;
+  t.c0_i <- i;
+  t.c0_base <- base;
+  t.c0_end <- end_
+
+(* Called when the first cache entry misses [addr]: bring the segment
+   holding [addr] into it from the second entry (a swap) or from a
+   bisection, or answer false when no segment holds [addr]. *)
+let promote t addr =
+  if addr >= t.c1_base && addr < t.c1_end then begin
+    push_entry t t.c1_i t.c1_base t.c1_end;
+    true
+  end
   else
-    match Hashtbl.find t.page_map (Addr.page_of addr) with
-    | seg ->
-        t.last <- seg;
-        seg
-    | exception Not_found -> no_seg
+    let i = bisect t.index addr in
+    i >= 0
+    &&
+    let seg = t.index.(i) in
+    push_entry t i seg.s_base seg.s_end;
+    true
+
+let outside addr = invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr)
+
+(* Point the first cache entry at the segment holding [addr]: tested
+   inline, with [promote] only on a miss. *)
+let[@inline] seek t addr =
+  if not ((addr >= t.c0_base && addr < t.c0_end) || promote t addr) then outside addr
 
 let seg_of t addr =
-  let seg = find_seg t addr in
-  if seg == no_seg then invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr) else seg
-
-let page_rel _seg widx = widx / words_per_page
+  seek t addr;
+  t.index.(t.c0_i)
 
 (* Make the page holding word [widx] writable, paying the appropriate
    fault: demand paging on first touch, a write-barrier SIGSEGV when the
    page was protected after a collection. *)
 let ensure_writable t seg widx =
-  let pr = page_rel seg widx in
+  let pr = widx lsr page_words_shift in
   if Bytes.get seg.s_resident pr = '\000' || Bytes.get seg.s_protected pr = '\001' then begin
-    t.env.Env.store (seg.s_base + (widx * 8));
+    t.env.Env.store (seg.s_base + (widx lsl 3));
     Bytes.set seg.s_resident pr '\001';
     (* If the page was protected, the SIGSEGV handler has unprotected it
        and counted the barrier fault. *)
     Bytes.set seg.s_protected pr '\000'
   end
 
+(* [write_word] and [read_word] read the segment and word index before
+   calling out: a fault may run the barrier handler, which moves the
+   cache. *)
 let write_word t addr v =
-  let seg = seg_of t addr in
-  let widx = (addr - seg.s_base) / 8 in
+  seek t addr;
+  let seg = t.index.(t.c0_i) and widx = (addr - t.c0_base) lsr 3 in
   ensure_writable t seg widx;
   seg.s_words.(widx) <- v
 
 let read_word t addr =
-  let seg = seg_of t addr in
-  let widx = (addr - seg.s_base) / 8 in
-  let pr = page_rel seg widx in
+  seek t addr;
+  let seg = t.index.(t.c0_i) and widx = (addr - t.c0_base) lsr 3 in
+  let pr = widx lsr page_words_shift in
   if Bytes.get seg.s_resident pr = '\000' then begin
-    t.env.Env.touch (seg.s_base + (widx * 8));
+    t.env.Env.touch (seg.s_base + (widx lsl 3));
     Bytes.set seg.s_resident pr '\001'
   end;
   seg.s_words.(widx)
 
 let header_of t addr =
-  let seg = seg_of t addr in
-  seg.s_words.((addr - seg.s_base) / 8)
+  seek t addr;
+  t.index.(t.c0_i).s_words.((addr - t.c0_base) lsr 3)
 
 let header_tag t addr = header_of t addr land 0xFF
 let header_words t addr = header_of t addr lsr 8
 
 let is_heap_pointer t v =
   v land 7 = 0 && v > 0
+  && ((v >= t.c0_base && v < t.c0_end) || promote t v)
   &&
-  let seg = find_seg t v in
-  let widx = (v - seg.s_base) / 8 in
+  let seg = t.index.(t.c0_i) and widx = (v - t.c0_base) lsr 3 in
   widx < seg.s_bump && Bytes.get seg.s_starts widx = '\001'
 
 (* --- write barrier --- *)
@@ -213,18 +278,18 @@ let install_barrier t =
     (Mv_ros.Signal.Handler
        (fun info ->
          let addr = info.Mv_ros.Signal.si_addr in
-         match Hashtbl.find_opt t.page_map (Addr.page_of addr) with
-         | Some seg ->
-             let pr = Addr.page_of addr - Addr.page_of seg.s_base in
-             if Bytes.get seg.s_protected pr = '\001' then begin
-               t.env.Env.mprotect ~addr:(Addr.align_down addr) ~len:Addr.page_size
-                 ~prot:Mv_ros.Mm.prot_rw;
-               Bytes.set seg.s_protected pr '\000';
-               t.st.barrier_faults <- t.st.barrier_faults + 1;
-               t.dirty <- t.dirty + 1
-             end
-             else failwith "Sgc: SIGSEGV on unprotected heap page"
-         | None -> failwith (Printf.sprintf "Sgc: segfault outside heap at %x" addr)));
+         if not ((addr >= t.c0_base && addr < t.c0_end) || promote t addr) then
+           failwith (Printf.sprintf "Sgc: segfault outside heap at %x" addr);
+         let seg = t.index.(t.c0_i) in
+         let pr = Addr.page_of addr - Addr.page_of seg.s_base in
+         if Bytes.get seg.s_protected pr = '\001' then begin
+           t.env.Env.mprotect ~addr:(Addr.align_down addr) ~len:Addr.page_size
+             ~prot:Mv_ros.Mm.prot_rw;
+           Bytes.set seg.s_protected pr '\000';
+           t.st.barrier_faults <- t.st.barrier_faults + 1;
+           t.dirty <- t.dirty + 1
+         end
+         else failwith "Sgc: SIGSEGV on unprotected heap page"));
   (* The runtime briefly masks SIGSEGV while installing (glibc does the
      equivalent dance; visible as rt_sigprocmask in Figure 11). *)
   t.env.Env.sigprocmask ~block:true Mv_ros.Signal.Sigsegv;
@@ -234,18 +299,33 @@ let install_barrier t =
 (* --- collection --- *)
 
 let take_free t total =
-  match Hashtbl.find_opt t.flists total with
-  | Some ({ contents = (seg, widx) :: rest } as cell) ->
-      cell := rest;
-      Some (seg, widx)
-  | Some _ | None -> None
+  if total < small_sizes then
+    match t.small_free.(total) with
+    | block :: rest ->
+        t.small_free.(total) <- rest;
+        Some block
+    | [] -> None
+  else
+    match Hashtbl.find_opt t.large_free total with
+    | Some ({ contents = block :: rest } as cell) ->
+        cell := rest;
+        Some block
+    | Some _ | None -> None
 
 let add_free t seg widx total =
   Bytes.set seg.s_frees widx '\001';
   seg.s_words.(widx) <- total;
-  match Hashtbl.find_opt t.flists total with
-  | Some cell -> cell := (seg, widx) :: !cell
-  | None -> Hashtbl.replace t.flists total (ref [ (seg, widx) ])
+  if total < small_sizes then t.small_free.(total) <- (seg, widx) :: t.small_free.(total)
+  else
+    match Hashtbl.find_opt t.large_free total with
+    | Some cell -> cell := (seg, widx) :: !cell
+    | None -> Hashtbl.replace t.large_free total (ref [ (seg, widx) ])
+
+(* Drop the free blocks that lie in [seg], keeping each size's order. *)
+let drop_free_in t seg =
+  let keep = List.filter (fun (s, _) -> s != seg) in
+  Array.map_inplace keep t.small_free;
+  Hashtbl.iter (fun _ cell -> cell := keep !cell) t.large_free
 
 let mark_phase t =
   let work = ref 0 in
@@ -274,7 +354,8 @@ let mark_phase t =
   t.env.Env.work !work
 
 let sweep_phase t =
-  Hashtbl.reset t.flists;
+  Array.fill t.small_free 0 small_sizes [];
+  Hashtbl.reset t.large_free;
   let work = ref 0 in
   let live_words_total = ref 0 in
   let dead_segs = ref [] in
@@ -331,10 +412,7 @@ let sweep_phase t =
      Figure 12. *)
   List.iter
     (fun seg ->
-      (* Drop free blocks that point into the doomed segment. *)
-      Hashtbl.iter
-        (fun _ cell -> cell := List.filter (fun (s, _) -> s != seg) !cell)
-        t.flists;
+      drop_free_in t seg;
       unmap_segment t seg)
     !dead_segs;
   t.live_bytes <- !live_words_total * 8
@@ -404,7 +482,8 @@ let alloc t ~tag ~words =
         (seg, widx)
   in
   (* Touch every page the object spans (demand paging / write barrier). *)
-  let first_page = page_rel seg widx and last_page = page_rel seg (widx + total - 1) in
+  let first_page = widx lsr page_words_shift
+  and last_page = (widx + total - 1) lsr page_words_shift in
   for p = first_page to last_page do
     ensure_writable t seg (p * words_per_page + if p = first_page then widx mod words_per_page else 0)
   done;

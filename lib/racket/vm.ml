@@ -269,6 +269,17 @@ let string_arg t n name i =
   expect t name "string" (V.is_string t.heap v) v;
   v
 
+let char_arg t n name i =
+  let v = arg t n i in
+  expect t name "char" (V.is_char v) v;
+  V.char_val v
+
+(* Argument 1 as an index into argument 0, already checked to be a string. *)
+let string_index t n name =
+  let i = int_arg t n name 1 in
+  if i < 0 || i >= V.string_length t.heap (arg t n 0) then err "%s: index %d out of range" name i;
+  i
+
 (* [p] on two fixnums, as [arith_fold] and [compare_chain] compute it,
    without their closure calls: the common case of compiled arithmetic. *)
 let fix2 p a b =
@@ -544,25 +555,31 @@ let exec_prim t p n =
   (* strings *)
   | Pstring_length -> finish t n (fixr (V.string_length gc (string_arg t n "string-length" 0)))
   | Pstring_ref ->
-      let i = int_arg t n "string-ref" 1 in
-      finish t n (V.char_v (V.string_ref gc (string_arg t n "string-ref" 0) i))
+      let s = string_arg t n "string-ref" 0 in
+      let i = string_index t n "string-ref" in
+      finish t n (V.char_v (V.string_ref gc s i))
   | Pstring_set ->
-      let c = arg t n 2 in
-      if not (V.is_char c) then err "string-set!: expected char";
-      V.string_set gc (string_arg t n "string-set!" 0) (int_arg t n "string-set!" 1) (V.char_val c);
+      let s = string_arg t n "string-set!" 0 in
+      let i = string_index t n "string-set!" in
+      let c = char_arg t n "string-set!" 2 in
+      V.string_set gc s i c;
       finish t n V.vvoid
   | Pmake_string ->
       let len = int_arg t n "make-string" 0 in
-      let c = if n > 1 then V.char_val (arg t n 1) else ' ' in
+      if len < 0 then err "make-string: length %d out of range" len;
+      let c = if n > 1 then char_arg t n "make-string" 1 else ' ' in
       finish t n (V.string_v gc (String.make len c))
   | Pstring_append ->
-      let parts = List.map (fun v -> V.string_val gc v) (args t n) in
+      let parts = List.init n (fun i -> V.string_val gc (string_arg t n "string-append" i)) in
       finish t n (V.string_v gc (String.concat "" parts))
   | Psubstring ->
       let s = V.string_val gc (string_arg t n "substring" 0) in
       let a = int_arg t n "substring" 1 and b = int_arg t n "substring" 2 in
+      if a < 0 || b < a || b > String.length s then
+        err "substring: range %d to %d out of range for length %d" a b (String.length s);
       finish t n (V.string_v gc (String.sub s a (b - a)))
-  | Pstring_to_symbol -> finish t n (V.sym (intern t.cs (V.string_val gc (arg t n 0))))
+  | Pstring_to_symbol ->
+      finish t n (V.sym (intern t.cs (V.string_val gc (string_arg t n "string->symbol" 0))))
   | Psymbol_to_string ->
       let v = arg t n 0 in
       expect t "symbol->string" "symbol" (V.is_sym v) v;
@@ -577,14 +594,26 @@ let exec_prim t p n =
           | Some f -> finish t n (flor t f)
           | None -> finish t n V.vfalse))
   | Pstring_eq ->
-      finish t n (V.bool_v (V.string_val gc (arg t n 0) = V.string_val gc (arg t n 1)))
-  | Pstring_copy -> finish t n (V.string_v gc (V.string_val gc (arg t n 0)))
+      let a = V.string_val gc (string_arg t n "string=?" 0) in
+      let b = V.string_val gc (string_arg t n "string=?" 1) in
+      finish t n (V.bool_v (a = b))
+  | Pstring_copy -> finish t n (V.string_v gc (V.string_val gc (string_arg t n "string-copy" 0)))
   | Plist_to_string ->
-      let chars = V.to_list gc (arg t n 0) in
-      finish t n
-        (V.string_v gc (String.init (List.length chars) (fun i -> V.char_val (List.nth chars i))))
+      let buf = Buffer.create 16 in
+      let rec go v =
+        if v = V.nil then ()
+        else if V.is_pair gc v then begin
+          let c = V.car gc v in
+          expect t "list->string" "a list of chars" (V.is_char c) (arg t n 0);
+          Buffer.add_char buf (V.char_val c);
+          go (V.cdr gc v)
+        end
+        else expect t "list->string" "a list of chars" false (arg t n 0)
+      in
+      go (arg t n 0);
+      finish t n (V.string_v gc (Buffer.contents buf))
   | Pstring_to_list ->
-      let s = V.string_val gc (arg t n 0) in
+      let s = V.string_val gc (string_arg t n "string->list" 0) in
       let acc = ref V.nil in
       for i = String.length s - 1 downto 0 do
         t.ntemps <- 0;
@@ -647,11 +676,12 @@ let exec_prim t p n =
           finish t n V.vvoid
       | Pwrite_char ->
           arity "write-char" 1 2;
-          Libc.fwrite t.libc (out_for "write-char" 1) (String.make 1 (V.char_val (arg t n 0)));
+          Libc.fwrite t.libc (out_for "write-char" 1) (String.make 1 (char_arg t n "write-char" 0));
           finish t n V.vvoid
       | Pwrite_string ->
           arity "write-string" 1 2;
-          Libc.fwrite t.libc (out_for "write-string" 1) (V.string_val gc (arg t n 0));
+          Libc.fwrite t.libc (out_for "write-string" 1)
+            (V.string_val gc (string_arg t n "write-string" 0));
           finish t n V.vvoid
       | Pread_line -> (
           arity "read-line" 0 1;

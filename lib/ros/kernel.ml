@@ -11,7 +11,6 @@ type t = {
   machine : Machine.t;
   vfs : Vfs.t;
   mutable procs : Process.t list;
-  by_tid : (int, task) Hashtbl.t;
   mutable next_pid : int;
   mutable virtualized : bool;
   mutable vm_exits : int;
@@ -22,12 +21,11 @@ type t = {
   futexes : (int * int, (unit -> unit) Queue.t) Hashtbl.t;
   ros_cores : int array;  (* cached for the O(1) round-robin picker *)
   mutable rr_next : int;
-  sys_depth : (int, int) Hashtbl.t;
-      (* Attribution of charged cycles: by default cycles are user time;
-         inside an [in_sys] window they are system time.  The window depth
-         is tracked per thread id — per kernel, since tids restart from the
-         same base in every machine and concurrent machines must not see
-         each other's windows. *)
+  (* Per thread, indexed by Exec tid (dense per machine) and grown
+     together: the task of a thread the kernel owns, and its [in_sys]
+     depth.  Charged cycles are user time, or system time at depth > 0. *)
+  mutable tasks : task option array;
+  mutable sys_depths : int array;
 }
 
 let create ?(virtualized = false) machine =
@@ -36,7 +34,6 @@ let create ?(virtualized = false) machine =
       machine;
       vfs = Vfs.create ();
       procs = [];
-      by_tid = Hashtbl.create 64;
       next_pid = 1;
       virtualized;
       vm_exits = 0;
@@ -47,37 +44,52 @@ let create ?(virtualized = false) machine =
       futexes = Hashtbl.create 32;
       ros_cores = Array.of_list (Topology.ros_cores machine.Machine.topo);
       rr_next = 0;
-      sys_depth = Hashtbl.create 64;
+      tasks = Array.make 64 None;
+      sys_depths = Array.make 64 0;
     }
   in
   Exec.set_charge_hook machine.Machine.exec (fun th c ->
-      match Hashtbl.find_opt t.by_tid (Exec.tid th) with
-      | None -> ()
-      | Some task ->
-          let ru = task.tk_proc.Process.rusage in
-          let depth =
-            match Hashtbl.find_opt t.sys_depth (Exec.tid th) with Some d -> d | None -> 0
-          in
-          if depth > 0 then ru.Rusage.stime <- ru.Rusage.stime + c
-          else ru.Rusage.utime <- ru.Rusage.utime + c);
+      let tid = Exec.tid th in
+      if tid < Array.length t.tasks then
+        match t.tasks.(tid) with
+        | None -> ()
+        | Some task ->
+            let ru = task.tk_proc.Process.rusage in
+            if t.sys_depths.(tid) > 0 then ru.Rusage.stime <- ru.Rusage.stime + c
+            else ru.Rusage.utime <- ru.Rusage.utime + c);
   t
 
+(* Make room for [tid] in the per-thread arrays. *)
+let reserve t tid =
+  let n = Array.length t.tasks in
+  if tid >= n then begin
+    let n' = max (tid + 1) (2 * n) in
+    let tasks = Array.make n' None and sys_depths = Array.make n' 0 in
+    Array.blit t.tasks 0 tasks 0 n;
+    Array.blit t.sys_depths 0 sys_depths 0 n;
+    t.tasks <- tasks;
+    t.sys_depths <- sys_depths
+  end
+
+(* Make [th] one of [p]'s threads, charged to [p]. *)
+let register t p th =
+  p.Process.threads <- th :: p.Process.threads;
+  let tid = Exec.tid th in
+  reserve t tid;
+  t.tasks.(tid) <- Some { tk_proc = p; tk_thread = th }
+
 let current t =
-  let th = Exec.self t.machine.Machine.exec in
-  match Hashtbl.find_opt t.by_tid (Exec.tid th) with
+  let tid = Exec.tid (Exec.self t.machine.Machine.exec) in
+  match if tid < Array.length t.tasks then t.tasks.(tid) else None with
   | Some task -> task
   | None -> failwith "Kernel.current: thread is not a ROS task"
 
 let in_sys t f =
-  let th = Exec.self t.machine.Machine.exec in
-  let tid = Exec.tid th in
-  let d = match Hashtbl.find_opt t.sys_depth tid with Some d -> d | None -> 0 in
-  Hashtbl.replace t.sys_depth tid (d + 1);
-  Fun.protect
-    ~finally:(fun () ->
-      let d = match Hashtbl.find_opt t.sys_depth tid with Some d -> d | None -> 1 in
-      Hashtbl.replace t.sys_depth tid (d - 1))
-    f
+  let tid = Exec.tid (Exec.self t.machine.Machine.exec) in
+  reserve t tid;
+  t.sys_depths.(tid) <- t.sys_depths.(tid) + 1;
+  (* [finally] indexes the field afresh: [f] may grow the arrays. *)
+  Fun.protect ~finally:(fun () -> t.sys_depths.(tid) <- t.sys_depths.(tid) - 1) f
 
 let count_syscall _t p name = Mv_util.Histogram.incr p.Process.syscall_counts name
 
@@ -216,20 +228,16 @@ let spawn_process t ~name ?cpu ?stdout_tee body =
     Exec.spawn t.machine.Machine.exec ~cpu:core ~name:(name ^ "/main")
       (main_body t p (fun () -> body p))
   in
-  p.Process.threads <- th :: p.Process.threads;
-  Hashtbl.replace t.by_tid (Exec.tid th) { tk_proc = p; tk_thread = th };
+  register t p th;
   p
 
 let spawn_thread t p ~name ?cpu body =
   let core = pick_ros_core t cpu in
   let th = Exec.spawn t.machine.Machine.exec ~cpu:core ~name (thread_body t p body) in
-  p.Process.threads <- th :: p.Process.threads;
-  Hashtbl.replace t.by_tid (Exec.tid th) { tk_proc = p; tk_thread = th };
+  register t p th;
   th
 
-let register_foreign_thread t p th =
-  p.Process.threads <- th :: p.Process.threads;
-  Hashtbl.replace t.by_tid (Exec.tid th) { tk_proc = p; tk_thread = th }
+let register_foreign_thread = register
 
 (* --- signals --- *)
 

@@ -16,7 +16,6 @@ type t = {
   machine : Mv_engine.Machine.t;
   vfs : Vfs.t;
   mutable procs : Process.t list;
-  by_tid : (int, task) Hashtbl.t;
   mutable next_pid : int;
   mutable virtualized : bool;
   mutable vm_exits : int;
@@ -29,10 +28,11 @@ type t = {
       (** waiters keyed by (pid, futex word address) *)
   ros_cores : int array;  (** cached topology for the O(1) core picker *)
   mutable rr_next : int;  (** round-robin cursor for thread placement *)
-  sys_depth : (int, int) Hashtbl.t;
-      (** per-tid [in_sys] nesting depth for user/system time attribution —
-          per kernel so concurrent machines (whose tids coincide) stay
-          independent *)
+  mutable tasks : task option array;
+      (** by Exec tid: the task of each thread the kernel owns *)
+  mutable sys_depths : int array;
+      (** by Exec tid: [in_sys] nesting depth; charged cycles are system
+          time at depth > 0, user time otherwise *)
 }
 
 val create : ?virtualized:bool -> Mv_engine.Machine.t -> t

@@ -201,6 +201,60 @@ let qcheck_sgc_model =
               actual = expected)
             roots model))
 
+let qcheck_sgc_segment_churn =
+  (* Many 16-page segments, mapped as vectors of mixed sizes arrive (9000
+     words is more than one segment) and unmapped as dropped roots empty
+     them.  After every step each live vector reads back its model, and
+     each dropped vector whose VMA is gone (mmap never reuses an address)
+     is no heap pointer and unreadable. *)
+  let sizes = [| 0; 1; 2; 7; 40; 300; 9000 |] in
+  let print = QCheck.Print.(list (triple int int int)) in
+  QCheck.Test.make ~name:"sgc: lookups across segment map/unmap churn" ~count:15
+    (QCheck.make ~print
+       QCheck.Gen.(list_size (int_range 1 40) (triple (int_bound 7) (int_bound 6) (int_bound 9))))
+    (fun ops ->
+      in_guest (fun env p ->
+          let gc = Sgc.create env ~segment_pages:16 ~threshold:65_536 () in
+          Value.register_scannable gc;
+          let nroots = 8 in
+          let roots = Array.make nroots Value.nil in
+          let model = Array.make nroots (0, 0) in
+          let dropped = ref [] in
+          Sgc.set_roots gc (fun visit -> Array.iter visit roots);
+          let drop slot =
+            if roots.(slot) <> Value.nil then dropped := roots.(slot) :: !dropped;
+            roots.(slot) <- Value.nil
+          in
+          let intact slot =
+            let v = roots.(slot) and seed, len = model.(slot) in
+            v = Value.nil
+            || Value.vector_length gc v = len
+               && List.for_all
+                    (fun i -> Value.fixnum_val (Value.vector_ref gc v i) = seed + i)
+                    (List.init len Fun.id)
+          in
+          let gone a =
+            Mv_ros.Mm.find_vma p.Mv_ros.Process.mm a <> None
+            || (not (Sgc.is_heap_pointer gc a))
+               && match Sgc.read_word gc a with _ -> false | exception Invalid_argument _ -> true
+          in
+          List.for_all
+            (fun (slot, size, op) ->
+              (match op with
+              | 0 | 1 | 2 | 3 | 4 | 5 ->
+                  drop slot;
+                  let len = sizes.(size) and seed = (slot * 100_000) + (op * 10_000) in
+                  let v = Value.make_vector gc len (Value.fixnum 0) in
+                  for i = 0 to len - 1 do
+                    Value.vector_set gc v i (Value.fixnum (seed + i))
+                  done;
+                  roots.(slot) <- v;
+                  model.(slot) <- (seed, len)
+              | 6 | 7 -> drop slot
+              | _ -> Sgc.collect gc);
+              List.for_all intact (List.init nroots Fun.id) && List.for_all gone !dropped)
+            ops))
+
 let test_sgc_write_barrier () =
   in_guest (fun env p ->
       let gc = Sgc.create env () in
@@ -366,13 +420,52 @@ let test_eval_errors () =
   check_bool "set-box! of a fixnum" true (raises "(set-box! 3 1)");
   check_bool "char->integer of a fixnum" true (raises "(char->integer 65)");
   check_bool "symbol->string of a fixnum" true (raises "(symbol->string 5)");
+  (* String primitives check types, indices and lengths. *)
+  check_bool "string-ref past the end" true (raises "(string-ref (make-string 3 #\\a) 10)");
+  check_bool "string-ref below zero" true (raises {|(string-ref "abc" -1)|});
+  check_bool "string-ref of a fixnum" true (raises "(string-ref 5 0)");
+  check_bool "make-string with a fixnum fill" true (raises "(make-string 2 5)");
+  check_bool "make-string of negative length" true (raises "(make-string -1 #\\a)");
+  check_bool "list->string of fixnums" true (raises "(list->string (list 1 2))");
+  check_bool "list->string of an improper list" true (raises "(list->string 5)");
+  check_bool "substring past the end" true (raises {|(substring "abc" 2 10)|});
+  check_bool "string-append of a fixnum" true (raises {|(string-append "a" 5)|});
+  check_bool "string->symbol of a fixnum" true (raises "(string->symbol 5)");
+  check_bool "string=? of a fixnum" true (raises {|(string=? "a" 5)|});
+  check_bool "string-copy of a fixnum" true (raises "(string-copy 5)");
+  check_bool "string->list of a fixnum" true (raises "(string->list 5)");
+  (* A write past the end is rejected and leaves the next object intact. *)
+  let after =
+    in_guest (fun env _p ->
+        let engine = Engine.start env in
+        ignore (Engine.eval_string engine "(define s (make-string 8 #\\a)) (define v (vector 1 2 3))");
+        let rejected =
+          match Engine.eval_string engine "(string-set! s 8 #\\z)" with
+          | _ -> false
+          | exception Vm.Scheme_error _ -> true
+        in
+        check_bool "string-set! past the end" true rejected;
+        let v = Engine.eval_string engine "(list (vector-length v) (vector-ref v 2) s)" in
+        let out = Vm.write_string_of (Engine.vm engine) v in
+        Engine.finish engine;
+        out)
+  in
+  check_string "vector after the string" "(3 3 \"aaaaaaaa\")" after;
   (* The checks pass well-typed arguments through. *)
   check_eval "(1 9)" "(let ((p (list 1 2))) (set-car! (cdr p) 9) p)";
   check_eval "()" "(list-tail (list 1 2) 2)";
   check_eval "#(7 7)" "(let ((v (make-vector 2 0))) (vector-fill! v 7) v)";
   check_eval "2" "(let ((b (box 1))) (set-box! b 2) (unbox b))";
   check_eval "97" "(char->integer #\\a)";
-  check_eval "\"abc\"" "(symbol->string 'abc)"
+  check_eval "\"abc\"" "(symbol->string 'abc)";
+  check_eval "\"ab\"" "(list->string (list #\\a #\\b))";
+  check_eval "\"zbc\"" {|(let ((s (string-copy "abc"))) (string-set! s 0 #\z) s)|};
+  check_eval "\"el\"" {|(substring "hello" 1 3)|};
+  check_eval "\"\"" {|(substring "abc" 3 3)|};
+  check_eval "#\\c" {|(string-ref "abc" 2)|};
+  check_eval "\"xx\"" "(make-string 2 #\\x)";
+  check_eval "#t" {|(string=? (string-append "a" "b") "ab")|};
+  check_eval "(#\\a #\\b)" {|(string->list "ab")|}
 
 (* Two-fixnum [+ - * < > <= >= =] take a direct path in the VM.  It must
    agree with the n-ary path, and both with OCaml arithmetic wrapped to the
@@ -641,6 +734,8 @@ let suite =
     ("sgc: deep reachability preserved", `Quick, test_sgc_reachability_preserved);
     (let name, _, fn = QCheck_alcotest.to_alcotest qcheck_sgc_model in
      (name, `Slow, fn));
+    (let name, _, fn = QCheck_alcotest.to_alcotest qcheck_sgc_segment_churn in
+     (name, `Quick, fn));
     ("sgc: mprotect write barrier", `Quick, test_sgc_write_barrier);
     ("sgc: empty segments munmapped", `Quick, test_sgc_segments_unmapped);
     ("sgc: free-list reuse, no growth", `Quick, test_sgc_free_list_reuse);

@@ -246,6 +246,57 @@ let test_rusage_accounting () =
       check_bool "rss tracked" true (ru.Rusage.maxrss_kb >= 0);
       ignore k)
 
+(* Exact attribution: each charge lands in the charging thread's process,
+   in stime inside [in_sys] (at any depth) and in utime outside it. *)
+let test_rusage_exact_split () =
+  let machine = Machine.create () in
+  let k = Kernel.create machine in
+  let body user p =
+    let ru = p.Process.rusage in
+    let u0 = ru.Rusage.utime and s0 = ru.Rusage.stime in
+    let expect what du ds =
+      check_int (p.Process.pname ^ ": utime " ^ what) (u0 + du) ru.Rusage.utime;
+      check_int (p.Process.pname ^ ": stime " ^ what) (s0 + ds) ru.Rusage.stime
+    in
+    Machine.charge machine user;
+    expect "after a user charge" user 0;
+    Kernel.in_sys k (fun () ->
+        Machine.charge machine 300;
+        Kernel.in_sys k (fun () -> Machine.charge machine 200);
+        Machine.charge machine 100);
+    expect "after nested in_sys" user 600;
+    (match
+       Kernel.in_sys k (fun () ->
+           Machine.charge machine 50;
+           failwith "escapes")
+     with
+    | () -> Alcotest.fail "in_sys swallowed the exception"
+    | exception Failure _ -> ());
+    expect "after the exception" user 650;
+    Machine.charge machine 7;
+    expect "after the exception, charged again" (user + 7) 650
+  in
+  (* Threads the kernel never registered charge nobody, in or out of
+     in_sys.  There are enough of them that the processes' tids lie past
+     the kernel's initial per-thread arrays. *)
+  let strays =
+    List.init 70 (fun i ->
+        Exec.spawn machine.Machine.exec ~cpu:0 ~name:(Printf.sprintf "stray%d" i) (fun () ->
+            Machine.charge machine 1_000;
+            Kernel.in_sys k (fun () -> Machine.charge machine 1_000);
+            check_bool "stray is no ROS task" true
+              (match Kernel.current k with _ -> false | exception Failure _ -> true)))
+  in
+  let p1 = Kernel.spawn_process k ~name:"a" (body 1_000) in
+  let p2 = Kernel.spawn_process k ~name:"b" (body 20_000) in
+  Sim.run machine.Machine.sim;
+  check_bool "strays finished" true
+    (List.for_all (fun th -> Exec.state machine.Machine.exec th = Exec.Finished) strays);
+  check_int "a: utime is a's charges" 1_007 p1.Process.rusage.Rusage.utime;
+  check_int "a: stime is a's charges" 650 p1.Process.rusage.Rusage.stime;
+  check_int "b: utime is b's charges" 20_007 p2.Process.rusage.Rusage.utime;
+  check_int "b: stime is b's charges" 650 p2.Process.rusage.Rusage.stime
+
 (* --- libc --- *)
 
 let test_libc_buffered_stdio () =
@@ -338,6 +389,7 @@ let suite =
     ("syscalls: futex wait/wake", `Quick, test_futex);
     ("syscalls: poll timeout", `Quick, test_poll_timeout);
     ("rusage: user/sys accounting", `Quick, test_rusage_accounting);
+    ("rusage: exact user/sys split per process", `Quick, test_rusage_exact_split);
     ("libc: buffered stdio", `Quick, test_libc_buffered_stdio);
     ("libc: flush at 4KiB", `Quick, test_libc_buffer_flush_at_4k);
     ("libc: malloc/free", `Quick, test_libc_malloc);
