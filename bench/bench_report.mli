@@ -1,6 +1,6 @@
-(** Shared emitter for the BENCH_*.json artifacts: one object per file,
-    field order preserved, all files stamped with the same
-    ["<kind>/<schema_version>"] schema tag. *)
+(** One bench section's result: a title, a JSON value tree and prose
+    notes.  Both the printed text and the BENCH_<section>.json file
+    render from the tree, field order preserved. *)
 
 type value =
   | Int of int
@@ -9,9 +9,15 @@ type value =
   | Obj of (string * value) list
   | List of value list
 
-val schema_version : int
+type t = { title : string; fields : (string * value) list; notes : string list }
 
-val render : kind:string -> (string * value) list -> string
-(** The JSON text, with ["schema"] prepended as the first field. *)
+val to_text : t -> string
+(** The section banner, then every value of the tree: scalars as
+    [key | value] rows with nested keys joined by ['.'], each list of
+    objects as one table with a row per element (a column per element
+    when the objects nest).  Then the notes. *)
 
-val write : path:string -> kind:string -> (string * value) list -> unit
+val write : section:string -> t -> string
+(** Write the tree as JSON to [BENCH_<section>.json] in the current
+    directory, with ["schema": "multiverse-<section>-bench/2"] prepended
+    as the first field, and return that file name. *)

@@ -237,7 +237,9 @@ let complete t =
       | None -> ()  (* posted request: fire-and-forget *)
       | Some fire_wake ->
           Machine.charge t.machine (signal_cost t);
-          sched_at t (Exec.local_now t.machine.Machine.exec + one_way t) fire_wake)
+          (* The reply leg is the rest of the RTT, so an odd RTT loses no
+             cycle to the halving. *)
+          sched_at t (Exec.local_now t.machine.Machine.exec + (rtt t - one_way t)) fire_wake)
 
 let rec serve_next t =
   let accept e =

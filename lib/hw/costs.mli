@@ -29,16 +29,16 @@ type t = {
   hypercall : int;  (** guest-to-VMM hypercall (bounds channel latency) *)
   nested_fill : int;  (** nested-paging fill on first touch of a guest page *)
   (* --- HVM event channels (paper, Figure 2) --- *)
-  async_channel_rtt : int;  (** ~25 K cycles, 1.1 us *)
-  sync_channel_same_socket : int;  (** ~790 cycles, 36 ns *)
-  sync_channel_cross_socket : int;  (** ~1060 cycles, 48 ns — one hop *)
+  async_channel_rtt : int;  (** ~25 K cycles, 11.4 us *)
+  sync_channel_same_socket : int;  (** ~790 cycles, 359 ns *)
+  sync_channel_cross_socket : int;  (** ~1060 cycles, 482 ns — one hop *)
   channel_hop_multiplier : float;
       (** per-hop latency growth of the synchronous channel beyond one
           socket hop; inert on the paper's 2-socket machine (DESIGN §6) *)
   remote_access : int;
       (** extra cycles {e per socket hop} for a memory access served from a
           remote NUMA zone (DESIGN §6) *)
-  merge_address_space : int;  (** ~33 K cycles, 1.5 us *)
+  merge_address_space : int;  (** ~33 K cycles, 15 us *)
   (* --- memory system --- *)
   page_walk_level : int;  (** per page-table level actually read on a TLB miss *)
   walk_cache_hit : int;

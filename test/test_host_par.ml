@@ -15,7 +15,9 @@
      reports every scenario after the first failure.
    - Bad CLI input (an unknown --mode or --porting, a missing replay
      artifact, an unknown bench section) exits 2 with a one-line error
-     instead of an uncaught exception or a silent success. *)
+     instead of an uncaught exception or a silent success.
+   - bench --json: one BENCH_<section>.json per section run, byte-equal
+     to its committed baseline. *)
 
 module Pool = Mv_host_par.Pool
 module Rng = Mv_util.Rng
@@ -393,6 +395,37 @@ let test_partitions_every_mode () =
       "--groups 50 --partitions 4";
     ]
 
+(* `bench SECTION... --json` writes BENCH_<section>.json for exactly the
+   sections it ran, in the current directory, and the bytes of the four
+   fast paper sections equal their committed baselines: a change to the
+   cost model fails here before CI's full bench diff. *)
+let test_bench_json_files () =
+  let absolute p = if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p in
+  let bench = absolute (exe "../bench/main.exe") in
+  let baselines = absolute (exe "../bench/baselines") in
+  let sections = [ "fig2"; "fig11"; "ablation_symcache"; "ablation_wp" ] in
+  let dir = Filename.temp_dir "bench" "" in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
+      Sys.rmdir dir)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "cd %s && %s %s --json > /dev/null 2>&1" (Filename.quote dir)
+             (Filename.quote bench) (String.concat " " sections))
+      in
+      check_int "bench exits 0" 0 code;
+      let expected = List.map (Printf.sprintf "BENCH_%s.json") sections in
+      Alcotest.(check (list string)) "one file per section run" (List.sort compare expected) (files ());
+      List.iter
+        (fun f ->
+          check_string (f ^ " equals its baseline")
+            (read_file (Filename.concat baselines f))
+            (read_file (Filename.concat dir f)))
+        expected)
+
 let suite =
   [
     to_alcotest qcheck_map_order;
@@ -417,3 +450,4 @@ let suite =
   @ List.map
       (fun (name, run, prefix) -> (name, `Quick, fun () -> check_usage_error ~prefix (run ())))
       usage_cases
+  @ [ ("bench: --json writes one pinned file per section", `Quick, test_bench_json_files) ]

@@ -17,8 +17,8 @@ let costs = Mv_hw.Costs.default
 
 (* Round-trip time of one request/complete cycle through a channel, with
    the server doing zero work, measured from the caller's clock. *)
-let measure_rtt ~kind ~ros_core ~hrt_core =
-  let machine = Machine.create () in
+let measure_rtt ?config ~kind ~ros_core ~hrt_core () =
+  let machine = Machine.create ?config () in
   let ch = Event_channel.create machine ~kind ~ros_core ~hrt_core in
   ignore
     (Exec.spawn machine.Machine.exec ~cpu:ros_core ~name:"server" (fun () ->
@@ -35,7 +35,7 @@ let measure_rtt ~kind ~ros_core ~hrt_core =
   !rtt
 
 let test_channel_async_latency () =
-  let rtt = measure_rtt ~kind:Event_channel.Async ~ros_core:0 ~hrt_core:7 in
+  let rtt = measure_rtt ~kind:Event_channel.Async ~ros_core:0 ~hrt_core:7 () in
   (* ~25K cycles plus hypercall signaling; must be the right order. *)
   check_bool
     (Printf.sprintf "async rtt %d within 20%% of 25000" rtt)
@@ -44,11 +44,25 @@ let test_channel_async_latency () =
     && rtt <= costs.Mv_hw.Costs.async_channel_rtt * 12 / 10)
 
 let test_channel_sync_socket_distance () =
-  let same = measure_rtt ~kind:Event_channel.Sync ~ros_core:5 ~hrt_core:7 in
-  let cross = measure_rtt ~kind:Event_channel.Sync ~ros_core:0 ~hrt_core:7 in
+  let same = measure_rtt ~kind:Event_channel.Sync ~ros_core:5 ~hrt_core:7 () in
+  let cross = measure_rtt ~kind:Event_channel.Sync ~ros_core:0 ~hrt_core:7 () in
   check_bool "same-socket faster than cross-socket" true (same < cross);
   check_bool "sync orders of magnitude below async" true
     (cross * 10 < costs.Mv_hw.Costs.async_channel_rtt)
+
+(* The request and reply legs split the configured RTT between them, so
+   a round trip costs all of it whatever its parity.  On 4x8 the
+   one-hop RTT (1060) is even and the three-hop RTT (1791) odd; the
+   signalling on top must be the same at both distances. *)
+let test_channel_odd_rtt () =
+  let config = { Machine.default_config with sockets = 4; cores_per_socket = 8 } in
+  let overhead ~ros_core ~distance =
+    measure_rtt ~config ~kind:Event_channel.Sync ~ros_core ~hrt_core:31 ()
+    - Mv_hw.Costs.sync_channel_rtt costs ~distance
+  in
+  check_bool "the three-hop RTT is odd" true (Mv_hw.Costs.sync_channel_rtt costs ~distance:3 mod 2 = 1);
+  check_int "signalling over the RTT: 3 hops = 1 hop" (overhead ~ros_core:16 ~distance:1)
+    (overhead ~ros_core:0 ~distance:3)
 
 let test_channel_queueing () =
   (* Two callers share one server endpoint; both must complete. *)
@@ -363,6 +377,7 @@ let suite =
   [
     ("event channel: async RTT (Fig 2)", `Quick, test_channel_async_latency);
     ("event channel: sync socket distance (Fig 2)", `Quick, test_channel_sync_socket_distance);
+    ("event channel: an odd RTT is charged whole", `Quick, test_channel_odd_rtt);
     ("event channel: queued callers", `Quick, test_channel_queueing);
     ("event channel: post", `Quick, test_channel_post_fire_and_forget);
     ("nautilus: boot in milliseconds", `Quick, test_nk_boot_takes_milliseconds);
