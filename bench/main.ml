@@ -947,14 +947,14 @@ let scale_bench () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* NUMA: group-affine vs round-robin placement on a big box            *)
+(* NUMA: group-affine vs spread placement on a big box                *)
 (* ------------------------------------------------------------------ *)
 
 (* The NUMA section's machine (override its geometry with --topology
    SxC).  The default is the 4x32 box with HRT pinned to the upper half of
    the last socket: affine placement can then co-locate a group's server
-   core, poller group and frames on one socket, while round-robin scatters
-   the server cores across all four. *)
+   core, poller group and frames on one socket, while spread placement
+   scatters the server cores across all four. *)
 let numa_machine_of (sockets, cores_per_socket) =
   let hrt = min 16 (max 1 (sockets * cores_per_socket / 2)) in
   { Machine.default_config with sockets; cores_per_socket; partitions = [ hrt ] }
@@ -977,9 +977,10 @@ let numa_accesses_per_frame = 32
 (* The demand-paging side, measured directly against the sharded
    allocator: a spread of faulting ROS cores builds a working set either
    from the flat first-fit order (zone 0 first — every remote socket
-   pays the distance) or NUMA-locally via [alloc_near], then the access
-   cost is priced with the machine's distance-scaled memory model.
-   Returns the cycles and the side's report. *)
+   pays the distance) or NUMA-locally via [alloc_near], then each access
+   is priced with the machine's remote-hop surcharge
+   ([Machine.mem_access_cost], 0 for a local frame).  Returns the
+   surcharge cycles and the side's report. *)
 let measure_numa_mem ~local =
   let machine = Machine.create ~config:!numa_machine () in
   let topo = machine.Machine.topo in
@@ -1008,7 +1009,7 @@ let measure_numa_mem ~local =
       [
         ("frames", Int !frames);
         ("remote_frames", Int !remote);
-        ("memory_path_cycles", Int !cycles);
+        ("remote_access_cycles", Int !cycles);
       ] )
 
 let numa_bench () =
@@ -1024,7 +1025,7 @@ let numa_bench () =
         (fun () -> `Mem (measure_numa_mem ~local:true));
       ]
   with
-  | [ `Lg rr; `Lg aff; `Mem (c_flat, flat); `Mem (c_near, near) ] ->
+  | [ `Lg spread; `Lg aff; `Mem (c_flat, flat); `Mem (c_near, near) ] ->
       let side (r : Loadgen.results) =
         Obj
           [
@@ -1039,12 +1040,12 @@ let numa_bench () =
       in
       let hrt = List.hd m.partitions in
       report
-        (Printf.sprintf "NUMA: group-affine vs round-robin placement (%dx%d cores, %d hrt)"
+        (Printf.sprintf "NUMA: group-affine vs spread placement (%dx%d cores, %d hrt)"
            m.sockets m.cores_per_socket hrt)
         ~notes:
-          [ "(fabric.p50_sojourn_delta_cycles: round-robin minus affine p50 sojourn\n\
+          [ "(fabric.p50_sojourn_delta_cycles: spread minus affine p50 sojourn\n\
             \ of the fabric calls; memory_path.delta_cycles: flat first-fit minus\n\
-            \ NUMA-local memory-path cycles)" ]
+            \ NUMA-local remote-access cycles)" ]
         [
           ("topology", Str (Printf.sprintf "%dx%d" m.sockets m.cores_per_socket));
           ("hrt_cores", Int hrt);
@@ -1052,10 +1053,10 @@ let numa_bench () =
           ( "fabric",
             Obj
               [
-                ("round_robin", side rr);
+                ("spread", side spread);
                 ("affine", side aff);
                 ( "p50_sojourn_delta_cycles",
-                  Int (Cycles.of_us (rr.Loadgen.r_p50_us -. aff.Loadgen.r_p50_us)) );
+                  Int (Cycles.of_us (spread.Loadgen.r_p50_us -. aff.Loadgen.r_p50_us)) );
               ] );
           ( "memory_path",
             Obj [ ("flat", flat); ("local", near); ("delta_cycles", Int (c_flat - c_near)) ] );

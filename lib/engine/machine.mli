@@ -90,8 +90,9 @@ val alloc_frame : t -> Mv_hw.Phys_mem.region -> int
 val mem_access_cost : t -> core:int -> frame:int -> Mv_util.Cycles.t
 (** Extra memory-path cycles for [core] touching [frame]:
     [costs.remote_access] per socket hop between the core's socket and the
-    frame's NUMA zone, 0 when local.  Locality-sensitive paths (group frame
-    placement, the numa bench) charge this on top of the flat MMU costs. *)
+    frame's NUMA zone, 0 when local.  Nothing in the simulated memory path
+    charges it; only the [numa] bench section prices its frame placements
+    with it, on top of the flat MMU costs. *)
 
 val emit : t -> Trace.payload -> unit
 (** Record a typed event at the current virtual time on the current

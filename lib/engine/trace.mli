@@ -21,8 +21,8 @@ type record = {
   message : string;
 }
 
-(** One typed event.  [category_of] maps constructors onto the stable
-    record categories ("pagefault", "fatal", "fault", "resilience");
+(** One typed event.  Each constructor records under a stable category
+    ("pagefault", "fatal", "fault", "resilience");
     [Message] is the escape hatch carrying a preformatted string. *)
 type payload =
   | Page_fault of { pid : int; vma : string option; page_off : int; addr : int; write : bool }
@@ -53,8 +53,6 @@ type payload =
       (** Core lending moved [core] between partitions, re-homing [moved]
           threads (category "partition"). *)
   | Message of { category : string; text : string }
-
-val category_of : payload -> string
 
 val render : payload -> string
 (** The record message a payload emits — exposed so exporters can render

@@ -27,8 +27,6 @@ type site =
   | Syscall_enosys  (** forwarded syscall spuriously returns ENOSYS *)
 
 val all_sites : site list
-val site_name : site -> string
-val site_of_name : string -> site option
 
 val sites_of_string : string -> (site list, string) result
 (** Parse a comma-separated site list (["all"] or [""] mean every site);

@@ -40,124 +40,92 @@ type t = {
   execve : path:string -> (unit, Syscalls.errno) result;
 }
 
-let native k p =
+type crossing = {
+  syscall : 'a. string -> (unit -> 'a) -> 'a;
+  vdso : 'a. string -> (unit -> 'a) -> 'a;
+  access : Mv_hw.Addr.t -> write:bool -> unit;
+}
+
+let native_crossing k =
   let machine = k.Kernel.machine in
-  let costs = machine.Machine.costs in
-  (* Entry cost of one SYSCALL/SYSRET pair, charged as system time. *)
-  let trap () = Kernel.in_sys k (fun () -> Machine.charge machine costs.Mv_hw.Costs.syscall_trap) in
+  let trap_cost = machine.Machine.costs.Mv_hw.Costs.syscall_trap in
+  {
+    (* Entry cost of one SYSCALL/SYSRET pair, charged as system time. *)
+    syscall =
+      (fun _name body ->
+        Kernel.in_sys k (fun () -> Machine.charge machine trap_cost);
+        body ());
+    (* vdso fast paths: no kernel entry. *)
+    vdso = (fun _name body -> body ());
+    access = (fun addr ~write -> Kernel.access k addr ~write);
+  }
+
+let make ~mode_name c k p =
+  let machine = k.Kernel.machine in
   let ok_or_zero = function Ok n -> n | Error _ -> 0 in
   {
-    mode_name = (if k.Kernel.virtualized then "virtual" else "native");
+    mode_name;
     kernel = k;
     proc = p;
-    work = (fun c -> Machine.charge machine c);
-    touch = (fun addr -> Kernel.access k addr ~write:false);
-    store = (fun addr -> Kernel.access k addr ~write:true);
+    work = (fun cycles -> Machine.charge machine cycles);
+    touch = (fun addr -> c.access addr ~write:false);
+    store = (fun addr -> c.access addr ~write:true);
     mmap =
       (fun ~len ~prot ~kind ->
-        trap ();
-        match Syscalls.mmap k p ~len ~prot ~kind with
-        | Ok addr -> addr
-        | Error e -> failwith ("mmap: " ^ Syscalls.errno_name e));
+        c.syscall "mmap" (fun () ->
+            match Syscalls.mmap k p ~len ~prot ~kind with
+            | Ok addr -> addr
+            | Error e -> failwith ("mmap: " ^ Syscalls.errno_name e)));
     munmap =
-      (fun ~addr ~len ->
-        trap ();
-        ignore (Syscalls.munmap k p ~addr ~len));
+      (fun ~addr ~len -> c.syscall "munmap" (fun () -> ignore (Syscalls.munmap k p ~addr ~len)));
     mprotect =
       (fun ~addr ~len ~prot ->
-        trap ();
-        ignore (Syscalls.mprotect k p ~addr ~len ~prot));
-    brk =
-      (fun req ->
-        trap ();
-        Syscalls.brk k p req);
-    open_ =
-      (fun ~path ~flags ->
-        trap ();
-        Syscalls.openat k p ~path ~flags);
-    close =
-      (fun ~fd ->
-        trap ();
-        ignore (Syscalls.close k p ~fd));
+        c.syscall "mprotect" (fun () -> ignore (Syscalls.mprotect k p ~addr ~len ~prot)));
+    brk = (fun req -> c.syscall "brk" (fun () -> Syscalls.brk k p req));
+    open_ = (fun ~path ~flags -> c.syscall "open" (fun () -> Syscalls.openat k p ~path ~flags));
+    close = (fun ~fd -> c.syscall "close" (fun () -> ignore (Syscalls.close k p ~fd)));
     read =
       (fun ~fd ~buf ~off ~len ->
-        trap ();
-        ok_or_zero (Syscalls.read k p ~fd ~buf ~off ~len));
+        c.syscall "read" (fun () -> ok_or_zero (Syscalls.read k p ~fd ~buf ~off ~len)));
     write =
       (fun ~fd ~buf ~off ~len ->
-        trap ();
-        ok_or_zero (Syscalls.write k p ~fd ~buf ~off ~len));
-    stat =
-      (fun ~path ->
-        trap ();
-        Syscalls.stat k p ~path);
-    fstat =
-      (fun ~fd ->
-        trap ();
-        Syscalls.fstat k p ~fd);
+        c.syscall "write" (fun () -> ok_or_zero (Syscalls.write k p ~fd ~buf ~off ~len)));
+    stat = (fun ~path -> c.syscall "stat" (fun () -> Syscalls.stat k p ~path));
+    fstat = (fun ~fd -> c.syscall "fstat" (fun () -> Syscalls.fstat k p ~fd));
     lseek =
-      (fun ~fd ~pos ->
-        trap ();
-        ok_or_zero (Syscalls.lseek k p ~fd ~pos));
+      (fun ~fd ~pos -> c.syscall "lseek" (fun () -> ok_or_zero (Syscalls.lseek k p ~fd ~pos)));
     access_path =
       (fun ~path ->
-        trap ();
-        match Syscalls.access_path k p ~path with Ok () -> true | Error _ -> false);
-    getcwd =
-      (fun () ->
-        trap ();
-        Syscalls.getcwd k p);
+        c.syscall "access" (fun () ->
+            match Syscalls.access_path k p ~path with Ok () -> true | Error _ -> false));
+    getcwd = (fun () -> c.syscall "getcwd" (fun () -> Syscalls.getcwd k p));
     sigaction =
       (fun signo handler ->
-        trap ();
-        Syscalls.rt_sigaction k p ~signo ~handler);
+        c.syscall "rt_sigaction" (fun () -> Syscalls.rt_sigaction k p ~signo ~handler));
     sigprocmask =
       (fun ~block signo ->
-        trap ();
-        Syscalls.rt_sigprocmask k p ~block ~signo);
-    (* vdso fast paths: no kernel entry. *)
-    gettimeofday = (fun () -> Syscalls.gettimeofday k p);
-    getpid = (fun () -> Syscalls.getpid k p);
-    getrusage =
-      (fun () ->
-        trap ();
-        Syscalls.getrusage k p);
+        c.syscall "rt_sigprocmask" (fun () -> Syscalls.rt_sigprocmask k p ~block ~signo));
+    gettimeofday = (fun () -> c.vdso "gettimeofday" (fun () -> Syscalls.gettimeofday k p));
+    getpid = (fun () -> c.vdso "getpid" (fun () -> Syscalls.getpid k p));
+    getrusage = (fun () -> c.syscall "getrusage" (fun () -> Syscalls.getrusage k p));
     setitimer =
-      (fun ~interval_us ->
-        trap ();
-        Syscalls.setitimer k p ~interval_us);
+      (fun ~interval_us -> c.syscall "setitimer" (fun () -> Syscalls.setitimer k p ~interval_us));
     poll =
-      (fun ~fds ~timeout_ms ->
-        trap ();
-        Syscalls.poll k p ~fds ~timeout_ms);
-    nanosleep =
-      (fun ~ns ->
-        trap ();
-        Syscalls.nanosleep k p ~ns);
-    sched_yield =
-      (fun () ->
-        trap ();
-        Syscalls.sched_yield k p);
-    uname =
-      (fun () ->
-        trap ();
-        Syscalls.uname k p);
+      (fun ~fds ~timeout_ms -> c.syscall "poll" (fun () -> Syscalls.poll k p ~fds ~timeout_ms));
+    nanosleep = (fun ~ns -> c.syscall "nanosleep" (fun () -> Syscalls.nanosleep k p ~ns));
+    sched_yield = (fun () -> c.syscall "sched_yield" (fun () -> Syscalls.sched_yield k p));
+    uname = (fun () -> c.syscall "uname" (fun () -> Syscalls.uname k p));
     thread_create =
-      (fun ~name body ->
-        trap ();
-        Syscalls.clone k p ~name body);
+      (fun ~name body -> c.syscall "clone" (fun () -> Syscalls.clone k p ~name body));
     thread_join =
       (fun th ->
         (* glibc joins by futex-waiting on the thread's tid word. *)
-        trap ();
-        Kernel.count_syscall k p "futex";
-        Exec.join machine.Machine.exec th);
-    exit =
-      (fun ~code ->
-        trap ();
-        Syscalls.exit_group k p ~code);
-    execve =
-      (fun ~path ->
-        trap ();
-        Syscalls.execve k p ~path);
+        c.syscall "futex" (fun () ->
+            Kernel.count_syscall k p "futex";
+            Exec.join machine.Machine.exec th));
+    exit = (fun ~code -> c.syscall "exit_group" (fun () -> Syscalls.exit_group k p ~code));
+    execve = (fun ~path -> c.syscall "execve" (fun () -> Syscalls.execve k p ~path));
   }
+
+let native k p =
+  make ~mode_name:(if k.Kernel.virtualized then "virtual" else "native") (native_crossing k) k p

@@ -13,7 +13,10 @@
 
     This mirrors the paper's claim that "the user sees no difference
     between HRT execution and user-level execution" — the interface is
-    identical, only the wiring differs. *)
+    identical, only the wiring differs.  Here the wiring is a {!crossing}:
+    {!make} builds the one ABI over it, and the configurations differ only
+    in the crossing they pass (plus the AeroKernel overrides the
+    Multiverse runtime puts on top). *)
 
 type thread_handle = Mv_engine.Exec.thread
 
@@ -53,9 +56,30 @@ type t = {
   execve : path:string -> (unit, Mv_ros.Syscalls.errno) result;
 }
 
+type crossing = {
+  syscall : 'a. string -> (unit -> 'a) -> 'a;
+      (** [syscall name body]: enter the kernel for system call [name] and
+          run its handler [body] there. *)
+  vdso : 'a. string -> (unit -> 'a) -> 'a;
+      (** [vdso name body]: a vdso call, served without a kernel entry. *)
+  access : Mv_hw.Addr.t -> write:bool -> unit;  (** a guest memory access *)
+}
+(** How guest code reaches its kernel: the one thing that differs between
+    the modes.  The calls themselves, and the handlers they run, are the
+    same everywhere. *)
+
+val native_crossing : Mv_ros.Kernel.t -> crossing
+(** The direct-execution crossing: every system call pays one SYSCALL trap
+    into the given kernel, then runs its handler; vdso calls run in place;
+    memory accesses go through the local MMU/fault path. *)
+
+val make : mode_name:string -> crossing -> Mv_ros.Kernel.t -> Mv_ros.Process.t -> t
+(** The guest ABI over a crossing: each entry names its system call and
+    runs the {!Mv_ros.Syscalls} handler through the crossing.  This is the
+    only place the ABI's calls are listed; [work] charges compute cycles in
+    every mode. *)
+
 val native : Mv_ros.Kernel.t -> Mv_ros.Process.t -> t
-(** The direct-execution ABI: every syscall pays one SYSCALL trap into the
-    given kernel; memory accesses go through the local MMU/fault path.
-    This single constructor serves both the paper's "Native" and "Virtual"
-    rows — the difference is whether the kernel was created with
-    [~virtualized:true]. *)
+(** [make] over {!native_crossing}.  This single constructor serves both
+    the paper's "Native" and "Virtual" rows — the difference is whether
+    the kernel was created with [~virtualized:true]. *)

@@ -35,9 +35,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     If any task raises, the exception of the {e lowest} raising index is
     re-raised in the caller (after all tasks have finished). *)
 
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over a list, preserving order. *)
-
 val find_first : t -> ('a -> 'b option) -> 'a array -> (int * 'b) option
 (** [find_first t f xs] is [Some (i, r)] for the {e smallest} [i] with
     [f xs.(i) = Some r], or [None].  Deterministic: the winner is decided
@@ -47,8 +44,8 @@ val find_first : t -> ('a -> 'b option) -> 'a array -> (int * 'b) option
     counterpart; tasks below the winning index always run. *)
 
 val run : jobs:int -> (unit -> 'a) list -> 'a list
-(** One-shot convenience: create a pool, {!map_list} the thunks, shut it
-    down. *)
+(** One-shot convenience: create a pool, {!map} the thunks in order, shut
+    it down. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  The pool must be idle (no batch in

@@ -105,7 +105,6 @@ type t = {
   mutable fb_stop : bool;
   mutable fb_wakes_pending : int;  (* poller wakeups scheduled but not yet run *)
   mutable fb_endpoints : endpoint list;
-  mutable fb_inject_ep : endpoint option;
   fb_locals : (string, local_entry) Hashtbl.t;
   fb_promo : (string * string, int ref) Hashtbl.t;  (* (kind, key) -> hits *)
   mutable fb_admission : admission option;
@@ -172,7 +171,6 @@ let create ?(faults = Fault_plan.none) machine ~kind =
     fb_stop = false;
     fb_wakes_pending = 0;
     fb_endpoints = [];
-    fb_inject_ep = None;
     fb_locals = Hashtbl.create 8;
     fb_promo = Hashtbl.create 32;
     fb_admission = None;
@@ -690,7 +688,6 @@ let set_admission t ad =
   | _ -> ()
 
 let admission t = t.fb_admission
-let shed_mode t = t.fb_shed_mode
 
 let make_admission ?(policy = Shed) ?(ring_capacity = 8) ?(queue_capacity = 16)
     ?(rate = 1e-4) ?(burst = 4) ?(shed_retries = 6) () =
@@ -1115,18 +1112,6 @@ let offer t ep ?(errno_site = false) (req : Event_channel.request) =
   | Ok () ->
       route t ep ~errno_site req;
       Ok ()
-
-(* --- injection (signals) --- *)
-
-let set_inject_endpoint t ep = t.fb_inject_ep <- Some ep
-
-let inject t ?(kind = "#signal-inject") fn =
-  match t.fb_inject_ep with
-  | Some ep -> Event_channel.post ep.ep_chan { Event_channel.req_kind = kind; req_run = fn }
-  | None ->
-      (* No injection endpoint wired: deliver after an async round trip,
-         the pre-fabric HVM behavior. *)
-      sched_after t t.fb_machine.Machine.costs.Costs.async_channel_rtt fn
 
 (* --- counters --- *)
 

@@ -179,21 +179,8 @@ val set_admission : t -> admission option -> unit
 
 val admission : t -> admission option
 
-val shed_mode : t -> bool
-(** Whether the watchdog currently holds the fabric in degraded mode. *)
-
-val ring_occupancy : t -> int
-(** Largest current per-endpoint count of in-flight ring slots. *)
-
 val ring_occupancy_hw : t -> int
 (** High-water mark of per-endpoint ring occupancy since creation. *)
-
-val inject : t -> ?kind:string -> (unit -> unit) -> unit
-(** Fire-and-forget injection (safe outside thread context): posts onto
-    the dedicated injection endpoint, falling back to an async-RTT
-    delayed event when none is wired. *)
-
-val set_inject_endpoint : t -> endpoint -> unit
 
 val install_local : t -> kind:string -> ?promote_after:int -> ?cost:int -> unit -> unit
 (** Register a request kind in the promotion table: after [promote_after]

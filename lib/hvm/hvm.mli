@@ -34,10 +34,6 @@ val ros : t -> Mv_ros.Kernel.t
 val partitions : t -> Mv_hw.Partition.id list
 (** The HRT partition ids this HVM manages, ascending. *)
 
-val find_hrt : t -> Mv_hw.Partition.id -> Mv_aerokernel.Nautilus.t option
-(** The AeroKernel instance installed in a partition, if any.
-    @raise Invalid_argument on an unknown HRT partition id. *)
-
 val lend_core : t -> core:int -> dst:Mv_hw.Partition.id -> unit
 (** Move a core into partition [dst] at runtime (one [hrt_repartition]
     hypercall).  The core's run queue drains onto a sibling core of the

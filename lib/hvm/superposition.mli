@@ -22,11 +22,6 @@ val merge_address_space :
     filtering independently; neither a merge nor a re-merge in one
     partition disturbs the other's generation snapshot. *)
 
-val huge_leaves_preserved :
-  Mv_aerokernel.Nautilus.t -> Mv_ros.Process.t -> bool
-(** Do the lower halves of the process and HRT roots agree on their
-    (2M, 1G) large-leaf counts? *)
-
 val superimpose_thread_state :
   Mv_aerokernel.Nautilus.t -> Mv_ros.Process.t -> core:int -> unit
 (** Mirror the process GDT image and [%fs] base onto an HRT core, so

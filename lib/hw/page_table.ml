@@ -169,9 +169,6 @@ let walk t addr =
 
 let lookup t addr = fst (walk t addr)
 
-let leaf_size t addr =
-  match walk_sized t addr with Some (_, s), _ -> Some s | None, _ -> None
-
 let unmap t addr =
   let i4, i3, i2, i1 = indices addr in
   match get_table t.pml4 i4 with
@@ -236,9 +233,6 @@ let protect_leaf t addr ~flags =
       Some s
   | None, _ -> None
 
-let pml4_slot_present t i =
-  match t.pml4.slots.(i) with Empty -> false | Table _ | Page _ -> true
-
 let copy_lower_half ~src ~dst =
   let copied = ref 0 in
   for i = 0 to 255 do
@@ -302,9 +296,3 @@ let count_mapped t =
   let n = ref 0 in
   iter_mappings t (fun _ _ -> incr n);
   !n
-
-let count_huge t =
-  let n2m = ref 0 and n1g = ref 0 in
-  iter_leaves t (fun _ size _ ->
-      match size with S2m -> incr n2m | S1g -> incr n1g | S4k -> ());
-  (!n2m, !n1g)

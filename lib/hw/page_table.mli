@@ -76,12 +76,6 @@ val walk_sized : t -> Addr.t -> (pte * size) option * int
 
 val lookup : t -> Addr.t -> pte option
 
-val leaf_size : t -> Addr.t -> size option
-(** Granularity of the leaf covering the address, if mapped. *)
-
-val pml4_slot_present : t -> int -> bool
-(** Is top-level slot [i] populated? *)
-
 val copy_lower_half : src:t -> dst:t -> int
 (** The Multiverse merger: copy PML4 slots 0..255 from [src] to [dst]
     (sharing sub-trees).  Returns the number of populated slots copied. *)
@@ -96,10 +90,6 @@ val lower_half_generation : t -> int
 
 val count_mapped : t -> int
 (** Number of leaf mappings (of any size) reachable from this root. *)
-
-val count_huge : t -> int * int
-(** [(n_2m, n_1g)] — large leaves reachable from this root.  Used by the
-    merger to check huge leaves survive the PML4 slot copy. *)
 
 val iter_mappings : t -> (Addr.t -> pte -> unit) -> unit
 (** Visit every leaf (any size) once, with its base address. *)

@@ -36,8 +36,6 @@ val free : t -> int -> unit
 (** Return a frame.  Raises [Invalid_argument] on double free, naming the
     frame and its owning zone. *)
 
-val nzones : t -> int
-
 val fallback_order : t -> zone:int -> int list
 (** The deterministic zone search order used by {!alloc} for a given
     preferred zone: local first, then by distance, ties to lowest id. *)

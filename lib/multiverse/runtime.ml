@@ -66,18 +66,22 @@ let ep_of_self t =
         (Printf.sprintf "Multiverse: HRT thread has no fabric endpoint (%s)"
            (Exec.name self))
 
+(* Run [f] as the payload of a request that [run] ships elsewhere, and
+   return its result. *)
+let returning (type a) name (f : unit -> a) run : a =
+  let result = ref None in
+  run (fun () -> result := Some (f ()));
+  match !result with
+  | Some v -> v
+  | None -> failwith ("Multiverse: no result for " ^ name)
+
 (* Forward a typed operation through the Nautilus syscall stub; its wired
    service ships the payload over the current execution group's fabric
    endpoint, where it runs in ROS context (a pool poller, or batched into
    another call's drain).  All resilience — spurious-errno retry, channel
    timeout/backoff, Sync->Async degradation, ROS-native rerouting — lives
    in the fabric now. *)
-let forward (type a) t name (f : unit -> a) : a =
-  let result = ref None in
-  Nautilus.syscall t.the_nk ~name (fun () -> result := Some (f ()));
-  match !result with
-  | Some v -> v
-  | None -> failwith ("Multiverse.forward: no result for " ^ name)
+let forward t name f = returning name f (fun run -> Nautilus.syscall t.the_nk ~name run)
 
 (* --- Nautilus service wiring --- *)
 
@@ -317,197 +321,104 @@ let override_call t name =
       Machine.charge (machine t) entry.Override_config.ov_cost
   | None -> failwith ("Multiverse: no override entry for " ^ name)
 
-(* The hybridized program's ABI.  Split execution means the {e same} code
-   can run on either side: HRT threads forward over their group's fabric
-   endpoint, while guest code momentarily executing in ROS context (e.g. a
-   SIGSEGV handler delivered during fault replication) takes the native
-   path.  Dispatch per call site on the current core's role. *)
+(* The hybridized program's ABI: the native calls over a crossing that
+   dispatches on the current core's role.  Split execution means the
+   {e same} code can run on either side: HRT threads forward system calls
+   over their group's fabric endpoint, while guest code momentarily
+   executing in ROS context (e.g. a SIGSEGV handler delivered during fault
+   replication) takes the native path.  On top of that, the calls the
+   AeroKernel replaces are overridden. *)
 let make_env t : Mv_guest.Env.t =
-  let mach = machine t in
   let ros = t.ros and proc = t.proc in
-  let nat = Mv_guest.Env.native ros proc in
-  let ok_or_zero = function Ok n -> n | Error _ -> 0 in
+  let nat = Mv_guest.Env.native_crossing ros in
   let hrt_side () = in_hrt_context t in
-  let fwd name f = forward t name f in
+  let crossing =
+    {
+      Mv_guest.Env.syscall =
+        (fun name body -> if hrt_side () then forward t name body else nat.syscall name body);
+      (* vdso calls execute locally in the merged address space — the HRT
+         core's sparse TLB makes them slightly faster than under
+         virtualization (Figure 9).  They still route through the fabric
+         so the promotion table accounts them as local fast-path hits. *)
+      vdso =
+        (fun name body ->
+          if hrt_side () then
+            returning name body (fun req_run ->
+                Fabric.call t.the_fabric (ep_of_self t)
+                  { Event_channel.req_kind = name; req_run })
+          else nat.vdso name body);
+      access =
+        (fun addr ~write ->
+          if hrt_side () then Nautilus.access t.the_nk addr ~write
+          else nat.access addr ~write);
+    }
+  in
+  let base = Mv_guest.Env.make ~mode_name:"multiverse" crossing ros proc in
+  (* A ported call runs in HRT context behind its override wrapper, as the
+     AeroKernel variant [nk]; in ROS context it is the plain call. *)
+  let port ~legacy ~nk ported plain =
+    if hrt_side () then begin
+      override_call t legacy;
+      Kernel.count_syscall ros proc nk;
+      ported ()
+    end
+    else plain ()
+  in
+  let env =
+    if not t.porting.port_mmap then base
+    else
+      {
+        base with
+        mmap =
+          (fun ~len ~prot ~kind ->
+            port ~legacy:"mmap" ~nk:"nk_mmap"
+              (fun () -> Mm.mmap proc.Process.mm ~len ~prot ~kind)
+              (fun () -> base.mmap ~len ~prot ~kind));
+        munmap =
+          (fun ~addr ~len ->
+            port ~legacy:"munmap" ~nk:"nk_munmap"
+              (fun () -> ignore (Mm.munmap proc.Process.mm addr ~len))
+              (fun () -> base.munmap ~addr ~len));
+        mprotect =
+          (fun ~addr ~len ~prot ->
+            port ~legacy:"mprotect" ~nk:"nk_mprotect"
+              (fun () -> ignore (Mm.mprotect proc.Process.mm addr ~len prot))
+              (fun () -> base.mprotect ~addr ~len ~prot));
+      }
+  in
+  let env =
+    if not t.porting.port_signals then env
+    else
+      {
+        env with
+        sigaction =
+          (fun signo handler ->
+            port ~legacy:"rt_sigaction" ~nk:"nk_sigaction"
+              (fun () -> Signal.set_action t.nk_signals signo handler)
+              (fun () -> base.sigaction signo handler));
+        sigprocmask =
+          (fun ~block signo ->
+            port ~legacy:"rt_sigprocmask" ~nk:"nk_sigprocmask"
+              (fun () ->
+                if block then Signal.block t.nk_signals signo
+                else Signal.unblock t.nk_signals signo)
+              (fun () -> base.sigprocmask ~block signo));
+      }
+  in
   {
-    Mv_guest.Env.mode_name = "multiverse";
-    kernel = ros;
-    proc;
-    work = (fun c -> Machine.charge mach c);
-    touch =
-      (fun addr ->
-        if hrt_side () then Nautilus.access t.the_nk addr ~write:false
-        else nat.Mv_guest.Env.touch addr);
-    store =
-      (fun addr ->
-        if hrt_side () then Nautilus.access t.the_nk addr ~write:true
-        else nat.Mv_guest.Env.store addr);
-    mmap =
-      (fun ~len ~prot ~kind ->
-        if not (hrt_side ()) then nat.Mv_guest.Env.mmap ~len ~prot ~kind
-        else if t.porting.port_mmap then begin
-          override_call t "mmap";
-          Kernel.count_syscall ros proc "nk_mmap";
-          Mm.mmap proc.Process.mm ~len ~prot ~kind
-        end
-        else
-          fwd "mmap" (fun () ->
-              match Syscalls.mmap ros proc ~len ~prot ~kind with
-              | Ok a -> a
-              | Error e -> failwith ("mmap: " ^ Syscalls.errno_name e)));
-    munmap =
-      (fun ~addr ~len ->
-        if not (hrt_side ()) then nat.Mv_guest.Env.munmap ~addr ~len
-        else if t.porting.port_mmap then begin
-          override_call t "munmap";
-          Kernel.count_syscall ros proc "nk_munmap";
-          ignore (Mm.munmap proc.Process.mm addr ~len)
-        end
-        else fwd "munmap" (fun () -> ignore (Syscalls.munmap ros proc ~addr ~len)));
-    mprotect =
-      (fun ~addr ~len ~prot ->
-        if not (hrt_side ()) then nat.Mv_guest.Env.mprotect ~addr ~len ~prot
-        else if t.porting.port_mmap then begin
-          override_call t "mprotect";
-          Kernel.count_syscall ros proc "nk_mprotect";
-          ignore (Mm.mprotect proc.Process.mm addr ~len prot)
-        end
-        else
-          fwd "mprotect" (fun () -> ignore (Syscalls.mprotect ros proc ~addr ~len ~prot)));
-    brk =
-      (fun req ->
-        if hrt_side () then fwd "brk" (fun () -> Syscalls.brk ros proc req)
-        else nat.Mv_guest.Env.brk req);
-    open_ =
-      (fun ~path ~flags ->
-        if hrt_side () then fwd "open" (fun () -> Syscalls.openat ros proc ~path ~flags)
-        else nat.Mv_guest.Env.open_ ~path ~flags);
-    close =
-      (fun ~fd ->
-        if hrt_side () then fwd "close" (fun () -> ignore (Syscalls.close ros proc ~fd))
-        else nat.Mv_guest.Env.close ~fd);
-    read =
-      (fun ~fd ~buf ~off ~len ->
-        if hrt_side () then
-          fwd "read" (fun () -> ok_or_zero (Syscalls.read ros proc ~fd ~buf ~off ~len))
-        else nat.Mv_guest.Env.read ~fd ~buf ~off ~len);
-    write =
-      (fun ~fd ~buf ~off ~len ->
-        if hrt_side () then
-          fwd "write" (fun () -> ok_or_zero (Syscalls.write ros proc ~fd ~buf ~off ~len))
-        else nat.Mv_guest.Env.write ~fd ~buf ~off ~len);
-    stat =
-      (fun ~path ->
-        if hrt_side () then fwd "stat" (fun () -> Syscalls.stat ros proc ~path)
-        else nat.Mv_guest.Env.stat ~path);
-    fstat =
-      (fun ~fd ->
-        if hrt_side () then fwd "fstat" (fun () -> Syscalls.fstat ros proc ~fd)
-        else nat.Mv_guest.Env.fstat ~fd);
-    lseek =
-      (fun ~fd ~pos ->
-        if hrt_side () then
-          fwd "lseek" (fun () -> ok_or_zero (Syscalls.lseek ros proc ~fd ~pos))
-        else nat.Mv_guest.Env.lseek ~fd ~pos);
-    access_path =
-      (fun ~path ->
-        if hrt_side () then
-          fwd "access" (fun () ->
-              match Syscalls.access_path ros proc ~path with Ok () -> true | Error _ -> false)
-        else nat.Mv_guest.Env.access_path ~path);
-    getcwd =
-      (fun () ->
-        if hrt_side () then fwd "getcwd" (fun () -> Syscalls.getcwd ros proc)
-        else nat.Mv_guest.Env.getcwd ());
-    sigaction =
-      (fun signo handler ->
-        if not (hrt_side ()) then nat.Mv_guest.Env.sigaction signo handler
-        else if t.porting.port_signals then begin
-          override_call t "rt_sigaction";
-          Kernel.count_syscall ros proc "nk_sigaction";
-          Signal.set_action t.nk_signals signo handler
-        end
-        else fwd "rt_sigaction" (fun () -> Syscalls.rt_sigaction ros proc ~signo ~handler));
-    sigprocmask =
-      (fun ~block signo ->
-        if not (hrt_side ()) then nat.Mv_guest.Env.sigprocmask ~block signo
-        else if t.porting.port_signals then begin
-          Kernel.count_syscall ros proc "nk_sigprocmask";
-          if block then Signal.block t.nk_signals signo
-          else Signal.unblock t.nk_signals signo
-        end
-        else fwd "rt_sigprocmask" (fun () -> Syscalls.rt_sigprocmask ros proc ~block ~signo));
-    (* vdso calls execute locally in the merged address space — the HRT
-       core's sparse TLB makes them slightly faster than under
-       virtualization (Figure 9).  They still route through the fabric so
-       the promotion table accounts them as local fast-path hits. *)
-    gettimeofday =
-      (fun () ->
-        if hrt_side () then begin
-          let r = ref 0. in
-          Fabric.call t.the_fabric (ep_of_self t)
-            {
-              Event_channel.req_kind = "gettimeofday";
-              req_run = (fun () -> r := Syscalls.gettimeofday ros proc);
-            };
-          !r
-        end
-        else Syscalls.gettimeofday ros proc);
-    getpid =
-      (fun () ->
-        if hrt_side () then begin
-          let r = ref 0 in
-          Fabric.call t.the_fabric (ep_of_self t)
-            {
-              Event_channel.req_kind = "getpid";
-              req_run = (fun () -> r := Syscalls.getpid ros proc);
-            };
-          !r
-        end
-        else Syscalls.getpid ros proc);
-    getrusage =
-      (fun () ->
-        if hrt_side () then fwd "getrusage" (fun () -> Syscalls.getrusage ros proc)
-        else nat.Mv_guest.Env.getrusage ());
-    setitimer =
-      (fun ~interval_us ->
-        if hrt_side () then
-          fwd "setitimer" (fun () -> Syscalls.setitimer ros proc ~interval_us)
-        else nat.Mv_guest.Env.setitimer ~interval_us);
-    poll =
-      (fun ~fds ~timeout_ms ->
-        if hrt_side () then fwd "poll" (fun () -> Syscalls.poll ros proc ~fds ~timeout_ms)
-        else nat.Mv_guest.Env.poll ~fds ~timeout_ms);
-    nanosleep =
-      (fun ~ns ->
-        if hrt_side () then fwd "nanosleep" (fun () -> Syscalls.nanosleep ros proc ~ns)
-        else nat.Mv_guest.Env.nanosleep ~ns);
-    sched_yield =
-      (fun () ->
-        if hrt_side () then fwd "sched_yield" (fun () -> Syscalls.sched_yield ros proc)
-        else nat.Mv_guest.Env.sched_yield ());
-    uname =
-      (fun () ->
-        if hrt_side () then fwd "uname" (fun () -> Syscalls.uname ros proc)
-        else nat.Mv_guest.Env.uname ());
+    env with
+    (* Default override: pthread_create -> AeroKernel thread creation via
+       a fresh execution group (paper, Figure 5). *)
     thread_create =
       (fun ~name body ->
-        (* Default override: pthread_create -> AeroKernel thread creation
-           via a fresh execution group (paper, Figure 5). *)
         override_call t "pthread_create";
         hrt_invoke t ~name (fun _env -> body ()));
     thread_join =
       (fun partner ->
         override_call t "pthread_join";
         join t partner);
-    exit =
-      (fun ~code ->
-        if hrt_side () then fwd "exit_group" (fun () -> Syscalls.exit_group ros proc ~code)
-        else nat.Mv_guest.Env.exit ~code);
     execve =
-      (fun ~path ->
-        if hrt_side () then raise (Disallowed "execve")
-        else nat.Mv_guest.Env.execve ~path);
+      (fun ~path -> if hrt_side () then raise (Disallowed "execve") else base.execve ~path);
   }
 
 (* --- initialization (paper, Section 3.5) --- *)
@@ -626,8 +537,11 @@ let init ~hvm ~proc ~fat ~nk ?(channel_kind = Event_channel.Async)
     Fabric.endpoint fabric ~name:"signals" ~ros_core:(List.hd ros_cores)
       ~hrt_core:(List.hd (Topology.cores_of mach.Machine.topo t.part))
   in
-  Fabric.set_inject_endpoint fabric inject_ep;
-  Hvm.set_signal_transport hvm (Some (fun fn -> Fabric.inject fabric fn));
+  Hvm.set_signal_transport hvm
+    (Some
+       (fun fn ->
+         Event_channel.post (Fabric.channel inject_ep)
+           { Event_channel.req_kind = "#signal-inject"; req_run = fn }));
   (* Elastic partitioning: when a core this fabric routes through is lent
      away (or reclaimed), re-home the endpoint bindings that referenced
      it.  Replacement cores are the first remaining ROS core for the

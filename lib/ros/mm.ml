@@ -4,7 +4,6 @@ module IntMap = Map.Make (Int)
 
 type prot = { pr_read : bool; pr_write : bool; pr_exec : bool }
 
-let prot_none = { pr_read = false; pr_write = false; pr_exec = false }
 let prot_r = { pr_read = true; pr_write = false; pr_exec = false }
 let prot_rw = { pr_read = true; pr_write = true; pr_exec = false }
 let prot_rx = { pr_read = true; pr_write = false; pr_exec = true }
@@ -395,7 +394,6 @@ let stats_huge_promotions t = t.n_huge_promotions
 let stats_huge_splits t = t.n_huge_splits
 let stats_shootdowns t = t.n_shootdowns
 let stats_shootdown_cycles t = t.shootdown_cycles
-let huge_resident_chunks t = Hashtbl.length t.huge_chunks
 
 let release t =
   let heads = Hashtbl.fold (fun head _ acc -> head :: acc) t.huge_chunks [] in

@@ -8,7 +8,6 @@
 
 type prot = { pr_read : bool; pr_write : bool; pr_exec : bool }
 
-val prot_none : prot
 val prot_r : prot
 val prot_rw : prot
 val prot_rx : prot
@@ -77,7 +76,6 @@ val stats_huge_promotions : t -> int
 val stats_huge_splits : t -> int
 val stats_shootdowns : t -> int
 val stats_shootdown_cycles : t -> int
-val huge_resident_chunks : t -> int
 
 val release : t -> unit
 (** Free every resident frame (process teardown). *)

@@ -32,5 +32,4 @@ val alloc_fd : t -> Vfs.node -> path:string -> int
 val fd : t -> int -> fd_entry option
 val close_fd : t -> int -> bool
 val stdout_contents : t -> string
-val stack_top : Mv_hw.Addr.t
 val add_exit_hook : t -> (t -> unit) -> unit

@@ -15,10 +15,9 @@ type handler = Default | Ignore | Handler of (siginfo -> unit)
 type t = {
   actions : (signo, handler) Hashtbl.t;
   mutable blocked : signo list;
-  mutable pending : siginfo list;  (* oldest first *)
 }
 
-let create () = { actions = Hashtbl.create 8; blocked = []; pending = [] }
+let create () = { actions = Hashtbl.create 8; blocked = [] }
 
 let set_action t signo h = Hashtbl.replace t.actions signo h
 
@@ -30,18 +29,3 @@ let registered t signo =
 
 let block t signo = if not (List.mem signo t.blocked) then t.blocked <- signo :: t.blocked
 let unblock t signo = t.blocked <- List.filter (fun s -> s <> signo) t.blocked
-let is_blocked t signo = List.mem signo t.blocked
-
-let push_pending t info = t.pending <- t.pending @ [ info ]
-
-let take_pending t =
-  let rec split acc = function
-    | [] -> None
-    | info :: rest ->
-        if is_blocked t info.si_signo then split (info :: acc) rest
-        else begin
-          t.pending <- List.rev_append acc rest;
-          Some info
-        end
-  in
-  split [] t.pending

@@ -29,7 +29,3 @@ val registered : t -> signo -> bool
 
 val block : t -> signo -> unit
 val unblock : t -> signo -> unit
-val is_blocked : t -> signo -> bool
-val push_pending : t -> siginfo -> unit
-val take_pending : t -> siginfo option
-(** Earliest pending unblocked signal, if any. *)

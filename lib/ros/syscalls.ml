@@ -25,8 +25,6 @@ let c_stat = 900
 let c_lseek = 300
 let c_access = 750
 let c_getcwd = 500
-let c_ioctl = 500
-let c_readlink = 650
 let c_mmap = 950
 let c_munmap = 900
 let c_mprotect = 750
@@ -184,16 +182,6 @@ let getcwd k p =
   enter k p "getcwd" c_getcwd;
   p.Process.cwd
 
-let ioctl k p ~fd ~req:_ =
-  enter k p "ioctl" c_ioctl;
-  match Process.fd p fd with None -> Error EBADF | Some _ -> Ok 0
-
-let readlink k p ~path =
-  enter k p "readlink" c_readlink;
-  match Vfs.resolve k.Kernel.vfs ~cwd:p.Process.cwd path with
-  | Some _ -> Error EINVAL  (* we have no symlinks *)
-  | None -> Error ENOENT
-
 (* --- memory --- *)
 
 let mmap k p ~len ~prot ~kind =
@@ -257,10 +245,6 @@ let vdso k p name =
 
 let gettimeofday k p =
   vdso k p "gettimeofday";
-  Kernel.wall_seconds k
-
-let clock_gettime k p =
-  vdso k p "clock_gettime";
   Kernel.wall_seconds k
 
 let getpid k p =

@@ -8,8 +8,8 @@
     event-channel round trip (paper, Figure 9) — so these handlers can be
     invoked locally or from a forwarding partner thread unchanged.
 
-    The vdso calls ([getpid], [gettimeofday], [clock_gettime]) are the
-    exception: they run entirely in user space (paper, Section 5). *)
+    The vdso calls ([getpid], [gettimeofday]) are the exception: they run
+    entirely in user space (paper, Section 5). *)
 
 type errno = ENOENT | EBADF | EINVAL | ENOSYS | ENOTDIR | EAGAIN
 
@@ -36,8 +36,6 @@ val fstat : Kernel.t -> Process.t -> fd:int -> (stat_info, errno) result
 val lseek : Kernel.t -> Process.t -> fd:int -> pos:int -> (int, errno) result
 val access_path : Kernel.t -> Process.t -> path:string -> (unit, errno) result
 val getcwd : Kernel.t -> Process.t -> string
-val ioctl : Kernel.t -> Process.t -> fd:int -> req:int -> (int, errno) result
-val readlink : Kernel.t -> Process.t -> path:string -> (string, errno) result
 
 (** {1 Memory} *)
 
@@ -55,9 +53,6 @@ val rt_sigprocmask : Kernel.t -> Process.t -> block:bool -> signo:Signal.signo -
 
 val gettimeofday : Kernel.t -> Process.t -> float
 (** vdso fast path: charged as user time, no kernel entry. *)
-
-val clock_gettime : Kernel.t -> Process.t -> float
-(** vdso fast path. *)
 
 val getpid : Kernel.t -> Process.t -> int
 (** vdso-style fast path (matching the paper's Figure 9 grouping). *)

@@ -28,6 +28,3 @@ val to_sec : t -> float
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering: cycles with a time equivalent, e.g.
     ["25000 cyc (11.4 us)"]. *)
-
-val pp_time : Format.formatter -> t -> unit
-(** Time-only rendering with an auto-selected unit, e.g. ["1.5 us"]. *)

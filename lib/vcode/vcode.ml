@@ -43,8 +43,6 @@ type program = {
   funcs : (string, int) Hashtbl.t;  (* name -> entry pc *)
 }
 
-let instruction_count p = Array.length p.instrs
-
 (* --- parser --- *)
 
 let strip_comment line =
@@ -182,13 +180,11 @@ let parse text =
 type t = {
   pool : Mv_parallel.Pool.t option;
   charge : int -> unit;
-  mutable n_ops : int;
   mutable n_elems : int;
 }
 
-let create ?pool ~charge () = { pool; charge; n_ops = 0; n_elems = 0 }
+let create ?pool ~charge () = { pool; charge; n_elems = 0 }
 
-let ops_executed t = t.n_ops
 let elements_processed t = t.n_elems
 
 let cycles_per_elem = 4
@@ -465,7 +461,6 @@ let run t program ?(entry = "main") initial_stack =
     if !pc >= Array.length program.instrs then err "fell off the end of the program";
     let instr = program.instrs.(!pc) in
     incr pc;
-    t.n_ops <- t.n_ops + 1;
     t.charge 14;  (* dispatch *)
     match instr with
     | I_const v -> push v

@@ -39,8 +39,6 @@ val parse : string -> program
 (** Assemble a program.  @raise Vcode_error on syntax errors (unknown
     opcode, unbalanced IF/ENDIF, duplicate or missing FUNC). *)
 
-val instruction_count : program -> int
-
 (** {1 Execution} *)
 
 type t
@@ -55,7 +53,6 @@ val run : t -> program -> ?entry:string -> value list -> value list
     @raise Vcode_error on dynamic errors (type/length mismatches, stack
     underflow, unbounded recursion). *)
 
-val ops_executed : t -> int
 val elements_processed : t -> int
 
 (** {1 Helpers} *)

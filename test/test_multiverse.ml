@@ -10,8 +10,10 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* A small test program exercising the ABI: output, files, memory,
-   signals-by-protection, and getpid/gettimeofday. *)
+(* A small test program exercising the whole ABI: output, files, memory,
+   signals-by-protection, timers, scheduling, and the vdso calls.  It
+   prints every result a call returns, so [expected_stdout] pins what each
+   entry does in every mode. *)
 let test_program =
   {
     Toolchain.prog_name = "abi-exerciser";
@@ -44,6 +46,32 @@ let test_program =
         (match env.Env.stat ~path:"/tmp/out.txt" with
         | Ok st -> Libc.printf libc "size=%d\n" st.Mv_ros.Syscalls.st_size
         | Error _ -> Libc.printf libc "stat failed\n");
+        (match env.Env.open_ ~path:"/tmp/out.txt" ~flags:Mv_ros.Syscalls.[ O_RDONLY ] with
+        | Ok fd ->
+            (match env.Env.fstat ~fd with
+            | Ok st -> Libc.printf libc "fstat size=%d\n" st.Mv_ros.Syscalls.st_size
+            | Error _ -> Libc.printf libc "fstat failed\n");
+            Libc.printf libc "lseek=%d\n" (env.Env.lseek ~fd ~pos:3);
+            let buf = Bytes.create 16 in
+            let n = env.Env.read ~fd ~buf ~off:0 ~len:16 in
+            Libc.printf libc "read=%s\n" (Bytes.sub_string buf 0 n);
+            Libc.printf libc "poll ready=%d\n" (env.Env.poll ~fds:[ fd ] ~timeout_ms:0);
+            env.Env.close ~fd
+        | Error _ -> Libc.printf libc "reopen failed\n");
+        Libc.printf libc "access=%b,%b\n"
+          (env.Env.access_path ~path:"/tmp/out.txt")
+          (env.Env.access_path ~path:"/tmp/missing");
+        Libc.printf libc "cwd=%s\n" (env.Env.getcwd ());
+        Libc.printf libc "uname=%s\n" (env.Env.uname ());
+        (* signal mask, timers, scheduling, a plain read access *)
+        env.Env.sigprocmask ~block:true Mv_ros.Signal.Sigusr1;
+        env.Env.sigprocmask ~block:false Mv_ros.Signal.Sigusr1;
+        env.Env.setitimer ~interval_us:1000;
+        env.Env.nanosleep ~ns:1000.;
+        env.Env.sched_yield ();
+        env.Env.touch (addr + 4096);
+        let ru = env.Env.getrusage () in
+        Libc.printf libc "faults counted=%b\n" (ru.Mv_ros.Rusage.minflt > 0);
         env.Env.munmap ~addr ~len:8192;
         let t0 = env.Env.gettimeofday () in
         env.Env.work 22_000;
@@ -52,7 +80,10 @@ let test_program =
         Libc.flush_all libc)
   }
 
-let expected_stdout = "hello pid=1\nbarrier hits=1\nsize=9\ntime advanced=true\n"
+let expected_stdout =
+  "hello pid=1\nbarrier hits=1\nsize=9\nfstat size=9\nlseek=3\nread=sisted\npoll ready=1\n\
+   access=true,false\ncwd=/\nuname=Linux mv-ros 2.6.38-rc5+ x86_64\nfaults counted=true\n\
+   time advanced=true\n"
 
 let test_native_run () =
   let rs = Toolchain.run_native test_program in
@@ -82,6 +113,33 @@ let test_multiverse_run () =
       check_bool "faults were forwarded" true
         (Mv_aerokernel.Nautilus.stats_faults_forwarded nk > 0)
 
+(* The kernel-visible half of the transparency claim, over the whole
+   syscall histogram: a virtual run counts exactly what the native run
+   counts, and a Multiverse run adds only the runtime's own calls — one
+   mmap/munmap pair per execution group (the ROS-side HRT stack) and one
+   signal registration at init. *)
+let check_syscalls_agree ~what rs_n rs_v rs_m =
+  let groups =
+    match rs_m.Toolchain.rs_runtime with
+    | Some rt -> Runtime.groups_created rt
+    | None -> Alcotest.fail "no runtime"
+  in
+  let runtime_own = function "mmap" | "munmap" -> groups | "rt_sigaction" -> 1 | _ -> 0 in
+  let names =
+    List.concat_map
+      (fun rs -> List.map fst (H.to_sorted_list rs.Toolchain.rs_syscalls))
+      [ rs_n; rs_v; rs_m ]
+    |> List.sort_uniq String.compare
+  in
+  let counts ?(plus = fun _ -> 0) rs =
+    List.map (fun name -> (name, H.count rs.Toolchain.rs_syscalls name + plus name)) names
+  in
+  let histogram = Alcotest.(list (pair string int)) in
+  Alcotest.check histogram (what ^ ": virtual syscalls = native") (counts rs_n) (counts rs_v);
+  Alcotest.check histogram
+    (what ^ ": multiverse syscalls = native + the runtime's own")
+    (counts ~plus:runtime_own rs_n) (counts rs_m)
+
 let test_modes_agree () =
   (* The paper's core claim: the user sees no difference.  stdout and the
      kernel-visible syscall mix must match across all three modes. *)
@@ -91,26 +149,40 @@ let test_modes_agree () =
   let rs_m = Toolchain.run_multiverse hx in
   check_string "native = virtual" rs_n.Toolchain.rs_stdout rs_v.Toolchain.rs_stdout;
   check_string "native = multiverse" rs_n.Toolchain.rs_stdout rs_m.Toolchain.rs_stdout;
-  let count rs name = H.count rs.Toolchain.rs_syscalls name in
-  (* Application-driven syscalls match exactly... *)
+  check_syscalls_agree ~what:"abi-exerciser" rs_n rs_v rs_m
+
+let test_crossings_name_syscalls () =
+  (* Every fabric crossing of a guest call is named after the system call
+     it carries: in a traced run, each [fwd:NAME] span that is not one of
+     the runtime's own [#...] kinds names a call the kernel counted, and
+     every call the exerciser forwards shows up as a crossing. *)
+  let hx = Toolchain.hybridize test_program in
+  let rs = Toolchain.run_multiverse ~trace:true hx in
+  let crossings =
+    Mv_obs.Tracer.spans rs.Toolchain.rs_machine.Mv_engine.Machine.obs
+    |> List.filter_map (fun sp ->
+           let name = sp.Mv_obs.Tracer.sp_name in
+           if sp.Mv_obs.Tracer.sp_cat = "crossing" && String.starts_with ~prefix:"fwd:" name
+           then Some (String.sub name 4 (String.length name - 4))
+           else None)
+    |> List.sort_uniq String.compare
+  in
   List.iter
     (fun name ->
-      check_int
-        (Printf.sprintf "syscall %s count matches natively/multiverse" name)
-        (count rs_n name) (count rs_m name))
-    [ "mprotect"; "open"; "close"; "stat" ];
-  (* ...while the Multiverse runtime itself adds exactly one mmap/munmap
-     pair per execution group (the ROS-side HRT stack) and one signal
-     registration at init. *)
-  let groups =
-    match rs_m.Toolchain.rs_runtime with
-    | Some rt -> Runtime.groups_created rt
-    | None -> Alcotest.fail "no runtime"
-  in
-  check_int "mmap adds one per group" (count rs_n "mmap" + groups) (count rs_m "mmap");
-  check_int "munmap adds one per group" (count rs_n "munmap" + groups) (count rs_m "munmap");
-  check_int "one extra rt_sigaction from init" (count rs_n "rt_sigaction" + 1)
-    (count rs_m "rt_sigaction")
+      if name.[0] <> '#' then
+        check_bool
+          (Printf.sprintf "crossing fwd:%s names a counted syscall" name)
+          true
+          (H.count rs.Toolchain.rs_syscalls name > 0))
+    crossings;
+  List.iter
+    (fun name ->
+      check_bool (Printf.sprintf "%s crossed the fabric" name) true (List.mem name crossings))
+    [
+      "getpid"; "brk"; "mmap"; "rt_sigaction"; "mprotect"; "open"; "write"; "close"; "stat";
+      "fstat"; "lseek"; "read"; "poll"; "access"; "getcwd"; "uname"; "rt_sigprocmask";
+      "setitimer"; "nanosleep"; "sched_yield"; "getrusage"; "munmap"; "gettimeofday";
+    ]
 
 let fault_trace rs =
   Mv_engine.Trace.records_in rs.Toolchain.rs_machine.Mv_engine.Machine.trace
@@ -268,6 +340,37 @@ let test_porting_speeds_up () =
   | Some rt -> check_bool "faults served locally" true (Runtime.faults_serviced_locally rt > 0)
   | None -> Alcotest.fail "no runtime"
 
+let test_ported_calls_run_overrides () =
+  (* Under full porting, every ported call made from HRT context goes
+     through its AeroKernel override wrapper exactly once. *)
+  let options = { Toolchain.default_mv_options with mv_porting = Runtime.full_porting } in
+  let steps = ref [] in
+  ignore
+    (Toolchain.run_accelerator ~options ~name:"ported" (fun ~ros_env:_ ~rt ->
+         let partner =
+           Runtime.hrt_invoke rt ~name:"hrt" (fun env ->
+               let open Mv_guest.Env in
+               let step name f =
+                 let before = Runtime.overridden_calls rt in
+                 f ();
+                 steps := (name, Runtime.overridden_calls rt - before) :: !steps
+               in
+               let addr = ref 0 in
+               step "mmap" (fun () ->
+                   addr := env.mmap ~len:8192 ~prot:Mv_ros.Mm.prot_rw ~kind:"test");
+               step "mprotect" (fun () ->
+                   env.mprotect ~addr:!addr ~len:4096 ~prot:Mv_ros.Mm.prot_r);
+               step "munmap" (fun () -> env.munmap ~addr:!addr ~len:8192);
+               step "sigaction" (fun () ->
+                   env.sigaction Mv_ros.Signal.Sigusr1 Mv_ros.Signal.Ignore);
+               step "sigprocmask" (fun () -> env.sigprocmask ~block:true Mv_ros.Signal.Sigusr1))
+         in
+         Runtime.join rt partner));
+  Alcotest.(check (list (pair string int)))
+    "one override per ported call"
+    [ ("mmap", 1); ("mprotect", 1); ("munmap", 1); ("sigaction", 1); ("sigprocmask", 1) ]
+    (List.rev !steps)
+
 let test_stdin_roundtrip () =
   let prog =
     {
@@ -344,6 +447,7 @@ let suite =
     ("virtual run (vm exits)", `Quick, test_virtual_run);
     ("multiverse run (forwarding)", `Quick, test_multiverse_run);
     ("all modes behave identically", `Quick, test_modes_agree);
+    ("crossings name the syscalls they carry", `Quick, test_crossings_name_syscalls);
     ("page-fault traces identical", `Quick, test_fault_traces_identical);
     ("multiverse pays forwarding overhead", `Quick, test_multiverse_slower_but_same_work);
     ("execve disallowed in HRT", `Quick, test_execve_disallowed);
@@ -352,6 +456,7 @@ let suite =
     ("symbol cache ablation hooks", `Quick, test_symbol_cache_ablation);
     ("sync vs async channels", `Quick, test_channel_kinds);
     ("incremental porting speeds up", `Quick, test_porting_speeds_up);
+    ("ported calls run their overrides", `Quick, test_ported_calls_run_overrides);
     ("stdin via forwarded read", `Quick, test_stdin_roundtrip);
     ("nested HRT threads (Figure 7)", `Quick, test_nested_hrt_threads);
     ("nested creation outside HRT rejected", `Quick, test_nested_outside_hrt_rejected);

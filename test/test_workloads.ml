@@ -118,20 +118,47 @@ let test_fasta_write_profile () =
   check_bool "more writes than fannkuch" true
     (writes > H.count rs_fk.Toolchain.rs_syscalls "write")
 
-let test_multiverse_equivalence_small () =
-  (* The hybridized runtime must behave identically on a full benchmark:
-     the headline claim of the paper, end to end. *)
+(* The hybridized runtime must behave identically on every benchmark, the
+   headline claim of the paper end to end: in all three modes the same
+   stdout, the same exit code, and the same syscall histogram up to the
+   runtime's own calls. *)
+let check_equivalence ?machine () =
   List.iter
-    (fun name ->
-      let b = Benchmarks.find name in
+    (fun b ->
+      let name = b.Benchmarks.b_name in
       let prog = Benchmarks.program b ~n:b.Benchmarks.b_test_n in
-      let rs_n = Toolchain.run_native prog in
-      let rs_m = Toolchain.run_multiverse (Toolchain.hybridize prog) in
-      check_string (name ^ " output identical") rs_n.Toolchain.rs_stdout
-        rs_m.Toolchain.rs_stdout;
+      let rs_n = Toolchain.run_native ?machine prog in
+      let rs_v = Toolchain.run_virtual ?machine prog in
+      let rs_m = Toolchain.run_multiverse ?machine (Toolchain.hybridize prog) in
+      List.iter
+        (fun rs ->
+          let mode = rs.Toolchain.rs_mode in
+          check_string (name ^ " " ^ mode ^ " output identical") rs_n.Toolchain.rs_stdout
+            rs.Toolchain.rs_stdout;
+          check_int (name ^ " " ^ mode ^ " exit code") 0 rs.Toolchain.rs_exit_code)
+        [ rs_n; rs_v; rs_m ];
+      Test_multiverse.check_syscalls_agree ~what:name rs_n rs_v rs_m;
       check_bool (name ^ " multiverse slower") true
         (rs_m.Toolchain.rs_wall_cycles > rs_n.Toolchain.rs_wall_cycles))
-    [ "binary-tree-2"; "fannkuch-redux" ]
+    Benchmarks.all
+
+let test_multiverse_equivalence_small () = check_equivalence ()
+
+let test_multiverse_equivalence_machines () =
+  (* The same on a bigger box with two HRT partitions and 4 KiB pages
+     only, and on the reference box with work stealing on. *)
+  let open Mv_engine.Machine in
+  check_equivalence
+    ~machine:
+      {
+        default_config with
+        sockets = 4;
+        cores_per_socket = 8;
+        partitions = [ 2; 1 ];
+        huge_pages = false;
+      }
+    ();
+  check_equivalence ~machine:{ default_config with work_stealing = true } ()
 
 let test_runtime_ordering () =
   (* Figure 13's ordering for a GC-heavy benchmark: native <= virtual <
@@ -227,7 +254,8 @@ let suite =
     ("mandelbrot-2: P4 bitmap", `Quick, test_mandelbrot_output);
     ("binary-tree-2: GC syscall profile (Fig 12)", `Slow, test_gc_heavy_profile);
     ("fasta: write-dominated profile (Fig 10)", `Quick, test_fasta_write_profile);
-    ("multiverse equivalence on benchmarks", `Slow, test_multiverse_equivalence_small);
+    ("multiverse equivalence on benchmarks", `Quick, test_multiverse_equivalence_small);
+    ("multiverse equivalence on other machines", `Slow, test_multiverse_equivalence_machines);
     ("native <= virtual < multiverse (Fig 13)", `Quick, test_runtime_ordering);
     ("simulation is deterministic", `Quick, test_determinism);
     ("loadgen: open-loop smoke, admission off", `Quick, test_loadgen_smoke);
