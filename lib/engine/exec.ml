@@ -370,7 +370,7 @@ and poke_thieves t ~owner ~at =
           t.cpus
 
 and request_dispatch t cpu ~at =
-  let at = max at (max cpu.c_busy_until (Sim.now t.sim)) in
+  let at = Int.max at (Int.max cpu.c_busy_until (Sim.now t.sim)) in
   if cpu.c_dispatch_armed_at < 0 || at < cpu.c_dispatch_armed_at then begin
     cpu.c_dispatch_armed_at <- at;
     (* The callback is shared across arms (allocated on the cpu record the
@@ -395,7 +395,7 @@ and run_segment t cpu th =
   in
   cpu.c_last_tid <- th.t_id;
   th.t_state <- Running;
-  th.t_seg_start <- max (Sim.now t.sim) cpu.c_busy_until + switch;
+  th.t_seg_start <- Int.max (Sim.now t.sim) cpu.c_busy_until + switch;
   th.t_charge <- 0;
   th.t_slice_base <- 0;
   t.current <- th.t_some;
@@ -438,14 +438,14 @@ and make_runnable t th ~at =
   | Running | Ready -> failwith "Exec: waking a thread that is not blocked"
   | Blocked _ ->
       th.t_state <- Ready;
-      enqueue_at t th ~at:(max at th.t_block_end)
+      enqueue_at t th ~at:(Int.max at th.t_block_end)
 
 (* The run queue must only ever hold threads that are eligible to run {e at
    the current virtual time}; otherwise a dispatch event scheduled for an
    earlier time could start a thread before its wake time.  So the enqueue
    itself is a timed event. *)
 and enqueue_at t th ~at =
-  let at = max at (Sim.now t.sim) in
+  let at = Int.max at (Sim.now t.sim) in
   (* Shared across wakes: the event fires exactly at its scheduled time,
      so [Sim.now] stands in for the captured [at]. *)
   if th.t_enqueue_fn == dispatch_fn_unset then
@@ -680,7 +680,7 @@ let join t target =
   | Finished ->
       (* Finished in host order but, virtually, later than now: wait. *)
       block t ~reason:("join " ^ target.t_name) (fun ~now:_ ~wake ->
-          Sim.schedule_at t.sim (max target.t_exit_time (Sim.now t.sim)) (fun () ->
+          Sim.schedule_at t.sim (Int.max target.t_exit_time (Sim.now t.sim)) (fun () ->
               wake ()))
   | Ready | Running | Blocked _ ->
       block t ~reason:("join " ^ target.t_name) (fun ~now:_ ~wake ->

@@ -111,17 +111,22 @@ let service_fault_local t addr ~write =
       t.proc.Process.rusage.Rusage.minflt <- t.proc.Process.rusage.Rusage.minflt + 1;
       Nautilus.Fault_fixed
   | Mm.Segv info ->
-      if t.porting.port_signals && Signal.registered t.nk_signals info.Signal.si_signo
-      then begin
+      let local = t.porting.port_signals && Signal.registered t.nk_signals info.Signal.si_signo in
+      if local && not (Signal.is_blocked t.nk_signals Signal.Sigsegv) then begin
         deliver_segv_locally t info;
         Nautilus.Fault_fixed
       end
       else begin
-        (* Signals not ported: replicate to the ROS for delivery. *)
+        (* Signals not ported: replicate to the ROS for delivery.  A local
+           handler that the HRT-side mask blocks is skipped, as the kernel
+           skips a blocked one: the ROS takes the default action. *)
         Fabric.call t.the_fabric (ep_of_self t)
           {
             Event_channel.req_kind = "#signal";
-            req_run = (fun () -> Kernel.deliver_signal t.ros t.proc info);
+            req_run =
+              (fun () ->
+                if local then Kernel.default_action t.ros t.proc info
+                else Kernel.deliver_signal t.ros t.proc info);
           };
         Nautilus.Fault_fixed
       end

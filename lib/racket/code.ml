@@ -168,6 +168,7 @@ type code = {
   c_name : string;
   c_arity : int;
   c_frame_size : int;
+  c_level : int;
   mutable c_instrs : instr array;
   mutable c_jitted : bool;
   mutable c_no_capture : int;
@@ -195,7 +196,10 @@ let make_cstate gc =
     nsyms = 0;
     globals_map = Hashtbl.create 256;
     nglobals = 0;
-    codes = Array.make 64 { c_name = ""; c_arity = 0; c_frame_size = 0; c_instrs = [||]; c_jitted = false; c_no_capture = -1 };
+    codes =
+      Array.make 64
+        { c_name = ""; c_arity = 0; c_frame_size = 0; c_level = -1; c_instrs = [||];
+          c_jitted = false; c_no_capture = -1 };
     ncodes = 0;
     constants = Array.make 64 Value.vundef;
     nconstants = 0;

@@ -59,6 +59,10 @@ type code = {
   c_name : string;
   c_arity : int;
   c_frame_size : int;  (** slots in the activation frame (>= arity) *)
+  c_level : int;
+      (** lexical level of the activation frame: the number of frames
+          below it on its environment chain; -1 for top-level code and the
+          variadic-primitive shims, which have no frame *)
   mutable c_instrs : instr array;
   mutable c_jitted : bool;  (** JIT-compiled on first call *)
   mutable c_no_capture : int;  (** frame-capture analysis: -1 unknown, 0 captures, 1 free *)

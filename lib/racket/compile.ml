@@ -133,6 +133,7 @@ and compile_var cs cenv e name =
                     c_name = name;
                     c_arity = -1;
                     c_frame_size = 0;
+                    c_level = -1;
                     c_instrs = [| PrimVarargs p; Ret |];
                     c_jitted = true;
                     c_no_capture = 1;
@@ -177,6 +178,7 @@ and compile_lambda cs cenv ~name params body =
       c_name = name;
       c_arity = List.length params;
       c_frame_size = List.length frame_names;
+      c_level = List.length cenv;
       c_instrs = finish e;
       c_jitted = false;
       c_no_capture = -1;
@@ -423,7 +425,7 @@ let compile_toplevel cs forms =
   go forms;
   ignore (emit e Ret);
   add_code cs
-    { c_name = "toplevel"; c_arity = 0; c_frame_size = 0; c_instrs = finish e;
+    { c_name = "toplevel"; c_arity = 0; c_frame_size = 0; c_level = -1; c_instrs = finish e;
       c_jitted = false; c_no_capture = -1 }
 
 let compile_expr_code cs x = compile_toplevel cs [ x ]

@@ -257,12 +257,12 @@ let read_word t addr =
   end;
   seg.s_words.(widx)
 
-let header_of t addr =
+let header t addr =
   seek t addr;
   t.index.(t.c0_i).s_words.((addr - t.c0_base) lsr 3)
 
-let header_tag t addr = header_of t addr land 0xFF
-let header_words t addr = header_of t addr lsr 8
+let header_tag t addr = header t addr land 0xFF
+let header_words t addr = header t addr lsr 8
 
 let is_heap_pointer t v =
   v land 7 = 0 && v > 0

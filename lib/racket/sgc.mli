@@ -60,6 +60,9 @@ val collect : t -> unit
 
 val read_word : t -> Mv_hw.Addr.t -> int
 val write_word : t -> Mv_hw.Addr.t -> int -> unit
+val header : t -> Mv_hw.Addr.t -> int
+(** The whole header word, tag and payload length, in one read. *)
+
 val header_tag : t -> Mv_hw.Addr.t -> int
 val header_words : t -> Mv_hw.Addr.t -> int
 val is_heap_pointer : t -> int -> bool

@@ -73,7 +73,7 @@ let to_list gc v =
 (* vectors *)
 
 let make_vector gc n fill =
-  let a = Sgc.alloc gc ~tag:tag_vector ~words:(max n 0) in
+  let a = Sgc.alloc gc ~tag:tag_vector ~words:(Int.max n 0) in
   for i = 0 to n - 1 do
     Sgc.write_word gc (slot a i) fill
   done;
@@ -81,6 +81,13 @@ let make_vector gc n fill =
 
 let is_vector gc v = has_tag gc v tag_vector
 let vector_length gc v = Sgc.header_words gc v
+
+let checked_vector_length gc v =
+  if is_ptr v then
+    let h = Sgc.header gc v in
+    if h land 0xFF = tag_vector then h lsr 8 else -1
+  else -1
+
 let vector_ref gc v i = Sgc.read_word gc (slot v i)
 let vector_set gc v i x = Sgc.write_word gc (slot v i) x
 

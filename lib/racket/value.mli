@@ -67,6 +67,11 @@ val to_list : Sgc.t -> v -> v list
 val make_vector : Sgc.t -> int -> v -> v
 val is_vector : Sgc.t -> v -> bool
 val vector_length : Sgc.t -> v -> int
+
+val checked_vector_length : Sgc.t -> v -> int
+(** [v]'s length if it is a vector, else -1: the type and the length come
+    from one header read. *)
+
 val vector_ref : Sgc.t -> v -> int -> v
 val vector_set : Sgc.t -> v -> int -> v -> unit
 

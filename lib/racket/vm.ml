@@ -14,12 +14,22 @@ type place_ops = {
 
 let err fmt = Printf.ksprintf (fun s -> raise (Scheme_error s)) fmt
 
+(* An activation.  [f_disp] is its display: [f_disp.(l)] is the frame at
+   lexical level [l] on [f_env]'s chain, for every [l <= f_level], so
+   [f_disp.(f_level) = f_env] and a variable at any depth is one array
+   load.  Entries above [f_level] are stale and never read. *)
 type frame = {
   mutable f_code : int;
   mutable f_pc : int;
   mutable f_env : V.v;
-  mutable f_base : V.v;  (* the activation's own frame, for recycling *)
+  mutable f_level : int;  (* level of [f_env]; -1 when it is nil *)
+  mutable f_disp : V.v array;
 }
+
+let disp_capacity = 8
+
+let new_frame () =
+  { f_code = 0; f_pc = 0; f_env = V.nil; f_level = -1; f_disp = Array.make disp_capacity V.nil }
 
 (* A LIFO stack of recycled frames of one size. *)
 type pool = { mutable frames_of_size : V.v array; mutable npooled : int }
@@ -37,7 +47,7 @@ type t = {
   temps : int array;
   mutable ntemps : int;
   mutable n_instrs : int;
-  mutable tick_acc : int;
+  mutable next_tick : int;  (* [n_instrs] at which [on_tick] next fires *)
   mutable on_tick : t -> unit;
   mutable on_jit : code -> unit;
   cycles_per_instr : int;
@@ -51,6 +61,9 @@ type t = {
   mutable next_port : int;
 }
 
+(* Instructions between two [on_tick]s, each charged as one batch. *)
+let tick_period = 2048
+
 let create env libc heap =
   let t =
     {
@@ -61,12 +74,12 @@ let create env libc heap =
       globals = Array.make 256 V.vundef;
       stack = Array.make 4096 V.vundef;
       sp = 0;
-      frames = Array.init 256 (fun _ -> { f_code = 0; f_pc = 0; f_env = V.nil; f_base = V.nil });
+      frames = Array.init 256 (fun _ -> new_frame ());
       fp = -1;
       temps = Array.make 64 V.vundef;
       ntemps = 0;
       n_instrs = 0;
-      tick_acc = 0;
+      next_tick = tick_period;
       on_tick = (fun _ -> ());
       on_jit = (fun _ -> ());
       cycles_per_instr = 9;
@@ -112,16 +125,17 @@ let instructions_executed t = t.n_instrs
 
 (* --- stack --- *)
 
-let push t v =
-  if t.sp >= Array.length t.stack then begin
-    let a = Array.make (2 * Array.length t.stack) V.vundef in
-    Array.blit t.stack 0 a 0 t.sp;
-    t.stack <- a
-  end;
+let grow_stack t =
+  let a = Array.make (2 * Array.length t.stack) V.vundef in
+  Array.blit t.stack 0 a 0 t.sp;
+  t.stack <- a
+
+let[@inline] push t v =
+  if t.sp >= Array.length t.stack then grow_stack t;
   t.stack.(t.sp) <- v;
   t.sp <- t.sp + 1
 
-let pop t =
+let[@inline] pop t =
   t.sp <- t.sp - 1;
   t.stack.(t.sp)
 
@@ -132,7 +146,7 @@ let protect t v =
 let clear_temps t = t.ntemps <- 0
 
 (* Argument [i] of the [n] a primitive finds on top of the stack. *)
-let arg t n i = t.stack.(t.sp - n + i)
+let[@inline] arg t n i = t.stack.(t.sp - n + i)
 
 (* --- rendering --- *)
 
@@ -251,7 +265,7 @@ let compare_chain t n ~fix ~flo = V.bool_v (chain_holds t n 0 ~fix ~flo)
 
 let args t n = List.init n (arg t n)
 
-let finish t n v =
+let[@inline] finish t n v =
   t.sp <- t.sp - n;
   push t v;
   clear_temps t
@@ -281,8 +295,9 @@ let string_index t n name =
   i
 
 (* [p] on two fixnums, as [arith_fold] and [compare_chain] compute it,
-   without their closure calls: the common case of compiled arithmetic. *)
-let fix2 p a b =
+   without their closure calls: the common case of compiled arithmetic,
+   which the dispatch loop computes in place. *)
+let[@inline] fix2 p a b =
   match p with
   | Padd -> fixr (a + b)
   | Psub -> fixr (a - b)
@@ -298,9 +313,6 @@ let exec_prim t p n =
   let gc = t.heap in
   match p with
   (* numbers *)
-  | (Padd | Psub | Pmul | Plt | Pgt | Ple | Pge | Pnumeq)
-    when n = 2 && V.is_fixnum (arg t 2 0) && V.is_fixnum (arg t 2 1) ->
-      finish t 2 (fix2 p (V.fixnum_val (arg t 2 0)) (V.fixnum_val (arg t 2 1)))
   | Padd ->
       finish t n
         (arith_fold t "+" n ~id:0 ~fix:(fun a b -> fixr (a + b))
@@ -342,11 +354,11 @@ let exec_prim t p n =
          else flor t (Float.abs (float_val t v)))
   | Pmin ->
       finish t n
-        (arith_fold t "min" n ~id:0 ~fix:(fun a b -> fixr (min a b))
+        (arith_fold t "min" n ~id:0 ~fix:(fun a b -> fixr (Int.min a b))
            ~flo:(fun t a b -> flor t (Float.min a b)))
   | Pmax ->
       finish t n
-        (arith_fold t "max" n ~id:0 ~fix:(fun a b -> fixr (max a b))
+        (arith_fold t "max" n ~id:0 ~fix:(fun a b -> fixr (Int.max a b))
            ~flo:(fun t a b -> flor t (Float.max a b)))
   | Pexpt ->
       let b = arg t n 0 and e = arg t n 1 in
@@ -786,11 +798,12 @@ let exec_prim t p n =
    a self-tail-call may overwrite the frame in place instead of allocating
    a fresh one — the JIT's loop optimization (Racket compiles such loops
    to registers; without this every loop iteration would allocate). *)
-let code_no_capture (code : code) =
-  if code.c_no_capture < 0 then
-    code.c_no_capture <-
-      (if Array.exists (function MkClosure _ -> true | _ -> false) code.c_instrs then 0
-       else 1);
+let analyse_capture (code : code) =
+  code.c_no_capture <-
+    (if Array.exists (function MkClosure _ -> true | _ -> false) code.c_instrs then 0 else 1)
+
+let[@inline] code_no_capture (code : code) =
+  if code.c_no_capture < 0 then analyse_capture code;
   code.c_no_capture = 1
 
 let max_pooled = 4096
@@ -816,7 +829,7 @@ let recycle_frame t f =
             if i < n then t.pools.(i) else { frames_of_size = [||]; npooled = 0 });
     let p = t.pools.(size) in
     if p.npooled = Array.length p.frames_of_size then begin
-      let a = Array.make (max 8 (2 * p.npooled)) V.nil in
+      let a = Array.make (Int.max 8 (2 * p.npooled)) V.nil in
       Array.blit p.frames_of_size 0 a 0 p.npooled;
       p.frames_of_size <- a
     end;
@@ -827,41 +840,68 @@ let recycle_frame t f =
 
 (* At return from a no-capture activation, every frame from the current
    environment down to (and including) the activation's own frame is dead:
-   recycle the chain. *)
-let rec recycle_chain t f base =
-  if f <> V.nil then begin
-    let parent = V.frame_parent t.heap f in
-    recycle_frame t f;
-    if f <> base then recycle_chain t parent base
-  end
-
+   recycle them, innermost first.  Top-level code (level -1) owns no
+   frame of its own. *)
 let recycle_activation t (fr : frame) code =
-  if code_no_capture code && fr.f_base <> V.nil then recycle_chain t fr.f_env fr.f_base
+  if code_no_capture code && code.c_level >= 0 then
+    for l = fr.f_level downto code.c_level do
+      recycle_frame t fr.f_disp.(l)
+    done
 
 let grow_frames t =
   if t.fp + 1 >= Array.length t.frames then begin
     let a =
       Array.init (2 * Array.length t.frames) (fun i ->
-          if i < Array.length t.frames then t.frames.(i)
-          else { f_code = 0; f_pc = 0; f_env = V.nil; f_base = V.nil })
+          if i < Array.length t.frames then t.frames.(i) else new_frame ())
     in
     t.frames <- a
   end
 
+let grow_disp (fr : frame) level =
+  let a = Array.make (Int.max (2 * Array.length fr.f_disp) (level + 1)) V.nil in
+  Array.blit fr.f_disp 0 a 0 (Array.length fr.f_disp);
+  fr.f_disp <- a
+
+(* Make [env_frame], at [level], the environment of activation [fr], whose
+   caller is [caller] ([fr] itself on a tail call, with its display still
+   the caller's).  [env_frame]'s parent is [env], the closure's
+   environment, at [level] - 1: when that is the caller's frame at the
+   same level, the display below it is the caller's (copied, or already in
+   place on a tail call); otherwise [env]'s chain is walked once. *)
+let enter_frame t ~(caller : frame) (fr : frame) ~env ~env_frame ~level =
+  if level >= Array.length fr.f_disp then grow_disp fr level;
+  if level > 0 then begin
+    let top = level - 1 in
+    if top <= caller.f_level && caller.f_disp.(top) = env then begin
+      if caller != fr then Array.blit caller.f_disp 0 fr.f_disp 0 level
+    end
+    else begin
+      let e = ref env in
+      for l = top downto 0 do
+        fr.f_disp.(l) <- !e;
+        e := V.frame_parent t.heap !e
+      done;
+      assert (!e = V.nil)
+    end
+  end;
+  fr.f_disp.(level) <- env_frame;
+  fr.f_level <- level;
+  fr.f_env <- env_frame
+
 let ensure_globals t =
   if t.cs.nglobals > Array.length t.globals then begin
-    let a = Array.make (max t.cs.nglobals (2 * Array.length t.globals)) V.vundef in
+    let a = Array.make (Int.max t.cs.nglobals (2 * Array.length t.globals)) V.vundef in
     Array.blit t.globals 0 a 0 (Array.length t.globals);
     t.globals <- a
   end
 
-let jit_check t code =
-  if not code.c_jitted then begin
-    code.c_jitted <- true;
-    (* Compile-on-first-call: translation work proportional to size. *)
-    t.env.Env.work (120 + (Array.length code.c_instrs * 35));
-    t.on_jit code
-  end
+(* Compile-on-first-call: translation work proportional to size. *)
+let jit_compile t code =
+  code.c_jitted <- true;
+  t.env.Env.work (120 + (Array.length code.c_instrs * 35));
+  t.on_jit code
+
+let[@inline] jit_check t code = if not code.c_jitted then jit_compile t code
 
 (* Build the callee frame and enter it.  The arguments and the closure are
    on the stack (rooted) until we pop them.  Returns [true] if the call
@@ -886,10 +926,11 @@ let enter_call t argc ~tail =
     err "%s: arity mismatch: expected %d, got %d" code.c_name code.c_arity argc;
   jit_check t code;
   let cur = t.frames.(t.fp) in
+  let env = V.closure_env t.heap clo in
   if
     tail && code_idx = cur.f_code && code_no_capture code
-    && cur.f_env <> V.nil
-    && V.frame_parent t.heap cur.f_env = V.closure_env t.heap clo
+    && cur.f_level >= 0
+    && (if cur.f_level = 0 then V.nil else cur.f_disp.(cur.f_level - 1)) = env
   then begin
     (* Self-tail-call whose frame never escapes: overwrite it in place
        (the compiled-loop fast path).  The new argument values are already
@@ -902,41 +943,49 @@ let enter_call t argc ~tail =
     false
   end
   else begin
-  let env_frame = alloc_frame t ~parent:(V.closure_env t.heap clo) ~size:code.c_frame_size in
+  let env_frame = alloc_frame t ~parent:env ~size:code.c_frame_size in
   for i = argc - 1 downto 0 do
     V.frame_set t.heap env_frame i (pop t)
   done;
   ignore (pop t) (* the closure *);
   (if tail then begin
-     let fr = t.frames.(t.fp) in
-     recycle_activation t fr t.cs.codes.(fr.f_code);
-     fr.f_code <- code_idx;
-     fr.f_pc <- 0;
-     fr.f_env <- env_frame;
-     fr.f_base <- env_frame
+     (* Recycle the old activation's frames, read from its display,
+        before the new environment overwrites the display. *)
+     recycle_activation t cur t.cs.codes.(cur.f_code);
+     enter_frame t ~caller:cur cur ~env ~env_frame ~level:code.c_level
    end
    else begin
      grow_frames t;
      t.fp <- t.fp + 1;
-     let fr = t.frames.(t.fp) in
-     fr.f_code <- code_idx;
-     fr.f_pc <- 0;
-     fr.f_env <- env_frame;
-     fr.f_base <- env_frame
+     enter_frame t ~caller:cur t.frames.(t.fp) ~env ~env_frame ~level:code.c_level
    end);
+  let fr = t.frames.(t.fp) in
+  fr.f_code <- code_idx;
+  fr.f_pc <- 0;
   false
   end
   end
 
-let rec lookup_env t env depth =
-  if depth = 0 then env else lookup_env t (V.frame_parent t.heap env) (depth - 1)
+(* Every [tick_period] instructions: charge them and run the hook, at
+   the same instruction boundary as an increment-and-mask counter. *)
+let fire_tick t =
+  t.next_tick <- t.next_tick + tick_period;
+  t.env.Env.work (tick_period * t.cycles_per_instr);
+  t.on_tick t
 
-let tick t =
-  t.tick_acc <- t.tick_acc + 1;
-  if t.tick_acc land 2047 = 0 then begin
-    t.env.Env.work (2048 * t.cycles_per_instr);
-    t.on_tick t
-  end
+let check_display t =
+  for a = 0 to t.fp do
+    let fr = t.frames.(a) in
+    let e = ref fr.f_env in
+    for l = fr.f_level downto 0 do
+      if fr.f_disp.(l) <> !e then
+        failwith (Printf.sprintf "Vm.check_display: activation %d, level %d of %d" a l fr.f_level);
+      e := V.frame_parent t.heap !e
+    done;
+    if !e <> V.nil then
+      failwith (Printf.sprintf "Vm.check_display: activation %d's chain is deeper than level %d" a
+                  fr.f_level)
+  done
 
 let run_code t idx =
   ensure_globals t;
@@ -947,7 +996,7 @@ let run_code t idx =
   fr0.f_code <- idx;
   fr0.f_pc <- 0;
   fr0.f_env <- V.nil;
-  fr0.f_base <- V.nil;
+  fr0.f_level <- -1;
   jit_check t t.cs.codes.(idx);
   let result = ref V.vvoid in
   let running = ref true in
@@ -957,12 +1006,14 @@ let run_code t idx =
     let instr = code.c_instrs.(fr.f_pc) in
     fr.f_pc <- fr.f_pc + 1;
     t.n_instrs <- t.n_instrs + 1;
-    tick t;
+    if t.n_instrs = t.next_tick then fire_tick t;
     match instr with
     | Imm v -> push t v
     | Const i -> push t t.cs.constants.(i)
-    | Lref (d, i) -> push t (V.frame_ref t.heap (lookup_env t fr.f_env d) i)
-    | Lset (d, i) -> V.frame_set t.heap (lookup_env t fr.f_env d) i (pop t)
+    | Lref (d, i) ->
+        push t (V.frame_ref t.heap (if d = 0 then fr.f_env else fr.f_disp.(fr.f_level - d)) i)
+    | Lset (d, i) ->
+        V.frame_set t.heap (if d = 0 then fr.f_env else fr.f_disp.(fr.f_level - d)) i (pop t)
     | Gref i ->
         ensure_globals t;
         let v = t.globals.(i) in
@@ -989,7 +1040,6 @@ let run_code t idx =
     | Ret ->
         let v = pop t in
         recycle_activation t fr code;
-        fr.f_base <- V.nil;
         t.fp <- t.fp - 1;
         if t.fp = base_fp then begin
           result := v;
@@ -999,6 +1049,38 @@ let run_code t idx =
     | Jmp target -> fr.f_pc <- target
     | Jif target -> if pop t = V.vfalse then fr.f_pc <- target
     | Pop -> ignore (pop t)
+    (* The hot primitives' success case, computed where the arguments sit;
+       anything else falls through to [exec_prim] and its checks. *)
+    | Prim (((Padd | Psub | Pmul | Plt | Pgt | Ple | Pge | Pnumeq) as p), 2) ->
+        let sp = t.sp in
+        let a = t.stack.(sp - 2) and b = t.stack.(sp - 1) in
+        if V.is_fixnum a && V.is_fixnum b then begin
+          t.stack.(sp - 2) <- fix2 p (V.fixnum_val a) (V.fixnum_val b);
+          t.sp <- sp - 1;
+          clear_temps t
+        end
+        else exec_prim t p 2
+    | Prim (Pvector_ref, 2) ->
+        let sp = t.sp in
+        let v = t.stack.(sp - 2) and i = t.stack.(sp - 1) in
+        let k = V.fixnum_val i in
+        if V.is_fixnum i && k >= 0 && k < V.checked_vector_length t.heap v then begin
+          t.stack.(sp - 2) <- V.vector_ref t.heap v k;
+          t.sp <- sp - 1;
+          clear_temps t
+        end
+        else exec_prim t Pvector_ref 2
+    | Prim (Pvector_set, 3) ->
+        let sp = t.sp in
+        let v = t.stack.(sp - 3) and i = t.stack.(sp - 2) in
+        let k = V.fixnum_val i in
+        if V.is_fixnum i && k >= 0 && k < V.checked_vector_length t.heap v then begin
+          V.vector_set t.heap v k t.stack.(sp - 1);
+          t.stack.(sp - 3) <- V.vvoid;
+          t.sp <- sp - 2;
+          clear_temps t
+        end
+        else exec_prim t Pvector_set 3
     | Prim (Papply, 2) ->
         (* (apply f arglist): respread the list and call. *)
         let lst = pop t in
@@ -1021,17 +1103,24 @@ let run_code t idx =
         for i = n - 1 downto 0 do
           V.frame_set t.heap env_frame i (pop t)
         done;
+        let level = fr.f_level + 1 in
+        if level >= Array.length fr.f_disp then grow_disp fr level;
+        fr.f_disp.(level) <- env_frame;
+        fr.f_level <- level;
         fr.f_env <- env_frame
     | PopFrame ->
         let dead = fr.f_env in
-        fr.f_env <- V.frame_parent t.heap dead;
+        let level = fr.f_level - 1 in
+        fr.f_level <- level;
+        fr.f_env <- (if level >= 0 then fr.f_disp.(level) else V.nil);
         if code_no_capture code then recycle_frame t dead
     | PrimVarargs _ ->
         (* Only reachable by direct execution of a synthetic closure body,
            which enter_call intercepts. *)
         assert false
   done;
-  (* Flush the un-accounted instruction remainder. *)
-  t.env.Env.work (t.tick_acc land 2047 * t.cycles_per_instr);
-  t.tick_acc <- 0;
+  (* Charge the instructions since the last tick (or flush), which may
+     include some from a run a Scheme error cut short. *)
+  t.env.Env.work ((t.n_instrs - (t.next_tick - tick_period)) * t.cycles_per_instr);
+  t.next_tick <- t.n_instrs + tick_period;
   !result

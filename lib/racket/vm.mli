@@ -40,6 +40,11 @@ val run_code : t -> int -> Value.v
 
 val instructions_executed : t -> int
 
+val check_display : t -> unit
+(** Check every live activation's display against the parent links of
+    its environment chain, which the display stands in for.
+    @raise Failure on the first entry that differs. *)
+
 val display_string : t -> Value.v -> string
 (** [display]-style rendering. *)
 

@@ -241,27 +241,35 @@ let register_foreign_thread = register
 
 (* --- signals --- *)
 
+let default_action t p (info : Signal.siginfo) =
+  match info.Signal.si_signo with
+  | Signal.Sigsegv | Signal.Sigint ->
+      Machine.emit t.machine
+        (Trace.Fatal_signal
+           {
+             signal = Signal.name info.Signal.si_signo;
+             pid = p.Process.pid;
+             addr = info.Signal.si_addr;
+           });
+      exit_process t p ~code:139
+  | Signal.Sigvtalrm | Signal.Sigusr1 | Signal.Sigusr2 | Signal.Sigchld -> ()
+
+(* A SIGSEGV is a synchronous fault: it cannot wait in the mask, so one
+   that arrives blocked skips the handler and takes the default action
+   (Linux's [force_sig_fault]). *)
 let deliver_signal t p (info : Signal.siginfo) =
   let costs = t.machine.Machine.costs in
-  match Signal.action p.Process.signals info.Signal.si_signo with
+  let forced =
+    info.Signal.si_signo = Signal.Sigsegv && Signal.is_blocked p.Process.signals Signal.Sigsegv
+  in
+  match if forced then Signal.Default else Signal.action p.Process.signals info.Signal.si_signo with
   | Signal.Handler h ->
       in_sys t (fun () -> Machine.charge t.machine costs.Costs.signal_deliver);
       h info;
       count_syscall t p "rt_sigreturn";
       in_sys t (fun () -> Machine.charge t.machine costs.Costs.signal_return)
   | Signal.Ignore -> ()
-  | Signal.Default -> (
-      match info.Signal.si_signo with
-      | Signal.Sigsegv | Signal.Sigint ->
-          Machine.emit t.machine
-            (Trace.Fatal_signal
-               {
-                 signal = Signal.name info.Signal.si_signo;
-                 pid = p.Process.pid;
-                 addr = info.Signal.si_addr;
-               });
-          exit_process t p ~code:139
-      | Signal.Sigvtalrm | Signal.Sigusr1 | Signal.Sigusr2 | Signal.Sigchld -> ())
+  | Signal.Default -> default_action t p info
 
 (* --- faults and memory access --- *)
 

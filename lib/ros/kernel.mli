@@ -89,5 +89,10 @@ val service_fault : t -> Process.t -> Mv_hw.Addr.t -> write:bool -> Mm.fault_out
 
 val deliver_signal : t -> Process.t -> Signal.siginfo -> unit
 (** Deliver a signal in the current thread: runs the registered guest
-    handler (charging frame build and [rt_sigreturn]), or kills the
-    process on an unhandled fatal signal. *)
+    handler (charging frame build and [rt_sigreturn]), or takes the
+    default action on an unhandled signal, and on a SIGSEGV that arrives
+    while the process mask blocks it. *)
+
+val default_action : t -> Process.t -> Signal.siginfo -> unit
+(** A signal's default action: SIGSEGV and SIGINT trace a fatal signal
+    and kill the process with exit code 139; the others are dropped. *)

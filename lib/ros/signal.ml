@@ -29,3 +29,4 @@ let registered t signo =
 
 let block t signo = if not (List.mem signo t.blocked) then t.blocked <- signo :: t.blocked
 let unblock t signo = t.blocked <- List.filter (fun s -> s <> signo) t.blocked
+let is_blocked t signo = List.mem signo t.blocked

@@ -29,3 +29,4 @@ val registered : t -> signo -> bool
 
 val block : t -> signo -> unit
 val unblock : t -> signo -> unit
+val is_blocked : t -> signo -> bool

@@ -59,7 +59,7 @@ let sorted t =
   | Some arr -> arr
   | None ->
       let arr = Array.of_list t.samples in
-      Array.sort compare arr;
+      Array.sort Float.compare arr;
       t.sorted <- Some arr;
       arr
 

@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Alternating (ABBA) pairs of two bench/e2e run.exe builds on one workload.
+
+    python3 scripts/ab_pairs.py PARENT_RUN_EXE CHANGE_RUN_EXE --workload W \\
+        [--pairs 10] [--seconds 15] [--seed N]
+
+Each pair runs both executables once, one process at a time, as
+
+    EXE --workload W --seed N --seconds S --trace 0
+
+Odd pairs run the parent first, even pairs the change first, so neither
+side always gets the warmer (or cooler) machine.  Each run's last stdout
+line is its JSON result.  Prints every pair's host_s, setup_s and
+peak_heap_mb, then per metric each side's median and quartiles, the
+change in percent and how many pairs the change won (lower is better for
+all three).
+
+This is the way to measure a host-clock claim: two builds run back to
+back (first all of one, then all of the other) drift apart with the
+machine's load, by more than the effects being measured.
+
+Exits 1 if any run is not `correct` or has `failed` > 0, or a run fails;
+2 on bad arguments.  Uses only the Python standard library.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+
+METRICS = ("host_s", "setup_s", "peak_heap_mb")
+
+
+def quartiles(xs):
+    """(q1, median, q3), by the method bench/e2e/compare.py uses."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q1, statistics.median(xs), q3
+
+
+def run_once(exe, args):
+    cmd = [exe, "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+    if proc.returncode not in (0, 1) or not lines:
+        sys.stderr.write(proc.stderr)
+        sys.exit(f"ab_pairs: {' '.join(cmd)} exited {proc.returncode}")
+    try:
+        result = json.loads(lines[-1])
+        values = {m: float(result["metrics"][m]["value"]) for m in METRICS}
+        ok = result["correct"] is True and result["failed"] == 0
+    except (ValueError, KeyError, TypeError) as e:
+        sys.exit(f"ab_pairs: {exe}: cannot read the last output line ({e}): {lines[-1]!r}")
+    return values, ok
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", metavar="PARENT_RUN_EXE")
+    ap.add_argument("change", metavar="CHANGE_RUN_EXE")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--seed", type=int, default=42)
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    if args.seconds < 0:
+        ap.error("--seconds must not be negative")
+
+    print(f"ab_pairs: {args.workload}, {args.pairs} pairs, --seconds {args.seconds:g} "
+          f"--seed {args.seed}")
+    print(f"  parent: {args.parent}\n  change: {args.change}")
+    header = ["pair", "first"] + [f"{side} {m}" for m in METRICS for side in ("parent", "change")]
+    print("  ".join(f"{h:>19}" if i > 1 else f"{h:>6}" for i, h in enumerate(header)))
+
+    samples = {"parent": {m: [] for m in METRICS}, "change": {m: [] for m in METRICS}}
+    all_ok = True
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 == 1 else ("change", "parent")
+        got = {}
+        for side in order:
+            values, ok = run_once(getattr(args, side), args)
+            got[side] = values
+            if not ok:
+                all_ok = False
+                print(f"ab_pairs: pair {pair}: the {side} run is not correct or has failed "
+                      "operations")
+        for side in ("parent", "change"):
+            for m in METRICS:
+                samples[side][m].append(got[side][m])
+        cells = [f"{pair:>6}", f"{order[0]:>6}"]
+        cells += [f"{got[side][m]:>19.4f}" for m in METRICS for side in ("parent", "change")]
+        print("  ".join(cells))
+
+    for m in METRICS:
+        p, c = samples["parent"][m], samples["change"][m]
+        (p1, mp, p3), (c1, mc, c3) = quartiles(p), quartiles(c)
+        pct = (mc - mp) / mp * 100 if mp else float("nan")
+        won = sum(1 for a, b in zip(p, c) if b < a)
+        print(f"{m}: median parent {mp:.4f} [{p1:.4f}, {p3:.4f}], change {mc:.4f} "
+              f"[{c1:.4f}, {c3:.4f}] ({pct:+.1f}%); change won {won} of {args.pairs} pairs")
+    return 0 if all_ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -340,6 +340,55 @@ let test_porting_speeds_up () =
   | Some rt -> check_bool "faults served locally" true (Runtime.faults_serviced_locally rt > 0)
   | None -> Alcotest.fail "no runtime"
 
+(* A SIGSEGV that arrives while the guest blocks it skips the handler and
+   kills the process, whichever side the fault is served on: forwarded to
+   the ROS (no porting) or served HRT-local under the HRT-side mask (full
+   porting).  Unblocked, the handler runs as it does natively. *)
+let masked_segv_program ~unblock =
+  {
+    Toolchain.prog_name = "masked-segv";
+    prog_main =
+      (fun env ->
+        let open Mv_guest in
+        let libc = Libc.create env in
+        let addr = env.Env.mmap ~len:4096 ~prot:Mv_ros.Mm.prot_rw ~kind:"test" in
+        env.Env.store addr;
+        let hits = ref 0 in
+        env.Env.sigaction Mv_ros.Signal.Sigsegv
+          (Mv_ros.Signal.Handler
+             (fun info ->
+               incr hits;
+               env.Env.mprotect ~addr:(Mv_hw.Addr.align_down info.Mv_ros.Signal.si_addr)
+                 ~len:4096 ~prot:Mv_ros.Mm.prot_rw));
+        env.Env.mprotect ~addr ~len:4096 ~prot:Mv_ros.Mm.prot_r;
+        env.Env.sigprocmask ~block:true Mv_ros.Signal.Sigsegv;
+        if unblock then env.Env.sigprocmask ~block:false Mv_ros.Signal.Sigsegv;
+        Libc.printf libc "before\n";
+        Libc.flush_all libc;
+        env.Env.store addr;
+        Libc.printf libc "after hits=%d\n" !hits;
+        Libc.flush_all libc);
+  }
+
+let test_blocked_segv_kills () =
+  let full = { Toolchain.default_mv_options with mv_porting = Runtime.full_porting } in
+  List.iter
+    (fun unblock ->
+      let prog = masked_segv_program ~unblock in
+      let hx = Toolchain.hybridize prog in
+      let stdout, code = if unblock then ("before\nafter hits=1\n", 0) else ("before\n", 139) in
+      List.iter
+        (fun (what, rs) ->
+          let what = Printf.sprintf "%s, %s" what (if unblock then "unblocked" else "blocked") in
+          check_string (what ^ ": stdout") stdout rs.Toolchain.rs_stdout;
+          check_int (what ^ ": exit code") code rs.Toolchain.rs_exit_code)
+        [
+          ("native", Toolchain.run_native prog);
+          ("multiverse", Toolchain.run_multiverse hx);
+          ("multiverse, full porting", Toolchain.run_multiverse ~options:full hx);
+        ])
+    [ false; true ]
+
 let test_ported_calls_run_overrides () =
   (* Under full porting, every ported call made from HRT context goes
      through its AeroKernel override wrapper exactly once. *)
@@ -457,6 +506,7 @@ let suite =
     ("sync vs async channels", `Quick, test_channel_kinds);
     ("incremental porting speeds up", `Quick, test_porting_speeds_up);
     ("ported calls run their overrides", `Quick, test_ported_calls_run_overrides);
+    ("a blocked SIGSEGV kills in every mode", `Quick, test_blocked_segv_kills);
     ("stdin via forwarded read", `Quick, test_stdin_roundtrip);
     ("nested HRT threads (Figure 7)", `Quick, test_nested_hrt_threads);
     ("nested creation outside HRT rejected", `Quick, test_nested_outside_hrt_rejected);

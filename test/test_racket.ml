@@ -568,6 +568,231 @@ let test_engine_tick_syscalls () =
       (* The green-thread scheduler checks the clock as the program runs. *)
       check_bool "timer chatter while running" true (after - before > 5))
 
+(* Where the ticks fall and what the run is charged, pinned as literals:
+   the instruction count at every [on_tick] and the process's user time
+   over a session of three forms, the second of which escapes a loop with
+   a Scheme error (so its end-of-run flush never happens and its
+   remainder carries into the third). *)
+let test_vm_tick_boundaries () =
+  let ticks = ref [] and total = ref 0 in
+  let prog =
+    {
+      Multiverse.Toolchain.prog_name = "ticks";
+      prog_main =
+        (fun env ->
+          let engine = Engine.start env in
+          let vm = Engine.vm engine in
+          Vm.set_on_tick vm (fun vm -> ticks := Vm.instructions_executed vm :: !ticks);
+          let eval src = ignore (Engine.eval_string engine src) in
+          eval
+            "(define (sum n) (let loop ((i 0) (acc 0)) (if (= i n) acc (loop (+ i 1) (+ acc i)))))\n\
+             (sum 700)";
+          (match eval "(let loop ((i 0)) (if (= i 900) (car i) (loop (+ i 1))))" with
+          | () -> ()
+          | exception Vm.Scheme_error _ -> ticks := -1 :: !ticks);
+          eval "(sum 1000)";
+          total := Vm.instructions_executed vm;
+          Engine.finish engine);
+    }
+  in
+  let rs = Multiverse.Toolchain.run_native prog in
+  Alcotest.(check (list int))
+    "instruction count at every tick (-1: the error)"
+    [ 2132; 4180; 6228; 8276; 10555; 12603; 14651; -1; 16699; 18747; 20795; 22843; 24891; 26939 ]
+    (List.rev !ticks);
+  check_int "instructions executed" 28639 !total;
+  check_int "user time (cycles)" 265180 rs.Multiverse.Toolchain.rs_rusage.Mv_ros.Rusage.utime
+
+(* --- the display: each activation's copy of its environment chain --- *)
+
+(* Evaluate [forms] in one engine, one [eval_string] each (as REPL lines
+   are), checking every live activation's display against its
+   environment chain at every tick and after each form; the last form's
+   value, written. *)
+let eval_checked forms =
+  in_guest (fun env _p ->
+      let engine = Engine.start env in
+      let vm = Engine.vm engine in
+      Vm.set_on_tick vm Vm.check_display;
+      let last = ref "" in
+      List.iter
+        (fun src ->
+          let v = Engine.eval_string engine src in
+          Vm.check_display vm;
+          last := Vm.write_string_of vm v)
+        forms;
+      Engine.finish engine;
+      !last)
+
+let check_checked expected forms =
+  check_string (String.concat " " forms) expected (eval_checked forms)
+
+let make_adder = "(define (make-adder a) (let ((b (* a 2))) (lambda (x) (+ x a b))))"
+
+(* The seven CLBG programs at test size, with the display checked at
+   every tick: the same stdout as the plain run. *)
+let test_display_clbg () =
+  List.iter
+    (fun (b : Mv_workloads.Benchmarks.t) ->
+      let n = b.b_test_n and checks = ref 0 in
+      let prog =
+        {
+          Multiverse.Toolchain.prog_name = b.b_name;
+          prog_main =
+            (fun env ->
+              let engine = Engine.start env in
+              Vm.set_on_tick (Engine.vm engine) (fun vm ->
+                  incr checks;
+                  Vm.check_display vm);
+              Engine.run_program engine (b.b_source n));
+        }
+      in
+      let checked = Multiverse.Toolchain.run_native prog in
+      let plain = Multiverse.Toolchain.run_native (Mv_workloads.Benchmarks.program b ~n) in
+      check_string (b.b_name ^ ": stdout") plain.rs_stdout checked.rs_stdout;
+      check_bool (b.b_name ^ ": display checked") true (!checks > 0))
+    Mv_workloads.Benchmarks.all
+
+(* A named let inside a named let: the inner loop's closure environment
+   is the caller's frame, so its display is copied from the caller's. *)
+let test_display_copy () =
+  let grid =
+    "(define (grid n) (let outer ((i 0) (acc '())) (if (= i n) (reverse acc) (outer (+ i 1) \
+     (let inner ((j 0) (row 0)) (if (= j n) (cons row acc) (inner (+ j 1) (+ row (* i j) n))))))))"
+  in
+  check_checked "(16 22 28 34)" [ grid; "(grid 4)" ];
+  check_checked "672400" [ grid; "(apply + (grid 40))" ];
+  (* Sibling closures tail-calling each other share the display below. *)
+  check_checked "(#f #t)"
+    [
+      "(define (parity n) (letrec ((ev? (lambda (k) (if (= k 0) #t (od? (- k 1))))) (od? (lambda \
+       (k) (if (= k 0) #f (ev? (- k 1)))))) (list (ev? n) (od? n))))";
+      "(parity 5001)";
+    ]
+
+(* A closure returned upward and called from another lexical context,
+   here or from a later REPL line: its display is walked from its
+   environment's parent links. *)
+let test_display_walk () =
+  let twice = "(define (apply-twice f v) (f (f v)))" in
+  check_checked "19" [ make_adder; "(define add3 (make-adder 3))"; twice; "(apply-twice add3 1)" ];
+  check_checked "10" [ make_adder; "(define add3 (make-adder 3))"; "(add3 1)" ];
+  check_checked "(1 2 3 4 5 6 7 8 9 10)"
+    [
+      "(define curried (lambda (a) (lambda (b) (lambda (c) (lambda (d) (lambda (e) (lambda (f) \
+       (lambda (g) (lambda (h) (lambda (i) (lambda (j) (list a b c d e f g h i j))))))))))))";
+      "((((((((((curried 1) 2) 3) 4) 5) 6) 7) 8) 9) 10)";
+    ]
+
+(* A loop whose body tail-calls, from inside a [let], a closure whose
+   environment is two levels deep: the caller's frames are recycled
+   before the callee's display overwrites the levels they sat at. *)
+let test_display_tail_from_let () =
+  check_checked "15000"
+    [
+      "(define (make-stepper a) (let ((b (* a 2))) (lambda (i acc) (g i (+ acc a b)))))";
+      "(define step (make-stepper 1))";
+      "(define (g i acc) (if (= i 0) acc (let ((j (- i 1))) (step j acc))))";
+      "(g 5000 0)";
+    ]
+
+(* Self-tail calls overwrite the frame in place only when the closure's
+   environment is the frame's parent: two closures of one code with
+   different environments must not share a frame. *)
+let test_display_self_tail () =
+  check_checked "12497500"
+    [ "(let loop ((i 0) (acc 0)) (if (= i 5000) acc (loop (+ i 1) (+ acc i))))" ];
+  check_checked "505"
+    [
+      "(define (make-pinger base) (lambda (i next self acc) (if (= i 0) acc (next (- i 1) self next \
+       (+ acc base)))))";
+      "(define p1 (make-pinger 1))";
+      "(define p2 (make-pinger 100))";
+      "(p1 10 p2 p1 0)";
+    ]
+
+(* A [let] in non-tail position leaves its frame with [PopFrame]; the
+   references after it see the outer levels again. *)
+let test_display_popframe () =
+  check_checked "36"
+    [
+      "(define (pf a) (let ((x (* a 10))) (let ((y (+ x 1))) (set! x y)) (let ((z 2)) (+ x z a))))";
+      "(pf 3)";
+    ];
+  check_checked "12" [ "(let ((x 10)) (let ((y 1)) y) (let ((z 2)) (+ x z)))" ]
+
+(* Thirteen nested lets, deeper than a display's initial capacity, with
+   a closure at the bottom called in place (copy) and from top level
+   (walk). *)
+let test_display_deep () =
+  let vars = List.init 13 (Printf.sprintf "a%d") in
+  let lets =
+    List.init 12 (fun i -> Printf.sprintf "(let ((a%d (+ a%d 1))) " (i + 1) i) |> String.concat ""
+  in
+  let deep =
+    Printf.sprintf
+      "(define (deep a0) %s(let ((f (lambda (k) (+ %s k)))) (set! saved f) (f 100))%s)" lets
+      (String.concat " " vars) (String.make 12 ')')
+  in
+  check_checked "(191 1091)"
+    [ "(define saved #f)"; deep; "(define r (deep 1))"; "(list r (saved 1000))" ]
+
+let test_display_apply_and_varargs () =
+  check_checked "(11 6 10)"
+    [
+      make_adder;
+      "(define (sum3 a b c) (+ a b c))";
+      "(let ((f (make-adder 2))) (list (apply f (list 5)) (apply sum3 (list 1 2 3)) (apply + (list \
+       1 2 3 4))))";
+    ];
+  check_checked "(6 (5 6 -1) 15 5 10)"
+    [
+      "(define plus +)";
+      "(define (call-op op) (op 10 5))";
+      "(list (plus 1 2 3) (map (lambda (f) (f 2 3)) (list + * -)) (call-op +) (call-op -) (call-op \
+       max))";
+    ]
+
+let test_display_places () =
+  check_eval "900"
+    {|
+(define p (place-spawn "(define (make-adder a) (let ((b (* a 2))) (lambda (x) (+ x a b))))
+                        (define add3 (make-adder 3))
+                        (place-send 0 (let loop ((i 0) (acc 0)) (if (= i 100) acc (loop (+ i 1) (add3 acc)))))"))
+(define r (place-receive p))
+(place-wait p)
+r
+|}
+
+(* A Scheme error escapes forty activations deep; the stale activations
+   stay (with consistent displays) and the next lines still evaluate. *)
+let test_display_repl_after_error () =
+  let machine = Machine.create () in
+  let k = Mv_ros.Kernel.create machine in
+  let p =
+    Mv_ros.Kernel.spawn_process k ~name:"repl" (fun p ->
+        let env = Mv_guest.Env.native k p in
+        let engine = Engine.start env in
+        Vm.set_on_tick (Engine.vm engine) Vm.check_display;
+        Engine.repl engine;
+        Vm.check_display (Engine.vm engine))
+  in
+  Mv_ros.Vfs.feed p.Mv_ros.Process.stdin
+    (String.concat "\n"
+       [
+         make_adder;
+         "(define add3 (make-adder 3))";
+         "(define (dive n) (if (= n 0) (car n) (let ((m (- n 1))) (+ 1 (dive m)))))";
+         "(dive 40)";
+         "(add3 1)";
+         "(let loop ((i 0) (acc 0)) (if (= i 1000) acc (loop (+ i 1) (add3 acc))))";
+         "";
+       ]);
+  Mv_ros.Vfs.close_stream p.Mv_ros.Process.stdin;
+  Sim.run machine.Machine.sim;
+  check_string "repl transcript" "> > > > car: expected pair, got 0\n> 10\n> 9000\n> \n"
+    (Mv_ros.Process.stdout_contents p)
+
 (* --- places (parallel Scheme; paper future work) --- *)
 
 let test_places_roundtrip () =
@@ -754,6 +979,17 @@ let suite =
     ("engine: startup syscall profile (Fig 11)", `Quick, test_engine_startup_profile);
     ("engine: REPL", `Quick, test_engine_repl);
     ("engine: scheduler tick syscalls", `Quick, test_engine_tick_syscalls);
+    ("vm: tick boundaries and instruction charge", `Quick, test_vm_tick_boundaries);
+    ("vm: display checked over the CLBG programs", `Quick, test_display_clbg);
+    ("vm: display copied for nested named lets", `Quick, test_display_copy);
+    ("vm: display walked for closures from elsewhere", `Quick, test_display_walk);
+    ("vm: tail call from a let recycles first", `Quick, test_display_tail_from_let);
+    ("vm: self-tail calls", `Quick, test_display_self_tail);
+    ("vm: non-tail let pops its level", `Quick, test_display_popframe);
+    ("vm: display deeper than its capacity", `Quick, test_display_deep);
+    ("vm: apply and variadic primitives as values", `Quick, test_display_apply_and_varargs);
+    ("vm: closures in a place", `Quick, test_display_places);
+    ("vm: REPL after an error escapes deep", `Quick, test_display_repl_after_error);
     ("places: message roundtrip", `Quick, test_places_roundtrip);
     ("places: bidirectional channel", `Quick, test_places_bidirectional);
     ("places: parallel speedup", `Slow, test_places_parallel_speedup);

@@ -111,6 +111,45 @@ let test_mm_protection_signal () =
       Kernel.access k addr ~write:true;
       check_int "no second fault" 1 !hits)
 
+(* A write to a read-only page while SIGSEGV is blocked: the fault cannot
+   wait in the mask, so the handler is skipped and the process dies with
+   the default action; once unblocked, the handler runs again. *)
+let test_blocked_segv_kills () =
+  let run ~unblock =
+    let machine = Machine.create () in
+    let k = Kernel.create machine in
+    let hits = ref 0 and survived = ref false in
+    let p =
+      Kernel.spawn_process k ~name:"masked" (fun p ->
+          let addr = Mm.mmap p.Process.mm ~len:4096 ~prot:Mm.prot_rw ~kind:"t" in
+          Kernel.access k addr ~write:true;
+          Syscalls.rt_sigaction k p ~signo:Signal.Sigsegv
+            ~handler:
+              (Signal.Handler
+                 (fun info ->
+                   incr hits;
+                   ignore
+                     (Mm.mprotect p.Process.mm
+                        (Mv_hw.Addr.align_down info.Signal.si_addr)
+                        ~len:4096 Mm.prot_rw)));
+          ignore (Mm.mprotect p.Process.mm addr ~len:4096 Mm.prot_r);
+          Syscalls.rt_sigprocmask k p ~block:true ~signo:Signal.Sigsegv;
+          if unblock then Syscalls.rt_sigprocmask k p ~block:false ~signo:Signal.Sigsegv;
+          Kernel.access k addr ~write:true;
+          survived := true)
+    in
+    Sim.run machine.Machine.sim;
+    (p, !hits, !survived)
+  in
+  let p, hits, survived = run ~unblock:false in
+  check_int "blocked: the handler never ran" 0 hits;
+  check_bool "blocked: the write did not complete" false survived;
+  check_int "blocked: killed by SIGSEGV" 139 p.Process.exit_code;
+  let p, hits, survived = run ~unblock:true in
+  check_int "unblocked: the handler ran" 1 hits;
+  check_bool "unblocked: the write completed" true survived;
+  check_int "unblocked: clean exit" 0 p.Process.exit_code
+
 let test_mm_unmapped_kills () =
   let machine = Machine.create () in
   let k = Kernel.create machine in
@@ -380,6 +419,7 @@ let suite =
     ("mm: zero-page COW", `Quick, test_mm_zero_page_cow);
     ("mm: mprotect drives SIGSEGV barrier", `Quick, test_mm_protection_signal);
     ("mm: unmapped access kills", `Quick, test_mm_unmapped_kills);
+    ("signals: a blocked SIGSEGV kills", `Quick, test_blocked_segv_kills);
     ("mm: VMA splitting", `Quick, test_mm_split_vma);
     ("mm: brk", `Quick, test_brk);
     ("syscalls: file I/O + errno", `Quick, test_syscall_file_io);
