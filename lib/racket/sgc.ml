@@ -10,16 +10,25 @@ let page_words_shift = Addr.page_shift - 3
    rare and keep a table. *)
 let small_sizes = 256
 
+(* Page states.  Only a resident page can be protected. *)
+let untouched = '\000'  (* never read or written: the next access faults *)
+let writable = '\001'
+let protected = '\002'  (* write-protected after a collection *)
+
+(* Word kinds.  A mark is only ever set on an object header, and a free
+   block's header is never an object header, so one byte holds all three. *)
+let plain = '\000'  (* a payload word, or no object at all *)
+let obj = '\001'  (* a live object's header *)
+let marked = '\002'  (* an object header marked in the current collection *)
+let free = '\003'  (* a free block's header; its size is in [s_words] *)
+
 type seg = {
   s_base : Addr.t;
   s_end : Addr.t;  (* first address past the segment *)
   s_pages : int;
   s_words : int array;
-  s_starts : Bytes.t;  (* per word: 1 = live object header *)
-  s_frees : Bytes.t;  (* per word: 1 = free block header (size in s_words) *)
-  s_marks : Bytes.t;  (* per word: mark bit for object headers *)
-  s_resident : Bytes.t;  (* per page *)
-  s_protected : Bytes.t;  (* per page *)
+  s_kinds : Bytes.t;  (* per word *)
+  s_state : Bytes.t;  (* per page *)
   mutable s_bump : int;  (* first never-allocated word *)
   mutable s_live_words : int;
 }
@@ -29,6 +38,7 @@ type stats = {
   mutable bytes_allocated : int;
   mutable segments_mapped : int;
   mutable segments_unmapped : int;
+  mutable segments_recycled : int;
   mutable barrier_faults : int;
   mutable objects_swept : int;
 }
@@ -49,6 +59,9 @@ type t = {
   mutable c1_i : int;
   mutable c1_base : int;
   mutable c1_end : int;
+  mutable spares : seg list;
+      (* Host storage of unmapped [segment_pages]-page segments, for the
+         next maps to reuse. *)
   small_free : (seg * int) list array;  (* block words -> blocks, LIFO *)
   large_free : (int, (seg * int) list ref) Hashtbl.t;  (* [small_sizes] words and up *)
   mutable cur : seg;
@@ -74,11 +87,8 @@ let no_seg =
     s_end = 0;
     s_pages = 0;
     s_words = [||];
-    s_starts = Bytes.empty;
-    s_frees = Bytes.empty;
-    s_marks = Bytes.empty;
-    s_resident = Bytes.empty;
-    s_protected = Bytes.empty;
+    s_kinds = Bytes.empty;
+    s_state = Bytes.empty;
     s_bump = 0;
     s_live_words = 0;
   }
@@ -98,33 +108,47 @@ let reindex t =
   t.index <- index;
   clear_cache t
 
+(* The new mapping's host storage: a spare's arrays, cleared to exactly
+   what fresh ones would hold, or fresh ones.  Which arrays back a
+   segment is invisible to the guest. *)
 let map_segment t pages =
   let base = t.env.Env.mmap ~len:(pages * Addr.page_size) ~prot:Mv_ros.Mm.prot_rw ~kind:"gc-heap" in
+  let s_end = base + (pages * Addr.page_size) in
   let seg =
-    {
-      s_base = base;
-      s_end = base + (pages * Addr.page_size);
-      s_pages = pages;
-      s_words = Array.make (pages * words_per_page) 0;
-      s_starts = Bytes.make (pages * words_per_page) '\000';
-      s_frees = Bytes.make (pages * words_per_page) '\000';
-      s_marks = Bytes.make (pages * words_per_page) '\000';
-      s_resident = Bytes.make pages '\000';
-      s_protected = Bytes.make pages '\000';
-      s_bump = 0;
-      s_live_words = 0;
-    }
+    match t.spares with
+    | spare :: rest when pages = t.segment_pages ->
+        t.spares <- rest;
+        Array.fill spare.s_words 0 (Array.length spare.s_words) 0;
+        Bytes.fill spare.s_kinds 0 (Bytes.length spare.s_kinds) plain;
+        Bytes.fill spare.s_state 0 pages untouched;
+        t.st.segments_recycled <- t.st.segments_recycled + 1;
+        { spare with s_base = base; s_end; s_bump = 0; s_live_words = 0 }
+    | _ ->
+        {
+          s_base = base;
+          s_end;
+          s_pages = pages;
+          s_words = Array.make (pages * words_per_page) 0;
+          s_kinds = Bytes.make (pages * words_per_page) plain;
+          s_state = Bytes.make pages untouched;
+          s_bump = 0;
+          s_live_words = 0;
+        }
   in
   t.segs <- seg :: t.segs;
   reindex t;
   t.st.segments_mapped <- t.st.segments_mapped + 1;
   seg
 
+(* Only the sweep unmaps, a segment with no live word that is not [cur],
+   after its free blocks have left the free lists; [reindex] drops it
+   from the cache.  So the spare list is its only holder. *)
 let unmap_segment t seg =
   t.env.Env.munmap ~addr:seg.s_base ~len:(seg.s_pages * Addr.page_size);
   t.segs <- List.filter (fun s -> s != seg) t.segs;
   reindex t;
-  t.st.segments_unmapped <- t.st.segments_unmapped + 1
+  t.st.segments_unmapped <- t.st.segments_unmapped + 1;
+  if seg.s_pages = t.segment_pages then t.spares <- seg :: t.spares
 
 (* 512 pages = 2 MiB: exactly one huge-page chunk, so heap segments promote
    to 2M leaves under the transparent-huge-page path in Mm. *)
@@ -136,6 +160,7 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       bytes_allocated = 0;
       segments_mapped = 0;
       segments_unmapped = 0;
+      segments_recycled = 0;
       barrier_faults = 0;
       objects_swept = 0;
     }
@@ -152,6 +177,7 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       c1_i = -1;
       c1_base = 0;
       c1_end = 0;
+      spares = [];
       small_free = Array.make small_sizes [];
       large_free = Hashtbl.create 8;
       cur = no_seg;  (* set below *)
@@ -175,7 +201,12 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
 let set_roots t fn = t.roots <- fn
 let set_scannable t ~tag flag = t.scannable.(tag) <- flag
 
-(* --- access --- *)
+(* --- access ---
+
+   The accessors are inlined into their callers (across modules in the
+   release profile): a hit in the first cache entry is a range test and
+   a few loads.  The cache miss, the demand-paging touch and the write
+   fault are calls, out of line. *)
 
 (* Index of the segment holding [addr], or -1: the last segment whose
    base is at most [addr], if [addr] lies below its end. *)
@@ -214,62 +245,61 @@ let promote t addr =
     push_entry t i seg.s_base seg.s_end;
     true
 
-let outside addr = invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr)
+let[@inline never] miss t addr =
+  if not (promote t addr) then invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr)
 
-(* Point the first cache entry at the segment holding [addr]: tested
-   inline, with [promote] only on a miss. *)
-let[@inline] seek t addr =
-  if not ((addr >= t.c0_base && addr < t.c0_end) || promote t addr) then outside addr
+(* Point the first cache entry at the segment holding [addr]. *)
+let[@inline] seek t addr = if not (addr >= t.c0_base && addr < t.c0_end) then miss t addr
 
 let seg_of t addr =
   seek t addr;
   t.index.(t.c0_i)
 
-(* Make the page holding word [widx] writable, paying the appropriate
-   fault: demand paging on first touch, a write-barrier SIGSEGV when the
-   page was protected after a collection. *)
-let ensure_writable t seg widx =
-  let pr = widx lsr page_words_shift in
-  if Bytes.get seg.s_resident pr = '\000' || Bytes.get seg.s_protected pr = '\001' then begin
-    t.env.Env.store (seg.s_base + (widx lsl 3));
-    Bytes.set seg.s_resident pr '\001';
-    (* If the page was protected, the SIGSEGV handler has unprotected it
-       and counted the barrier fault. *)
-    Bytes.set seg.s_protected pr '\000'
-  end
+(* First access to an untouched page: demand paging. *)
+let[@inline never] touch t seg widx =
+  t.env.Env.touch (seg.s_base + (widx lsl 3));
+  Bytes.set seg.s_state (widx lsr page_words_shift) writable
+
+(* A write to a page that is not writable: demand paging on first touch,
+   a write-barrier SIGSEGV when the page was protected after a
+   collection (the handler unprotects it and counts the fault). *)
+let[@inline never] write_fault t seg widx =
+  t.env.Env.store (seg.s_base + (widx lsl 3));
+  Bytes.set seg.s_state (widx lsr page_words_shift) writable
+
+let[@inline] ensure_writable t seg widx =
+  if Bytes.get seg.s_state (widx lsr page_words_shift) <> writable then write_fault t seg widx
 
 (* [write_word] and [read_word] read the segment and word index before
    calling out: a fault may run the barrier handler, which moves the
    cache. *)
-let write_word t addr v =
+let[@inline] write_word t addr v =
   seek t addr;
   let seg = t.index.(t.c0_i) and widx = (addr - t.c0_base) lsr 3 in
   ensure_writable t seg widx;
   seg.s_words.(widx) <- v
 
-let read_word t addr =
+let[@inline] read_word t addr =
   seek t addr;
   let seg = t.index.(t.c0_i) and widx = (addr - t.c0_base) lsr 3 in
-  let pr = widx lsr page_words_shift in
-  if Bytes.get seg.s_resident pr = '\000' then begin
-    t.env.Env.touch (seg.s_base + (widx lsl 3));
-    Bytes.set seg.s_resident pr '\001'
-  end;
+  if Bytes.get seg.s_state (widx lsr page_words_shift) = untouched then touch t seg widx;
   seg.s_words.(widx)
 
-let header t addr =
+let[@inline] header t addr =
   seek t addr;
   t.index.(t.c0_i).s_words.((addr - t.c0_base) lsr 3)
 
-let header_tag t addr = header t addr land 0xFF
-let header_words t addr = header t addr lsr 8
+let[@inline] header_tag t addr = header t addr land 0xFF
+let[@inline] header_words t addr = header t addr lsr 8
+
+let[@inline] is_object kind = kind = obj || kind = marked
 
 let is_heap_pointer t v =
   v land 7 = 0 && v > 0
   && ((v >= t.c0_base && v < t.c0_end) || promote t v)
   &&
   let seg = t.index.(t.c0_i) and widx = (v - t.c0_base) lsr 3 in
-  widx < seg.s_bump && Bytes.get seg.s_starts widx = '\001'
+  widx < seg.s_bump && is_object (Bytes.get seg.s_kinds widx)
 
 (* --- write barrier --- *)
 
@@ -282,10 +312,10 @@ let install_barrier t =
            failwith (Printf.sprintf "Sgc: segfault outside heap at %x" addr);
          let seg = t.index.(t.c0_i) in
          let pr = Addr.page_of addr - Addr.page_of seg.s_base in
-         if Bytes.get seg.s_protected pr = '\001' then begin
+         if Bytes.get seg.s_state pr = protected then begin
            t.env.Env.mprotect ~addr:(Addr.align_down addr) ~len:Addr.page_size
              ~prot:Mv_ros.Mm.prot_rw;
-           Bytes.set seg.s_protected pr '\000';
+           Bytes.set seg.s_state pr writable;
            t.st.barrier_faults <- t.st.barrier_faults + 1;
            t.dirty <- t.dirty + 1
          end
@@ -313,7 +343,7 @@ let take_free t total =
     | Some _ | None -> None
 
 let add_free t seg widx total =
-  Bytes.set seg.s_frees widx '\001';
+  Bytes.set seg.s_kinds widx free;
   seg.s_words.(widx) <- total;
   if total < small_sizes then t.small_free.(total) <- (seg, widx) :: t.small_free.(total)
   else
@@ -334,8 +364,8 @@ let mark_phase t =
     if is_heap_pointer t v then begin
       let seg = seg_of t v in
       let widx = (v - seg.s_base) / 8 in
-      if Bytes.get seg.s_marks widx = '\000' then begin
-        Bytes.set seg.s_marks widx '\001';
+      if Bytes.get seg.s_kinds widx = obj then begin
+        Bytes.set seg.s_kinds widx marked;
         Stack.push (seg, widx) stack
       end
     end
@@ -372,26 +402,27 @@ let sweep_phase t =
       in
       while !widx < seg.s_bump do
         let i = !widx in
-        if Bytes.get seg.s_starts i = '\001' then begin
+        let kind = Bytes.get seg.s_kinds i in
+        if is_object kind then begin
           let header = seg.s_words.(i) in
           let total = 1 + (header lsr 8) in
           t.st.objects_swept <- t.st.objects_swept + 1;
           work := !work + 4;
-          if Bytes.get seg.s_marks i = '\001' then begin
-            Bytes.set seg.s_marks i '\000';
+          if kind = marked then begin
+            Bytes.set seg.s_kinds i obj;
             flush_free i;
             seg.s_live_words <- seg.s_live_words + total
           end
           else begin
             (* Dead: fold into the pending free run. *)
-            Bytes.set seg.s_starts i '\000';
+            Bytes.set seg.s_kinds i plain;
             if !pending_free_start < 0 then pending_free_start := i
           end;
           widx := i + total
         end
-        else if Bytes.get seg.s_frees i = '\001' then begin
+        else if kind = free then begin
           let total = seg.s_words.(i) in
-          Bytes.set seg.s_frees i '\000';
+          Bytes.set seg.s_kinds i plain;
           if !pending_free_start < 0 then pending_free_start := i;
           widx := i + total
         end
@@ -426,7 +457,7 @@ let protect_phase t =
         t.env.Env.mprotect ~addr:seg.s_base ~len:(resident_occupied * Addr.page_size)
           ~prot:Mv_ros.Mm.prot_r;
         for p = 0 to resident_occupied - 1 do
-          if Bytes.get seg.s_resident p = '\001' then Bytes.set seg.s_protected p '\001'
+          if Bytes.get seg.s_state p <> untouched then Bytes.set seg.s_state p protected
         done
       end)
     t.segs
@@ -453,10 +484,7 @@ let collect t =
 
 (* --- allocation --- *)
 
-let zero_payload seg widx total =
-  Array.fill seg.s_words widx total 0
-
-let alloc t ~tag ~words =
+let alloc t ~tag ~words ~init =
   if t.bytes_since_gc >= t.threshold then collect t;
   let total = words + 1 in
   t.bytes_since_gc <- t.bytes_since_gc + (total * 8);
@@ -464,9 +492,7 @@ let alloc t ~tag ~words =
   t.env.Env.work 22;
   let seg, widx =
     match take_free t total with
-    | Some (seg, widx) ->
-        Bytes.set seg.s_frees widx '\000';
-        (seg, widx)
+    | Some (seg, widx) -> (seg, widx)
     | None ->
         let seg =
           if t.cur.s_bump + total <= Array.length t.cur.s_words then t.cur
@@ -487,9 +513,9 @@ let alloc t ~tag ~words =
   for p = first_page to last_page do
     ensure_writable t seg (p * words_per_page + if p = first_page then widx mod words_per_page else 0)
   done;
-  zero_payload seg widx total;
+  Array.fill seg.s_words (widx + 1) words init;
   seg.s_words.(widx) <- (words lsl 8) lor tag;
-  Bytes.set seg.s_starts widx '\001';
+  Bytes.set seg.s_kinds widx obj;
   seg.s_base + (widx * 8)
 
 let stats t = t.st

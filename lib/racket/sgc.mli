@@ -16,7 +16,14 @@
     Objects are word-arrays with a one-word header (low 8 bits: type tag;
     upper bits: payload length in words).  Marking is conservative: any
     root or payload word that decodes as a pointer to a live object start
-    is treated as a reference. *)
+    is treated as a reference.
+
+    The host arrays of an unmapped default-size segment are kept and
+    reused, cleared, by the next default-size map, so the heap's host
+    storage follows its high-water mark of mapped segments.  This has no
+    simulated effect: every [mmap], [munmap], [mprotect], touch, store
+    and work charge, and every address the mutator gets, is the same as
+    with fresh arrays per map. *)
 
 type t
 
@@ -25,6 +32,9 @@ type stats = {
   mutable bytes_allocated : int;
   mutable segments_mapped : int;
   mutable segments_unmapped : int;
+  mutable segments_recycled : int;
+      (** Maps whose host storage came from an unmapped segment; the rest
+          of [segments_mapped] allocated fresh arrays. *)
   mutable barrier_faults : int;
   mutable objects_swept : int;
 }
@@ -49,14 +59,21 @@ val set_roots : t -> ((int -> unit) -> unit) -> unit
 (** Provide the root enumerator: called at collection time with a visitor
     to be applied to every potential root word. *)
 
-val alloc : t -> tag:int -> words:int -> Mv_hw.Addr.t
-(** Allocate an object with a zeroed payload of [words] words; may run a
-    collection first.  Returns the header address (the value pointer). *)
+val alloc : t -> tag:int -> words:int -> init:int -> Mv_hw.Addr.t
+(** Allocate an object with a payload of [words] words, each [init]; may
+    run a collection first.  Returns the header address (the value
+    pointer).  Every page of the object is writable on return, so writes
+    to it before the next collection reach no kernel call. *)
 
 val collect : t -> unit
 (** Force a full collection. *)
 
-(** {1 Heap access} *)
+(** {1 Heap access}
+
+    The accessors raise [Invalid_argument] on an address outside every
+    mapped segment, where [is_heap_pointer] answers false.  A read of a
+    never-touched page takes the demand-paging fault; a write to a page
+    protected after a collection takes the write-barrier fault. *)
 
 val read_word : t -> Mv_hw.Addr.t -> int
 val write_word : t -> Mv_hw.Addr.t -> int -> unit

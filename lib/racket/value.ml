@@ -3,13 +3,13 @@ type v = int
 (* --- immediates --- *)
 
 let fixnum n = (n lsl 1) lor 1
-let is_fixnum v = v land 1 = 1
-let fixnum_val v = v asr 1
+let[@inline] is_fixnum v = v land 1 = 1
+let[@inline] fixnum_val v = v asr 1
 let sym id = (id lsl 3) lor 0b010
-let is_sym v = v land 7 = 0b010
+let[@inline] is_sym v = v land 7 = 0b010
 let sym_id v = v lsr 3
 let char_v c = (Char.code c lsl 3) lor 0b100
-let is_char v = v land 7 = 0b100
+let[@inline] is_char v = v land 7 = 0b100
 let char_val v = Char.chr ((v lsr 3) land 0xFF)
 
 let special k = (k lsl 3) lor 0b110
@@ -23,7 +23,7 @@ let bool_v b = if b then vtrue else vfalse
 let is_truthy v = v <> vfalse
 
 let port_v id = special (16 + id)
-let is_port v = v land 7 = 0b110 && v lsr 3 >= 16
+let[@inline] is_port v = v land 7 = 0b110 && v lsr 3 >= 16
 let port_id v = (v lsr 3) - 16
 
 (* --- heap objects --- *)
@@ -41,24 +41,24 @@ let register_scannable gc =
     (fun tag -> Sgc.set_scannable gc ~tag true)
     [ tag_pair; tag_vector; tag_closure; tag_box; tag_frame ]
 
-let is_ptr v = v land 7 = 0 && v <> 0
-let has_tag gc v tag = is_ptr v && Sgc.header_tag gc v = tag
+let[@inline] is_ptr v = v land 7 = 0 && v <> 0
+let[@inline] has_tag gc v tag = is_ptr v && Sgc.header_tag gc v = tag
 
-let slot addr i = addr + ((i + 1) * 8)
+let[@inline] slot addr i = addr + ((i + 1) * 8)
 
 (* pairs *)
 
 let cons gc a d =
-  let p = Sgc.alloc gc ~tag:tag_pair ~words:2 in
+  let p = Sgc.alloc gc ~tag:tag_pair ~words:2 ~init:0 in
   Sgc.write_word gc (slot p 0) a;
   Sgc.write_word gc (slot p 1) d;
   p
 
-let is_pair gc v = has_tag gc v tag_pair
-let car gc p = Sgc.read_word gc (slot p 0)
-let cdr gc p = Sgc.read_word gc (slot p 1)
-let set_car gc p x = Sgc.write_word gc (slot p 0) x
-let set_cdr gc p x = Sgc.write_word gc (slot p 1) x
+let[@inline] is_pair gc v = has_tag gc v tag_pair
+let[@inline] car gc p = Sgc.read_word gc (slot p 0)
+let[@inline] cdr gc p = Sgc.read_word gc (slot p 1)
+let[@inline] set_car gc p x = Sgc.write_word gc (slot p 0) x
+let[@inline] set_cdr gc p x = Sgc.write_word gc (slot p 1) x
 
 let list_of gc items = List.fold_right (fun x acc -> cons gc x acc) items nil
 
@@ -72,31 +72,26 @@ let to_list gc v =
 
 (* vectors *)
 
-let make_vector gc n fill =
-  let a = Sgc.alloc gc ~tag:tag_vector ~words:(Int.max n 0) in
-  for i = 0 to n - 1 do
-    Sgc.write_word gc (slot a i) fill
-  done;
-  a
+let make_vector gc n fill = Sgc.alloc gc ~tag:tag_vector ~words:(Int.max n 0) ~init:fill
 
-let is_vector gc v = has_tag gc v tag_vector
-let vector_length gc v = Sgc.header_words gc v
+let[@inline] is_vector gc v = has_tag gc v tag_vector
+let[@inline] vector_length gc v = Sgc.header_words gc v
 
-let checked_vector_length gc v =
+let[@inline] checked_vector_length gc v =
   if is_ptr v then
     let h = Sgc.header gc v in
     if h land 0xFF = tag_vector then h lsr 8 else -1
   else -1
 
-let vector_ref gc v i = Sgc.read_word gc (slot v i)
-let vector_set gc v i x = Sgc.write_word gc (slot v i) x
+let[@inline] vector_ref gc v i = Sgc.read_word gc (slot v i)
+let[@inline] vector_set gc v i x = Sgc.write_word gc (slot v i) x
 
 (* strings: word 0 = length in bytes, then packed bytes *)
 
 let string_v gc s =
   let len = String.length s in
   let data_words = (len + 7) / 8 in
-  let a = Sgc.alloc gc ~tag:tag_string ~words:(1 + data_words) in
+  let a = Sgc.alloc gc ~tag:tag_string ~words:(1 + data_words) ~init:0 in
   Sgc.write_word gc (slot a 0) len;
   for w = 0 to data_words - 1 do
     let word = ref 0 in
@@ -108,7 +103,7 @@ let string_v gc s =
   done;
   a
 
-let is_string gc v = has_tag gc v tag_string
+let[@inline] is_string gc v = has_tag gc v tag_string
 let string_length gc v = Sgc.read_word gc (slot v 0)
 
 let string_ref gc v i =
@@ -130,12 +125,12 @@ let string_val gc v =
 
 let flonum gc f =
   let bits = Int64.bits_of_float f in
-  let a = Sgc.alloc gc ~tag:tag_flonum ~words:2 in
+  let a = Sgc.alloc gc ~tag:tag_flonum ~words:2 ~init:0 in
   Sgc.write_word gc (slot a 0) (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
   Sgc.write_word gc (slot a 1) (Int64.to_int (Int64.shift_right_logical bits 32));
   a
 
-let is_flonum gc v = has_tag gc v tag_flonum
+let[@inline] is_flonum gc v = has_tag gc v tag_flonum
 
 let flonum_val gc v =
   let lo = Sgc.read_word gc (slot v 0) and hi = Sgc.read_word gc (slot v 1) in
@@ -146,41 +141,38 @@ let flonum_val gc v =
    word 1 = captured environment *)
 
 let closure gc ~code ~env =
-  let a = Sgc.alloc gc ~tag:tag_closure ~words:2 in
+  let a = Sgc.alloc gc ~tag:tag_closure ~words:2 ~init:0 in
   Sgc.write_word gc (slot a 0) (fixnum code);
   Sgc.write_word gc (slot a 1) env;
   a
 
-let is_closure gc v = has_tag gc v tag_closure
-let closure_code gc v = fixnum_val (Sgc.read_word gc (slot v 0))
-let closure_env gc v = Sgc.read_word gc (slot v 1)
+let[@inline] is_closure gc v = has_tag gc v tag_closure
+let[@inline] closure_code gc v = fixnum_val (Sgc.read_word gc (slot v 0))
+let[@inline] closure_env gc v = Sgc.read_word gc (slot v 1)
 
 (* boxes *)
 
 let box_v gc x =
-  let a = Sgc.alloc gc ~tag:tag_box ~words:1 in
+  let a = Sgc.alloc gc ~tag:tag_box ~words:1 ~init:0 in
   Sgc.write_word gc (slot a 0) x;
   a
 
-let is_box gc v = has_tag gc v tag_box
-let unbox gc v = Sgc.read_word gc (slot v 0)
-let set_box gc v x = Sgc.write_word gc (slot v 0) x
+let[@inline] is_box gc v = has_tag gc v tag_box
+let[@inline] unbox gc v = Sgc.read_word gc (slot v 0)
+let[@inline] set_box gc v x = Sgc.write_word gc (slot v 0) x
 
 (* environment frames: word 0 = parent, then slots *)
 
 let frame gc ~parent ~size =
-  let a = Sgc.alloc gc ~tag:tag_frame ~words:(size + 1) in
+  let a = Sgc.alloc gc ~tag:tag_frame ~words:(size + 1) ~init:vundef in
   Sgc.write_word gc (slot a 0) parent;
-  for i = 1 to size do
-    Sgc.write_word gc (slot a i) vundef
-  done;
   a
 
-let frame_parent gc v = Sgc.read_word gc (slot v 0)
-let frame_set_parent gc v p = Sgc.write_word gc (slot v 0) p
-let frame_ref gc v i = Sgc.read_word gc (slot v (i + 1))
-let frame_set gc v i x = Sgc.write_word gc (slot v (i + 1)) x
-let frame_size gc v = Sgc.header_words gc v - 1
+let[@inline] frame_parent gc v = Sgc.read_word gc (slot v 0)
+let[@inline] frame_set_parent gc v p = Sgc.write_word gc (slot v 0) p
+let[@inline] frame_ref gc v i = Sgc.read_word gc (slot v (i + 1))
+let[@inline] frame_set gc v i x = Sgc.write_word gc (slot v (i + 1)) x
+let[@inline] frame_size gc v = Sgc.header_words gc v - 1
 
 (* --- generic --- *)
 

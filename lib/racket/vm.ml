@@ -288,6 +288,19 @@ let char_arg t n name i =
   expect t name "char" (V.is_char v) v;
   V.char_val v
 
+(* The elements of [lst], a Scheme error naming [name] and [lst] unless it
+   is a proper list. *)
+let list_arg t name lst =
+  let gc = t.heap in
+  let rec go acc v =
+    if v = V.nil then List.rev acc
+    else begin
+      expect t name "list" (V.is_pair gc v) lst;
+      go (V.car gc v :: acc) (V.cdr gc v)
+    end
+  in
+  go [] lst
+
 (* Argument 1 as an index into argument 0, already checked to be a string. *)
 let string_index t n name =
   let i = int_arg t n name 1 in
@@ -465,7 +478,7 @@ let exec_prim t p n =
           match front with
           | [] -> tail
           | v :: rest ->
-              let elems = V.to_list gc v in
+              let elems = list_arg t "append" v in
               List.fold_right
                 (fun x acc ->
                   t.ntemps <- 0;
@@ -485,17 +498,19 @@ let exec_prim t p n =
         finish t n (copy_onto front last)
       end
   | Preverse ->
+      let lst = arg t n 0 in
       let acc = ref V.nil in
       let rec go v =
         if v = V.nil then ()
         else begin
+          expect t "reverse" "list" (V.is_pair gc v) lst;
           t.ntemps <- 0;
           protect t !acc;
           acc := V.cons gc (V.car gc v) !acc;
           go (V.cdr gc v)
         end
       in
-      go (arg t n 0);
+      go lst;
       finish t n !acc
   | Plist_ref ->
       let k = int_arg t n "list-ref" 1 in
@@ -514,23 +529,33 @@ let exec_prim t p n =
       in
       finish t n (go (arg t n 0) k)
   | Pmemq | Pmember ->
-      let same = match p with Pmemq -> fun a b -> a = b | _ -> V.equal gc in
-      let rec go v =
-        if v = V.nil then V.vfalse
-        else if same (arg t n 0) (V.car gc v) then v
-        else go (V.cdr gc v)
+      let name, same =
+        match p with Pmemq -> ("memq", fun a b -> a = b) | _ -> ("member", V.equal gc)
       in
-      finish t n (go (arg t n 1))
-  | Passq | Passv ->
-      let same = match p with Passq -> fun a b -> a = b | _ -> V.eqv gc in
+      let lst = arg t n 1 in
       let rec go v =
         if v = V.nil then V.vfalse
-        else
+        else begin
+          expect t name "list" (V.is_pair gc v) lst;
+          if same (arg t n 0) (V.car gc v) then v else go (V.cdr gc v)
+        end
+      in
+      finish t n (go lst)
+  | Passq | Passv ->
+      let name, same =
+        match p with Passq -> ("assq", fun a b -> a = b) | _ -> ("assv", V.eqv gc)
+      in
+      let lst = arg t n 1 in
+      let rec go v =
+        if v = V.nil then V.vfalse
+        else begin
+          expect t name "list" (V.is_pair gc v) lst;
           let entry = V.car gc v in
           if V.is_pair gc entry && same (arg t n 0) (V.car gc entry) then entry
           else go (V.cdr gc v)
+        end
       in
-      finish t n (go (arg t n 1))
+      finish t n (go lst)
   (* vectors *)
   | Pmake_vector ->
       let len = int_arg t n "make-vector" 0 in
@@ -987,17 +1012,8 @@ let check_display t =
                   fr.f_level)
   done
 
-let run_code t idx =
-  ensure_globals t;
-  let base_fp = t.fp in
-  grow_frames t;
-  t.fp <- t.fp + 1;
-  let fr0 = t.frames.(t.fp) in
-  fr0.f_code <- idx;
-  fr0.f_pc <- 0;
-  fr0.f_env <- V.nil;
-  fr0.f_level <- -1;
-  jit_check t t.cs.codes.(idx);
+(* Run until the activation above [base_fp] returns; its value. *)
+let dispatch t base_fp =
   let result = ref V.vvoid in
   let running = ref true in
   while !running do
@@ -1089,6 +1105,7 @@ let run_code t idx =
         let rec spread count v =
           if v = V.nil then count
           else begin
+            expect t "apply" "list" (V.is_pair t.heap v) lst;
             push t (V.car t.heap v);
             spread (count + 1) (V.cdr t.heap v)
           end
@@ -1119,8 +1136,33 @@ let run_code t idx =
            which enter_call intercepts. *)
         assert false
   done;
+  !result
+
+let run_code t idx =
+  ensure_globals t;
+  let base_fp = t.fp and base_sp = t.sp in
+  grow_frames t;
+  t.fp <- t.fp + 1;
+  let fr0 = t.frames.(t.fp) in
+  fr0.f_code <- idx;
+  fr0.f_pc <- 0;
+  fr0.f_env <- V.nil;
+  fr0.f_level <- -1;
+  jit_check t t.cs.codes.(idx);
+  let result =
+    match dispatch t base_fp with
+    | v -> v
+    | exception e ->
+        (* An escaping exception drops the run's activations, stack slots
+           and temps, so none of them stays a GC root. *)
+        let bt = Printexc.get_raw_backtrace () in
+        t.fp <- base_fp;
+        t.sp <- base_sp;
+        clear_temps t;
+        Printexc.raise_with_backtrace e bt
+  in
   (* Charge the instructions since the last tick (or flush), which may
      include some from a run a Scheme error cut short. *)
   t.env.Env.work ((t.n_instrs - (t.next_tick - tick_period)) * t.cycles_per_instr);
   t.next_tick <- t.n_instrs + tick_period;
-  !result
+  result

@@ -11,9 +11,12 @@ Each pair runs both executables once, one process at a time, as
 Odd pairs run the parent first, even pairs the change first, so neither
 side always gets the warmer (or cooler) machine.  Each run's last stdout
 line is its JSON result.  Prints every pair's host_s, setup_s and
-peak_heap_mb, then per metric each side's median and quartiles, the
-change in percent and how many pairs the change won (lower is better for
-all three).
+peak_heap_mb, then per metric each side's median and quartiles (or its
+one value, when every run of that side gave the same), the change in
+percent, the pairs the change won, tied and lost (lower is better for
+all three), and whether the claim rule holds: the change won at least
+9 of every 10 pairs (a tie counts for neither side), and its median is
+better than the parent's by more than the parent's interquartile range.
 
 This is the way to measure a host-clock claim: two builds run back to
 back (first all of one, then all of the other) drift apart with the
@@ -38,6 +41,28 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, _, q3 = statistics.quantiles(xs, n=4)
     return q1, statistics.median(xs), q3
+
+
+def spread(xs):
+    """A side's median and quartiles, or its one value if every run gave it."""
+    if min(xs) == max(xs):
+        return f"{xs[0]:.4f} (every run)"
+    q1, med, q3 = quartiles(xs)
+    return f"{med:.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def claim_rule(parent, change):
+    """(holds, reason) for a claimed gain (lower is better) of change over parent."""
+    pairs = len(parent)
+    won = sum(1 for a, b in zip(parent, change) if b < a)
+    p1, mp, p3 = quartiles(parent)
+    gain, iqr = mp - statistics.median(change), p3 - p1
+    misses = []
+    if won * 10 < pairs * 9:
+        misses.append(f"won {won} of {pairs} pairs, under 9 in 10")
+    if gain <= iqr:
+        misses.append(f"median gain {gain:.4f} not above the parent's IQR {iqr:.4f}")
+    return not misses, "; ".join(misses)
 
 
 def run_once(exe, args):
@@ -98,11 +123,14 @@ def main():
 
     for m in METRICS:
         p, c = samples["parent"][m], samples["change"][m]
-        (p1, mp, p3), (c1, mc, c3) = quartiles(p), quartiles(c)
+        mp, mc = statistics.median(p), statistics.median(c)
         pct = (mc - mp) / mp * 100 if mp else float("nan")
         won = sum(1 for a, b in zip(p, c) if b < a)
-        print(f"{m}: median parent {mp:.4f} [{p1:.4f}, {p3:.4f}], change {mc:.4f} "
-              f"[{c1:.4f}, {c3:.4f}] ({pct:+.1f}%); change won {won} of {args.pairs} pairs")
+        lost = sum(1 for a, b in zip(p, c) if b > a)
+        holds, why = claim_rule(p, c)
+        print(f"{m}: median parent {spread(p)}, change {spread(c)} ({pct:+.1f}%); "
+              f"won {won}, tied {args.pairs - won - lost}, lost {lost} of {args.pairs} pairs; "
+              f"claim rule {'holds' if holds else 'fails: ' + why}")
     return 0 if all_ok else 1
 
 

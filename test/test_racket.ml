@@ -68,8 +68,8 @@ let qcheck_sexp_roundtrip =
 
 (* --- fixtures: a guest environment to host heap/VM tests --- *)
 
-let in_guest f =
-  let machine = Machine.create () in
+let in_guest ?config f =
+  let machine = Machine.create ?config () in
   let k = Mv_ros.Kernel.create machine in
   let result = ref None in
   ignore
@@ -201,59 +201,130 @@ let qcheck_sgc_model =
               actual = expected)
             roots model))
 
+let no_huge_pages = { Machine.default_config with huge_pages = false }
+
 let qcheck_sgc_segment_churn =
   (* Many 16-page segments, mapped as vectors of mixed sizes arrive (9000
      words is more than one segment) and unmapped as dropped roots empty
-     them.  After every step each live vector reads back its model, and
-     each dropped vector whose VMA is gone (mmap never reuses an address)
-     is no heap pointer and unreadable. *)
+     them, on the default machine and on one without huge pages (where
+     segments are not 2 MiB-aligned).  After every step each live vector
+     reads back its model, and each dropped vector whose VMA is gone (mmap
+     never reuses an address) is no heap pointer and unreadable.  The
+     16-page segments whose host storage was freshly allocated never
+     outnumber the most segments mapped at once: an unmapped one's
+     storage is reused before any new one is allocated.  A 9000-word
+     vector that maps takes a larger segment, which is never reused. *)
   let sizes = [| 0; 1; 2; 7; 40; 300; 9000 |] in
+  let churn config ops =
+    in_guest ~config (fun env p ->
+        let gc = Sgc.create env ~segment_pages:16 ~threshold:65_536 () in
+        let st = Sgc.stats gc in
+        Value.register_scannable gc;
+        let nroots = 8 in
+        let roots = Array.make nroots Value.nil in
+        let model = Array.make nroots (0, 0) in
+        let dropped = ref [] and large_maps = ref 0 and most_mapped = ref 1 in
+        Sgc.set_roots gc (fun visit -> Array.iter visit roots);
+        let drop slot =
+          if roots.(slot) <> Value.nil then dropped := roots.(slot) :: !dropped;
+          roots.(slot) <- Value.nil
+        in
+        let intact slot =
+          let v = roots.(slot) and seed, len = model.(slot) in
+          v = Value.nil
+          || Value.vector_length gc v = len
+             && List.for_all
+                  (fun i -> Value.fixnum_val (Value.vector_ref gc v i) = seed + i)
+                  (List.init len Fun.id)
+        in
+        let gone a =
+          Mv_ros.Mm.find_vma p.Mv_ros.Process.mm a <> None
+          || (not (Sgc.is_heap_pointer gc a))
+             && match Sgc.read_word gc a with _ -> false | exception Invalid_argument _ -> true
+        in
+        List.for_all
+          (fun (slot, size, op) ->
+            (match op with
+            | 0 | 1 | 2 | 3 | 4 | 5 ->
+                drop slot;
+                let len = sizes.(size) and seed = (slot * 100_000) + (op * 10_000) in
+                let mapped = st.Sgc.segments_mapped in
+                let v = Value.make_vector gc len (Value.fixnum 0) in
+                if len = 9000 && st.segments_mapped > mapped then incr large_maps;
+                for i = 0 to len - 1 do
+                  Value.vector_set gc v i (Value.fixnum (seed + i))
+                done;
+                roots.(slot) <- v;
+                model.(slot) <- (seed, len)
+            | 6 | 7 -> drop slot
+            | _ -> Sgc.collect gc);
+            most_mapped := Int.max !most_mapped (st.segments_mapped - st.segments_unmapped);
+            List.for_all intact (List.init nroots Fun.id)
+            && List.for_all gone !dropped
+            && st.segments_mapped - st.segments_recycled - !large_maps <= !most_mapped)
+          ops)
+  in
   let print = QCheck.Print.(list (triple int int int)) in
   QCheck.Test.make ~name:"sgc: lookups across segment map/unmap churn" ~count:15
     (QCheck.make ~print
        QCheck.Gen.(list_size (int_range 1 40) (triple (int_bound 7) (int_bound 6) (int_bound 9))))
-    (fun ops ->
-      in_guest (fun env p ->
-          let gc = Sgc.create env ~segment_pages:16 ~threshold:65_536 () in
-          Value.register_scannable gc;
-          let nroots = 8 in
-          let roots = Array.make nroots Value.nil in
-          let model = Array.make nroots (0, 0) in
-          let dropped = ref [] in
-          Sgc.set_roots gc (fun visit -> Array.iter visit roots);
-          let drop slot =
-            if roots.(slot) <> Value.nil then dropped := roots.(slot) :: !dropped;
-            roots.(slot) <- Value.nil
-          in
-          let intact slot =
-            let v = roots.(slot) and seed, len = model.(slot) in
-            v = Value.nil
-            || Value.vector_length gc v = len
-               && List.for_all
-                    (fun i -> Value.fixnum_val (Value.vector_ref gc v i) = seed + i)
-                    (List.init len Fun.id)
-          in
-          let gone a =
-            Mv_ros.Mm.find_vma p.Mv_ros.Process.mm a <> None
-            || (not (Sgc.is_heap_pointer gc a))
-               && match Sgc.read_word gc a with _ -> false | exception Invalid_argument _ -> true
-          in
-          List.for_all
-            (fun (slot, size, op) ->
-              (match op with
-              | 0 | 1 | 2 | 3 | 4 | 5 ->
-                  drop slot;
-                  let len = sizes.(size) and seed = (slot * 100_000) + (op * 10_000) in
-                  let v = Value.make_vector gc len (Value.fixnum 0) in
-                  for i = 0 to len - 1 do
-                    Value.vector_set gc v i (Value.fixnum (seed + i))
-                  done;
-                  roots.(slot) <- v;
-                  model.(slot) <- (seed, len)
-              | 6 | 7 -> drop slot
-              | _ -> Sgc.collect gc);
-              List.for_all intact (List.init nroots Fun.id) && List.for_all gone !dropped)
-            ops))
+    (fun ops -> churn Machine.default_config ops && churn no_huge_pages ops)
+
+(* After a collection unmaps a segment, the next map reuses its host
+   storage, and the new mapping behaves as a fresh one: the old mapping's
+   addresses are gone, the first write to each of its pages takes a
+   demand-paging fault, a page the next collection protects takes one
+   barrier fault, and a new vector reads back its fill. *)
+let test_sgc_recycled_segment () =
+  in_guest ~config:no_huge_pages (fun env p ->
+      let gc = Sgc.create env ~segment_pages:16 ~threshold:(1 lsl 30) () in
+      let st = Sgc.stats gc in
+      Value.register_scannable gc;
+      Sgc.install_barrier gc;
+      let roots = ref [] in
+      Sgc.set_roots gc (fun visit -> List.iter visit !roots);
+      let minflt () = p.Mv_ros.Process.rusage.Mv_ros.Rusage.minflt in
+      let faults f =
+        let before = minflt () in
+        let v = f () in
+        (v, minflt () - before)
+      in
+      (* 511 payload words and the header fill one page. *)
+      let page_vector k = Value.make_vector gc 511 (Value.fixnum k) in
+      let doomed = page_vector 7 in
+      for _ = 2 to 16 do
+        ignore (page_vector 0)
+      done;
+      let kept, fresh = faults (fun () -> page_vector 0) in
+      check_int "second segment mapped" 2 st.Sgc.segments_mapped;
+      check_int "a fresh mapping's first write faults" 1 fresh;
+      roots := [ kept ];
+      Sgc.collect gc;
+      check_int "first segment unmapped" 1 st.segments_unmapped;
+      check_bool "stale address is not a heap pointer" false (Sgc.is_heap_pointer gc doomed);
+      check_bool "stale address unreadable" true
+        (match Sgc.read_word gc doomed with _ -> false | exception Invalid_argument _ -> true);
+      for _ = 2 to 16 do
+        ignore (page_vector 0)
+      done;
+      let v, first = faults (fun () -> page_vector 5) in
+      check_int "third segment mapped" 3 st.segments_mapped;
+      check_int "its storage recycled" 1 st.segments_recycled;
+      check_int "the recycled mapping's first write faults" 1 first;
+      let rest = List.init 15 (fun _ -> snd (faults (fun () -> page_vector 0))) in
+      check_bool "one fault per page" true (List.for_all (( = ) 1) rest);
+      let (), again = faults (fun () -> Value.vector_set gc v 0 (Value.fixnum 6)) in
+      check_int "a written page does not fault again" 0 again;
+      roots := [ kept; v ];
+      Sgc.collect gc;
+      let barrier = st.barrier_faults in
+      Value.vector_set gc v 1 (Value.fixnum 6);
+      Value.vector_set gc v 2 (Value.fixnum 6);
+      check_int "one barrier fault on the protected page" (barrier + 1) st.barrier_faults;
+      check_int "old contents intact" 5 (Value.fixnum_val (Value.vector_ref gc v 3));
+      let w = Value.make_vector gc 600 (Value.fixnum 9) in
+      check_bool "a new vector reads back its fill" true
+        (List.for_all (fun i -> Value.vector_ref gc w i = Value.fixnum 9) (List.init 600 Fun.id)))
 
 let test_sgc_write_barrier () =
   in_guest (fun env p ->
@@ -466,6 +537,54 @@ let test_eval_errors () =
   check_eval "\"xx\"" "(make-string 2 #\\x)";
   check_eval "#t" {|(string=? (string-append "a" "b") "ab")|};
   check_eval "(#\\a #\\b)" {|(string->list "ab")|}
+
+(* The list primitives and [apply] reject an argument that is not a
+   proper list with a Scheme error naming the primitive and the argument,
+   never a host exception. *)
+let test_eval_list_errors () =
+  let message src =
+    match eval_in_guest src with v -> "no error: " ^ v | exception Vm.Scheme_error msg -> msg
+  in
+  List.iter
+    (fun (src, expected) -> check_string src expected (message src))
+    [
+      ("(reverse 5)", "reverse: expected list, got 5");
+      ("(reverse '(1 2 . 3))", "reverse: expected list, got (1 2 . 3)");
+      ("(memq 'a 5)", "memq: expected list, got 5");
+      ("(member 1 '(2 . 3))", "member: expected list, got (2 . 3)");
+      ("(assq 'a 5)", "assq: expected list, got 5");
+      ("(assv 1 '((2 . 3) . 4))", "assv: expected list, got ((2 . 3) . 4)");
+      ("(append 5 '(1))", "append: expected list, got 5");
+      ("(append '(1) '(2 . 3) '(4))", "append: expected list, got (2 . 3)");
+      ("(apply + 5)", "apply: expected list, got 5");
+      ("(apply + '(1 . 2))", "apply: expected list, got (1 . 2)");
+    ];
+  (* Proper lists, and a match found before an improper tail, as before. *)
+  check_eval "(3 2 1)" "(reverse '(1 2 3))";
+  check_eval "()" "(reverse '())";
+  check_eval "(a . 5)" "(memq 'a '(a . 5))";
+  check_eval "(2 3)" "(member 2 '(1 2 3))";
+  check_eval "(b . 2)" "(assq 'b '((a . 1) (b . 2)))";
+  check_eval "#f" "(assv 3 '((1 . 2)))";
+  check_eval "(1 2 . 3)" "(append '(1) '(2) 3)";
+  check_eval "6" "(apply + '(1 2 3))"
+
+(* A REPL line with a list error prints the message; the next line still
+   evaluates. *)
+let test_repl_list_errors () =
+  let machine = Machine.create () in
+  let k = Mv_ros.Kernel.create machine in
+  let p =
+    Mv_ros.Kernel.spawn_process k ~name:"repl" (fun p ->
+        let env = Mv_guest.Env.native k p in
+        Engine.repl (Engine.start env))
+  in
+  Mv_ros.Vfs.feed p.Mv_ros.Process.stdin "(reverse 5)\n(apply + '(1 . 2))\n(+ 1 2)\n";
+  Mv_ros.Vfs.close_stream p.Mv_ros.Process.stdin;
+  Sim.run machine.Machine.sim;
+  check_string "repl transcript"
+    "> reverse: expected list, got 5\n> apply: expected list, got (1 . 2)\n> 3\n> \n"
+    (Mv_ros.Process.stdout_contents p)
 
 (* Two-fixnum [+ - * < > <= >= =] take a direct path in the VM.  It must
    agree with the n-ary path, and both with OCaml arithmetic wrapped to the
@@ -764,8 +883,8 @@ let test_display_places () =
 r
 |}
 
-(* A Scheme error escapes forty activations deep; the stale activations
-   stay (with consistent displays) and the next lines still evaluate. *)
+(* A Scheme error escapes forty activations deep; the run's activations
+   go with it, and the next lines evaluate with consistent displays. *)
 let test_display_repl_after_error () =
   let machine = Machine.create () in
   let k = Mv_ros.Kernel.create machine in
@@ -792,6 +911,29 @@ let test_display_repl_after_error () =
   Sim.run machine.Machine.sim;
   check_string "repl transcript" "> > > > car: expected pair, got 0\n> 10\n> 9000\n> \n"
     (Mv_ros.Process.stdout_contents p)
+
+(* A Scheme error that escapes a deep recursion leaves none of its
+   activations, stack slots or temps behind as GC roots: after each failed
+   form and a collection, the live heap is what it was before the first.
+   Each of the eight activations holds a 50,000-slot vector. *)
+let test_vm_error_drops_roots () =
+  in_guest (fun env _p ->
+      let engine = Engine.start env in
+      let eval src = ignore (Engine.eval_string engine src) in
+      eval
+        "(define (dive n) (if (= n 0) (car n) (let ((v (make-vector 50000 0))) (+ 1 (dive (- n \
+         1))))))";
+      eval "(collect-garbage)";
+      let before = Sgc.live_bytes (Engine.gc engine) in
+      for i = 1 to 2 do
+        (match eval "(dive 8)" with
+        | () -> Alcotest.fail "dive returned"
+        | exception Vm.Scheme_error _ -> ());
+        eval "(collect-garbage)";
+        check_int (Printf.sprintf "live bytes after failed dive %d" i) before
+          (Sgc.live_bytes (Engine.gc engine))
+      done;
+      Engine.finish engine)
 
 (* --- places (parallel Scheme; paper future work) --- *)
 
@@ -961,6 +1103,7 @@ let suite =
      (name, `Slow, fn));
     (let name, _, fn = QCheck_alcotest.to_alcotest qcheck_sgc_segment_churn in
      (name, `Quick, fn));
+    ("sgc: a recycled segment maps as a fresh one", `Quick, test_sgc_recycled_segment);
     ("sgc: mprotect write barrier", `Quick, test_sgc_write_barrier);
     ("sgc: empty segments munmapped", `Quick, test_sgc_segments_unmapped);
     ("sgc: free-list reuse, no growth", `Quick, test_sgc_free_list_reuse);
@@ -972,12 +1115,14 @@ let suite =
     ("eval: control forms", `Quick, test_eval_control);
     ("eval: numeric tower", `Quick, test_eval_numeric_tower);
     ("eval: runtime errors", `Quick, test_eval_errors);
+    ("eval: list primitives reject non-lists", `Quick, test_eval_list_errors);
     (* cheap enough for the quick tier, which skips QCheck's default `Slow *)
     (let name, _, fn = QCheck_alcotest.to_alcotest qcheck_fixnum_fast_path in
      (name, `Quick, fn));
     ("eval: GC under pressure", `Quick, test_eval_gc_under_pressure);
     ("engine: startup syscall profile (Fig 11)", `Quick, test_engine_startup_profile);
     ("engine: REPL", `Quick, test_engine_repl);
+    ("engine: REPL after a list error", `Quick, test_repl_list_errors);
     ("engine: scheduler tick syscalls", `Quick, test_engine_tick_syscalls);
     ("vm: tick boundaries and instruction charge", `Quick, test_vm_tick_boundaries);
     ("vm: display checked over the CLBG programs", `Quick, test_display_clbg);
@@ -990,6 +1135,7 @@ let suite =
     ("vm: apply and variadic primitives as values", `Quick, test_display_apply_and_varargs);
     ("vm: closures in a place", `Quick, test_display_places);
     ("vm: REPL after an error escapes deep", `Quick, test_display_repl_after_error);
+    ("vm: an escaped error leaves no GC roots", `Quick, test_vm_error_drops_roots);
     ("places: message roundtrip", `Quick, test_places_roundtrip);
     ("places: bidirectional channel", `Quick, test_places_bidirectional);
     ("places: parallel speedup", `Slow, test_places_parallel_speedup);
