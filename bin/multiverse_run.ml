@@ -11,6 +11,7 @@
 open Multiverse
 module Args = Mv_util.Args
 module Fault_plan = Mv_faults.Fault_plan
+module Fabric = Mv_hvm.Fabric
 module Machine = Mv_engine.Machine
 
 let parse_fault_sites spec =
@@ -20,7 +21,7 @@ let parse_fault_sites spec =
 
 type mode = Native | Virtual | Multiverse
 
-let placements = [ ("spread", Mv_hvm.Fabric.Spread); ("affine", Mv_hvm.Fabric.Affine) ]
+let placements = [ ("spread", Fabric.Spread); ("affine", Fabric.Affine) ]
 
 let run_one ~mode ~machine ~options ~stats ~quiet prog =
   let faults = options.Toolchain.mv_faults in
@@ -49,10 +50,10 @@ let run_one ~mode ~machine ~options ~stats ~quiet prog =
         (Mv_aerokernel.Nautilus.stats_remerges nk)
         (Runtime.faults_serviced_locally rt);
       if Fault_plan.enabled faults then begin
+        let fb = Runtime.fabric rt in
         Printf.eprintf "[faults] %s | retries %d | fallbacks %d | respawns %d | reroutes %d\n"
           (Format.asprintf "%a" Fault_plan.pp_summary faults)
-          (Runtime.retries rt) (Runtime.fallbacks rt) (Runtime.respawns rt)
-          (Runtime.reroutes rt);
+          (Fabric.retries fb) (Fabric.fallbacks fb) (Fabric.respawns fb) (Fabric.reroutes fb);
         let trace = rs.Toolchain.rs_machine.Mv_engine.Machine.trace in
         let dump category =
           List.iter
@@ -112,7 +113,8 @@ let run_fault_sweep ~machine ~options ~rate ~sites ~sweep ~jobs prog =
     let retries, fallbacks, respawns, reroutes =
       match rs.Toolchain.rs_runtime with
       | Some rt ->
-          (Runtime.retries rt, Runtime.fallbacks rt, Runtime.respawns rt, Runtime.reroutes rt)
+          let fb = Runtime.fabric rt in
+          (Fabric.retries fb, Fabric.fallbacks fb, Fabric.respawns fb, Fabric.reroutes fb)
       | None -> (0, 0, 0, 0)
     in
     {
@@ -168,9 +170,8 @@ let run_scale ~machine ~options ~groups ~arrival ~offered_load ~admission =
     | Some arr -> (
         match admission with
         | "off" -> Ok (arr, None)
-        | "shed" -> Ok (arr, Some (Mv_hvm.Fabric.make_admission ~policy:Mv_hvm.Fabric.Shed ()))
-        | "block" ->
-            Ok (arr, Some (Mv_hvm.Fabric.make_admission ~policy:Mv_hvm.Fabric.Block ()))
+        | "shed" -> Ok (arr, Some (Fabric.make_admission ~policy:Fabric.Shed ()))
+        | "block" -> Ok (arr, Some (Fabric.make_admission ~policy:Fabric.Block ()))
         | other -> Error ("unknown admission policy: " ^ other ^ " (off | shed | block)"))
   with
   | Error msg -> usage_error msg
@@ -395,7 +396,7 @@ let () =
            2,1 gives partition 1 two cores and partition 2 one).  Default \
            1 (one HRT core); scale mode defaults to the load generator's \
            sizing.  Must leave at least one ROS core."
-    $ opt (enum placements) ~default:Mv_hvm.Fabric.Spread ~names:[ "placement" ]
+    $ opt (enum placements) ~default:Fabric.Spread ~names:[ "placement" ]
         ~docv:"POLICY"
         ~doc:
           "Execution-group placement: spread (server cores spread over the \

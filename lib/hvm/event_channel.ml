@@ -1,6 +1,5 @@
 module Machine = Mv_engine.Machine
 module Exec = Mv_engine.Exec
-module Sim = Mv_engine.Sim
 module Trace = Mv_engine.Trace
 module Fault_plan = Mv_faults.Fault_plan
 module Metrics = Mv_obs.Metrics
@@ -29,8 +28,6 @@ type entry = {
   e_corrupt : bool;
 }
 
-type resilience = { r_timeout : int; r_max_retries : int; r_backoff : int }
-
 type t = {
   machine : Machine.t;
   mutable ckind : kind;
@@ -38,10 +35,10 @@ type t = {
   mutable hrt_core : int;  (* HRT-side core; retargeted by core lending *)
   faults : Fault_plan.t;
   dedup : bool;
-  mutable res : resilience option;
+  resilient : bool;
   queue : entry Queue.t;
   mutable serving : entry option;
-  mutable server_wake : (entry -> unit) option;
+  mutable server_wake : (unit -> unit) option;
   mutable notify : (unit -> unit) option;
   mutable failed : bool;
   (* Slots in the machine's metrics registry, resolved once here and
@@ -63,15 +60,14 @@ let rtt_of machine ~kind ~ros_core ~hrt_core =
       let d = Topology.distance machine.Machine.topo ros_core hrt_core in
       Costs.sync_channel_rtt costs ~distance:d
 
+(* Resilience: an attempt times out after [timeout_rtts] round trips of
+   the channel as it is when the attempt starts, so a degrade, restore or
+   re-home resizes every later timeout; the first retry backs off one
+   round trip and each next one doubles. *)
+let timeout_rtts = 64
+let max_retries = 6
+
 let create ?(faults = Fault_plan.none) ?(dedup = true) machine ~kind ~ros_core ~hrt_core =
-  let res =
-    (* Resilience (attempt timeout + bounded retry) arms only under a
-       fault plan: the default channel is byte-identical to the seed. *)
-    if Fault_plan.enabled faults then
-      let rtt = rtt_of machine ~kind ~ros_core ~hrt_core in
-      Some { r_timeout = 64 * rtt; r_max_retries = 6; r_backoff = rtt }
-    else None
-  in
   let counter = Metrics.counter machine.Machine.metrics ~ns:"event_channel" in
   {
     machine;
@@ -80,7 +76,9 @@ let create ?(faults = Fault_plan.none) ?(dedup = true) machine ~kind ~ros_core ~
     hrt_core;
     faults;
     dedup;
-    res;
+    (* Timeouts and retries arm only under a fault plan: the default
+       channel is byte-identical to the seed. *)
+    resilient = Fault_plan.enabled faults;
     queue = Queue.create ();
     serving = None;
     server_wake = None;
@@ -100,16 +98,11 @@ let ros_core t = t.ros_core
 let hrt_core t = t.hrt_core
 
 let rehome t ?ros_core ?hrt_core () =
-  (* Core lending moved an end of the channel; the RTT follows the new
-     socket distance automatically ([rtt] recomputes per call), but armed
-     resilience timeouts were sized for the old distance and re-arm. *)
+  (* Core lending moved an end of the channel; the RTT, and with it every
+     later timeout, follows the new socket distance ([rtt] recomputes per
+     call). *)
   (match ros_core with Some c -> t.ros_core <- c | None -> ());
-  (match hrt_core with Some c -> t.hrt_core <- c | None -> ());
-  match t.res with
-  | Some r ->
-      let rtt = rtt t in
-      t.res <- Some { r with r_timeout = 64 * rtt; r_backoff = rtt }
-  | None -> ()
+  match hrt_core with Some c -> t.hrt_core <- c | None -> ()
 
 let signal_cost t =
   (* Raising the event: a hypercall for the async (interrupt-injected)
@@ -118,38 +111,29 @@ let signal_cost t =
   | Async -> t.machine.Machine.costs.Costs.hypercall
   | Sync -> 20
 
-let sched_at t time fn =
-  let sim = Exec.sim t.machine.Machine.exec in
-  Sim.schedule_at sim (max time (Sim.now sim)) fn
-
-(* Extra in-flight latency when a delay fault fires on this message. *)
+(* The one-way delivery latency, plus extra in-flight latency when a delay
+   fault fires on this message. *)
 let deliver_latency t req_kind =
   let base = one_way t in
   if Fault_plan.fire t.faults Fault_plan.Chan_delay req_kind then
     base + Fault_plan.extra_delay t.faults Fault_plan.Chan_delay ~base:(rtt t * 4)
   else base
 
-(* If the server is parked and work is queued, deliver the head request
-   after the one-way propagation delay. *)
-let try_deliver t =
-  match t.server_wake with
-  | Some swake when not (Queue.is_empty t.queue) ->
-      t.server_wake <- None;
-      let e = Queue.pop t.queue in
-      t.serving <- Some e;
-      sched_at t
-        (Exec.local_now t.machine.Machine.exec + deliver_latency t e.e_req.req_kind)
-        (fun () -> swake e)
-  | Some _ | None -> ()
-
 let set_notify t hook = t.notify <- hook
 
-(* Each enqueued entry raises the doorbell: either the externally-installed
-   notify hook (the fabric's poller pool) or the classic parked-server
-   delivery.  Notify is at-least-once — consumers must treat an empty poll
-   as a no-op. *)
+(* Each enqueued entry raises the doorbell: the notify hook when one is
+   installed (the fabric's poller pool), else the wake of a server parked
+   in [serve_next].  Either way the woken side polls, and the doorbell is
+   at-least-once: an empty poll is a no-op. *)
 let kick t =
-  match t.notify with Some f -> f () | None -> try_deliver t
+  match t.notify with
+  | Some f -> f ()
+  | None -> (
+      match t.server_wake with
+      | Some wake ->
+          t.server_wake <- None;
+          wake ()
+      | None -> ())
 
 let call t req =
   if t.failed then raise (Channel_failure req.req_kind);
@@ -160,7 +144,7 @@ let call t req =
     let outcome =
       Exec.block t.machine.Machine.exec
         ~reason:(Mv_util.Intern.get reason_call req.req_kind)
-        (fun ~now ~wake ->
+        (fun ~now:_ ~wake ->
           let live = ref true in
           let entry =
             {
@@ -184,45 +168,37 @@ let call t req =
               kick t
             end
           end;
-          match t.res with
-          | Some r ->
-              Sim.schedule_at
-                (Exec.sim t.machine.Machine.exec)
-                (now + r.r_timeout)
-                (fun () ->
-                  if !live then begin
-                    live := false;
-                    wake `Timeout
-                  end)
-          | None -> ())
+          if t.resilient then
+            Exec.after t.machine.Machine.exec (timeout_rtts * rtt t) (fun () ->
+                if !live then begin
+                  live := false;
+                  wake `Timeout
+                end))
     in
     match outcome with
     | `Done -> ()
-    | `Timeout -> (
+    | `Timeout ->
         Metrics.inc t.c_timeouts ();
-        match t.res with
-        | None -> assert false
-        | Some r ->
-            if n >= r.r_max_retries then begin
-              Machine.emit t.machine
-                (Trace.Channel_exhausted { retries = n; kind = req.req_kind });
-              raise (Channel_failure req.req_kind)
-            end
-            else begin
-              Metrics.inc t.c_retries ();
-              Machine.emit t.machine
-                (Trace.Channel_retry { attempt = n + 1; backoff; kind = req.req_kind });
-              (* Exponential backoff, charged to the caller through the
-                 ordinary cycle model. *)
-              Machine.charge t.machine backoff;
-              attempt (n + 1) (backoff * 2)
-            end)
+        if n >= max_retries then begin
+          Machine.emit t.machine (Trace.Channel_exhausted { retries = n; kind = req.req_kind });
+          raise (Channel_failure req.req_kind)
+        end
+        else begin
+          Metrics.inc t.c_retries ();
+          Machine.emit t.machine
+            (Trace.Channel_retry { attempt = n + 1; backoff; kind = req.req_kind });
+          (* Exponential backoff, charged to the caller through the
+             ordinary cycle model. *)
+          Machine.charge t.machine backoff;
+          attempt (n + 1) (backoff * 2)
+        end
   in
-  attempt 0 (match t.res with Some r -> r.r_backoff | None -> rtt t)
+  attempt 0 (rtt t)
 
 let post t req =
   (* Posts carry control messages (hrt-exit, shutdown) whose loss is not
-     recoverable by a caller-side timeout, so they are not fault sites. *)
+     recoverable by a caller-side timeout, so they are never dropped,
+     duplicated or corrupted; their delivery may still be delayed. *)
   Metrics.inc t.c_calls ();
   Queue.add { e_req = req; e_complete = None; e_done = ref false; e_corrupt = false } t.queue;
   kick t
@@ -239,43 +215,11 @@ let complete t =
           Machine.charge t.machine (signal_cost t);
           (* The reply leg is the rest of the RTT, so an odd RTT loses no
              cycle to the halving. *)
-          sched_at t (Exec.local_now t.machine.Machine.exec + (rtt t - one_way t)) fire_wake)
+          Exec.after t.machine.Machine.exec (rtt t - one_way t) fire_wake)
 
-let rec serve_next t =
-  let accept e =
-    if e.e_corrupt then begin
-      (* The shared-page payload fails validation: discard; the caller's
-         timeout-and-retry recovers the request. *)
-      t.serving <- None;
-      Metrics.inc t.c_protocol_errors ();
-      raise (Protocol_error ("corrupt request discarded: " ^ e.e_req.req_kind))
-    end
-    else if t.dedup && !(e.e_done) then begin
-      (* Duplicate or retried delivery of an already-executed request:
-         acknowledge without re-running the payload. *)
-      complete t;
-      serve_next t
-    end
-    else e.e_req
-  in
-  match Queue.take_opt t.queue with
-  | Some e ->
-      t.serving <- Some e;
-      (* The request already sat in the shared page; pay the poll/notice
-         latency. *)
-      Machine.charge t.machine (one_way t);
-      accept e
-  | None ->
-      let e =
-        Exec.block t.machine.Machine.exec ~reason:"evtchan:serve" (fun ~now:_ ~wake ->
-            t.server_wake <- Some wake)
-      in
-      accept e
-
-(* Non-blocking server-side take, for poller-pool servers that multiplex
-   several channels and must not park on any single one.  Charges the same
-   poll/notice latency as the queue-pop path of [serve_next] (including
-   injected delivery delay) so single-channel timing is unchanged. *)
+(* The one server-side take: every entry leaves the queue here.  The
+   server pays the one-way delivery latency (plus any injected delay) as
+   it picks the entry up, whether it was polling or was woken for it. *)
 let rec poll_next t =
   match Queue.take_opt t.queue with
   | None -> None
@@ -283,15 +227,28 @@ let rec poll_next t =
       t.serving <- Some e;
       Machine.charge t.machine (deliver_latency t e.e_req.req_kind);
       if e.e_corrupt then begin
+        (* The shared-page payload fails validation: discard; the caller's
+           timeout-and-retry recovers the request. *)
         t.serving <- None;
         Metrics.inc t.c_protocol_errors ();
         raise (Protocol_error ("corrupt request discarded: " ^ e.e_req.req_kind))
       end
       else if t.dedup && !(e.e_done) then begin
+        (* Duplicate or retried delivery of an already-executed request:
+           acknowledge without re-running the payload. *)
         complete t;
         poll_next t
       end
       else Some e.e_req
+
+(* A lone server parks while the queue is empty; [kick] wakes it to poll. *)
+let rec serve_next t =
+  match poll_next t with
+  | Some req -> req
+  | None ->
+      Exec.block t.machine.Machine.exec ~reason:"evtchan:serve" (fun ~now:_ ~wake ->
+          t.server_wake <- Some wake);
+      serve_next t
 
 let serve_loop t ~on_request =
   let rec go () =
@@ -309,13 +266,6 @@ let degrade_to_async t =
   if t.ckind = Sync then begin
     t.ckind <- Async;
     Metrics.inc t.c_degraded ();
-    (* Timeout and backoff were sized for sync latencies; re-arm for the
-       (much slower) hypercall channel. *)
-    (match t.res with
-    | Some r ->
-        let rtt = rtt t in
-        t.res <- Some { r with r_timeout = 64 * rtt; r_backoff = rtt }
-    | None -> ());
     Machine.emit t.machine Trace.Degrade_sync_to_async
   end
 
@@ -326,11 +276,6 @@ let restore_sync t =
      fallback after Channel_failure must stay Async). *)
   if t.ckind = Async && not t.failed then begin
     t.ckind <- Sync;
-    (match t.res with
-    | Some r ->
-        let rtt = rtt t in
-        t.res <- Some { r with r_timeout = 64 * rtt; r_backoff = rtt }
-    | None -> ());
     Machine.emit t.machine Trace.Restore_async_to_sync
   end
 

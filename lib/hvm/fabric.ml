@@ -31,9 +31,7 @@ type endpoint = {
   ep_name : string;
   ep_batch_label : string;  (* "batch:<name>", precomputed off the hot path *)
   ep_serve_label : string;  (* "serve:<name>", likewise *)
-  ep_chan : Event_channel.t;
-  mutable ep_ros_core : int;  (* server-side core; routes the endpoint to a poller group *)
-  mutable ep_group : int;  (* index into [fb_groups]; reassigned by start_pool *)
+  ep_chan : Event_channel.t;  (* its server core routes the endpoint to a poller group *)
   ep_ring : slot Queue.t;  (* the shared-page batching ring *)
   mutable ep_inflight : bool;  (* a leader call is mid-flight *)
   mutable ep_npending : int;  (* Pending slots awaiting a drain *)
@@ -315,19 +313,17 @@ let drain_ring t ep =
 
 (* --- poller pool (the ROS side) --- *)
 
-(* The poller group an endpoint with this server core routes to: the one
-   global group under [Spread], the core's socket group under [Affine]. *)
-let group_index_for t ~ros_core =
-  match t.fb_placement with
-  | Spread -> 0
-  | Affine ->
-      let s = Topology.socket_of t.fb_machine.Machine.topo ros_core in
-      let idx = ref 0 in
-      Array.iteri (fun i pg -> if pg.pg_socket = s then idx := i) t.fb_groups;
-      !idx
-
+(* The poller group an endpoint's doorbell routes to, from its channel's
+   current server core: the one global group under [Spread], that core's
+   socket group under [Affine]. *)
 let group_of t ep =
-  t.fb_groups.(min ep.ep_group (Array.length t.fb_groups - 1))
+  match t.fb_placement with
+  | Spread -> t.fb_groups.(0)
+  | Affine -> (
+      let s = Topology.socket_of t.fb_machine.Machine.topo (Event_channel.ros_core ep.ep_chan) in
+      match Array.find_opt (fun pg -> pg.pg_socket = s) t.fb_groups with
+      | Some pg -> pg
+      | None -> t.fb_groups.(0))
 
 let rec wake_poller t pg =
   match Queue.take_opt pg.pg_parked with
@@ -494,17 +490,14 @@ let start_pool t ~spawn ~cores ?(placement = Spread) () =
                  (List.filter (fun c -> Topology.socket_of topo c = s) cores))
         |> Array.of_list
   in
-  (* Endpoints may predate the pool: recompute their routing, carrying any
-     outstanding doorbell tokens into the new group run queues. *)
+  (* Endpoints may predate the pool: carry any outstanding doorbell tokens
+     into the run queues of the groups they now route to. *)
   let stale_tokens =
     Array.to_list t.fb_groups
     |> List.concat_map (fun pg ->
            List.rev (Queue.fold (fun acc ep -> ep :: acc) [] pg.pg_runq))
   in
   t.fb_groups <- groups;
-  List.iter
-    (fun ep -> ep.ep_group <- group_index_for t ~ros_core:ep.ep_ros_core)
-    t.fb_endpoints;
   List.iter (fun ep -> Queue.add ep (group_of t ep).pg_runq) stale_tokens;
   (* Each group's poller count follows its share of the pool cores (the
      global group owns them all, so this is [total] there): a group never
@@ -532,8 +525,6 @@ let endpoint t ~name ~ros_core ~hrt_core =
       ep_batch_label = "batch:" ^ name;
       ep_serve_label = "serve:" ^ name;
       ep_chan = ch;
-      ep_ros_core = ros_core;
-      ep_group = 0;
       ep_ring = Queue.create ();
       ep_inflight = false;
       ep_npending = 0;
@@ -551,7 +542,6 @@ let endpoint t ~name ~ros_core ~hrt_core =
      while one is already outstanding for this endpoint: the token's owner
      drains the channel until empty, so one token covers any number of
      enqueued entries (and the run queue never accumulates stale tokens). *)
-  ep.ep_group <- group_index_for t ~ros_core;
   Event_channel.set_notify ch
     (Some
        (fun () ->
@@ -566,8 +556,8 @@ let endpoint t ~name ~ros_core ~hrt_core =
 
 (* Core lending moved [core] out of its partition: every endpoint binding
    that referenced it re-routes.  A server-side (ROS) binding follows
-   [ros_to] — poller-group routing and the channel's server core move
-   together, and the poller pool's spawn cores drop the lent core so a
+   [ros_to] — the channel's server core moves, and poller-group routing
+   follows it — and the poller pool's spawn cores drop the lent core so a
    watchdog respawn never lands on it.  An HRT-side binding follows
    [hrt_to].  In-flight ring slots and queued channel entries carry over
    untouched (their wakes are thread-homed and the executor re-homed
@@ -587,10 +577,8 @@ let rehome_core t ~core ?ros_to ?hrt_to () =
   List.iter
     (fun ep ->
       (match ros_to with
-      | Some r when ep.ep_ros_core = core ->
-          ep.ep_ros_core <- r;
+      | Some r when Event_channel.ros_core ep.ep_chan = core ->
           Event_channel.rehome ep.ep_chan ~ros_core:r ();
-          ep.ep_group <- group_index_for t ~ros_core:r;
           incr rerouted
       | Some _ | None -> ());
       match hrt_to with
@@ -808,7 +796,10 @@ and ride t ep (req : Event_channel.request) =
   if occupancy > Metrics.gauge_value t.g_ring_hw then Metrics.set_gauge t.g_ring_hw occupancy;
   (* The ring-slot store into the shared page. *)
   Machine.charge t.fb_machine (ring_cost t);
-  let timeout = if resilient t then Some (64 * Event_channel.rtt ep.ep_chan) else None in
+  let timeout =
+    if resilient t then Some (Event_channel.timeout_rtts * Event_channel.rtt ep.ep_chan)
+    else None
+  in
   let rec wait () =
     let outcome =
       Exec.block exec

@@ -135,12 +135,12 @@ val endpoint : t -> name:string -> ros_core:int -> hrt_core:int -> endpoint
 val rehome_core : t -> core:int -> ?ros_to:int -> ?hrt_to:int -> unit -> int
 (** Core lending moved [core] out of its partition: re-route every
     endpoint binding that referenced it.  Endpoints whose server-side core
-    was [core] move to [ros_to] (poller-group routing, channel server core,
-    and the pool's spawn cores move together); endpoints whose HRT-side
-    core was [core] move to [hrt_to].  In-flight slots and queued entries
-    carry over untouched — their wakes were re-homed by the executor — so
-    no request or wakeup is lost.  Returns the number of endpoint bindings
-    re-routed.  The HVM's {!Hvm.on_repartition} hook is the intended
+    was [core] move to [ros_to] (the channel's server core and the pool's
+    spawn cores; poller-group routing follows the channel); endpoints
+    whose HRT-side core was [core] move to [hrt_to].  In-flight slots and
+    queued entries carry over untouched — their wakes were re-homed by the
+    executor — so no request or wakeup is lost.  Returns the number of
+    endpoint bindings re-routed.  The HVM's {!Hvm.on_repartition} hook is the intended
     caller. *)
 
 val channel : endpoint -> Event_channel.t

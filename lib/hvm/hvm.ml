@@ -202,16 +202,6 @@ let raise_signal_to_ros t ~payload =
             (max (Exec.local_now exec) (Sim.now (Exec.sim exec)) + delay)
             (fun () -> handler payload))
 
-let inject_exception_to_hrt t f =
-  (* Exception injection takes precedence within the HRT; model as a
-     prompt event after the exit/injection cost. *)
-  t.n_exits <- t.n_exits + 1;
-  let exec = t.machine.Machine.exec in
-  let delay = t.machine.Machine.costs.Costs.vm_exit in
-  Sim.schedule_at (Exec.sim exec)
-    (max (Exec.local_now exec) (Sim.now (Exec.sim exec)) + delay)
-    f
-
 let hypercalls t = t.n_hypercalls
 let exits t = t.n_exits
 let lends t = t.n_lends

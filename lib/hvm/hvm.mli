@@ -110,9 +110,6 @@ val set_signal_transport : t -> ((unit -> unit) -> unit) option -> unit
     schedule-at-RTT path.  The transport receives the ready-to-run handler
     invocation.  [None] restores the built-in path. *)
 
-val inject_exception_to_hrt : t -> (unit -> unit) -> unit
-(** ROS-to-HRT signal: exception injection, highest precedence, prompt. *)
-
 (** {1 Statistics} *)
 
 val hypercalls : t -> int

@@ -22,8 +22,6 @@ let page_offset a = a land (page_size - 1)
 let align_down a = a land lnot (page_size - 1)
 let align_up a = (a + page_size - 1) land lnot (page_size - 1)
 let is_page_aligned a = a land (page_size - 1) = 0
-let align_down_2m a = a land lnot (page_size_2m - 1)
-let align_down_1g a = a land lnot (page_size_1g - 1)
 let is_2m_aligned a = a land (page_size_2m - 1) = 0
 let is_1g_aligned a = a land (page_size_1g - 1) = 0
 

@@ -43,8 +43,6 @@ val page_offset : t -> int
 val align_down : t -> t
 val align_up : t -> t
 val is_page_aligned : t -> bool
-val align_down_2m : t -> t
-val align_down_1g : t -> t
 val is_2m_aligned : t -> bool
 val is_1g_aligned : t -> bool
 

@@ -36,7 +36,6 @@ type t = {
   the_config : Override_config.t;
   the_fabric : Fabric.t;
   porting : porting;
-  faults : Fault_plan.t;
   channels : (int, Fabric.endpoint) Hashtbl.t;  (* HRT tid -> endpoint *)
   groups : (int, group) Hashtbl.t;
   mutable next_group : int;
@@ -506,7 +505,6 @@ let init ~hvm ~proc ~fat ~nk ?(channel_kind = Event_channel.Async)
       the_config = config;
       the_fabric = fabric;
       porting;
-      faults;
       channels = Hashtbl.create 16;
       groups = Hashtbl.create 8;
       next_group = 1;
@@ -575,12 +573,3 @@ let fabric t = t.the_fabric
 let groups_created t = t.next_group - 1
 let faults_serviced_locally t = t.n_local_faults
 let overridden_calls t = t.n_overridden
-
-(* --- resilience counters (delegated to the fabric) --- *)
-
-let fault_plan t = t.faults
-let faults_injected t = Fault_plan.injected t.faults
-let retries t = Fabric.retries t.the_fabric
-let fallbacks t = Fabric.fallbacks t.the_fabric
-let respawns t = Fabric.respawns t.the_fabric
-let reroutes t = Fabric.reroutes t.the_fabric

@@ -104,24 +104,3 @@ val fabric : t -> Mv_hvm.Fabric.t
 val groups_created : t -> int
 val faults_serviced_locally : t -> int
 val overridden_calls : t -> int
-
-(** {1 Resilience counters (delegated to the fabric)} *)
-
-val fault_plan : t -> Mv_faults.Fault_plan.t
-
-val faults_injected : t -> int
-(** Total faults the plan injected (all sites). *)
-
-val retries : t -> int
-(** Channel call retries (timeout + backoff) plus forwarded-syscall
-    retries after spurious errnos. *)
-
-val fallbacks : t -> int
-(** Sync -> Async endpoint degradations. *)
-
-val respawns : t -> int
-(** Pollers respawned by the fabric watchdog. *)
-
-val reroutes : t -> int
-(** Requests rerouted to ROS-native execution after endpoint death or
-    persistent spurious errnos. *)

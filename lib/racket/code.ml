@@ -255,22 +255,3 @@ let add_constant cs v =
   cs.constants.(i) <- v;
   cs.nconstants <- i + 1;
   i
-
-let pp_instr ppf = function
-  | Imm v -> Format.fprintf ppf "imm %d" v
-  | Const i -> Format.fprintf ppf "const %d" i
-  | Lref (d, i) -> Format.fprintf ppf "lref %d.%d" d i
-  | Lset (d, i) -> Format.fprintf ppf "lset %d.%d" d i
-  | Gref i -> Format.fprintf ppf "gref %d" i
-  | Gset i -> Format.fprintf ppf "gset %d" i
-  | MkClosure i -> Format.fprintf ppf "closure %d" i
-  | Call n -> Format.fprintf ppf "call %d" n
-  | TailCall n -> Format.fprintf ppf "tailcall %d" n
-  | Ret -> Format.fprintf ppf "ret"
-  | Jmp i -> Format.fprintf ppf "jmp %d" i
-  | Jif i -> Format.fprintf ppf "jif %d" i
-  | Pop -> Format.fprintf ppf "pop"
-  | Prim (_, n) -> Format.fprintf ppf "prim/%d" n
-  | PrimVarargs _ -> Format.fprintf ppf "prim-varargs"
-  | PushFrame n -> Format.fprintf ppf "pushframe %d" n
-  | PopFrame -> Format.fprintf ppf "popframe"

@@ -94,4 +94,3 @@ val global_slot : cstate -> string -> int
 val find_global : cstate -> string -> int option
 val add_code : cstate -> code -> int
 val add_constant : cstate -> Value.v -> int
-val pp_instr : Format.formatter -> instr -> unit

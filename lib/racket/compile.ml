@@ -427,5 +427,3 @@ let compile_toplevel cs forms =
   add_code cs
     { c_name = "toplevel"; c_arity = 0; c_frame_size = 0; c_level = -1; c_instrs = finish e;
       c_jitted = false; c_no_capture = -1 }
-
-let compile_expr_code cs x = compile_toplevel cs [ x ]

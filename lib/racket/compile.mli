@@ -13,6 +13,3 @@ val compile_toplevel : Code.cstate -> Sexp.t list -> int
 (** Compile a program (a sequence of top-level forms) to one arity-0 code
     object; returns its code index.  The final form's value is the
     program's result. *)
-
-val compile_expr_code : Code.cstate -> Sexp.t -> int
-(** Compile a single expression to an arity-0 code object (REPL entry). *)

@@ -26,10 +26,17 @@ let rec encode cs v =
   else if v = V.vvoid then M_void
   else if V.is_flonum gc v then M_float (V.flonum_val gc v)
   else if V.is_string gc v then M_string (V.string_val gc v)
-  else if V.is_pair gc v then M_list (List.map (encode cs) (V.to_list gc v))
+  else if V.is_pair gc v then M_list (encode_list cs [] v)
   else if V.is_vector gc v then
     M_vector (Array.init (V.vector_length gc v) (fun i -> encode cs (V.vector_ref gc v i)))
   else raise (Not_transferable (V.type_name gc v))
+
+(* A message list is a proper list: a dotted tail has no message form. *)
+and encode_list cs acc v =
+  let gc = cs.Code.gc in
+  if v = V.nil then List.rev acc
+  else if V.is_pair gc v then encode_list cs (encode cs (V.car gc v) :: acc) (V.cdr gc v)
+  else raise (Not_transferable "improper list")
 
 let rec decode cs m =
   let gc = cs.Code.gc in

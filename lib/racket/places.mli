@@ -30,7 +30,8 @@ type msg =
   | M_vector of msg array
 
 exception Not_transferable of string
-(** Raised when a value with identity (closure, box, port) is sent. *)
+(** Raised when a value with identity (closure, box, port) or an improper
+    list is sent. *)
 
 val encode : Code.cstate -> Value.v -> msg
 (** Deep-copy a value out of a VM's heap.  @raise Not_transferable *)

@@ -73,7 +73,6 @@ type t = {
   scannable : bool array;  (* by tag *)
   st : stats;
   mutable live_bytes : int;
-  mutable dirty : int;
   mutable in_gc : bool;
   mutable barrier_installed : bool;
 }
@@ -189,7 +188,6 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       scannable = Array.make 256 false;
       st;
       live_bytes = 0;
-      dirty = 0;
       in_gc = false;
       barrier_installed = false;
     }
@@ -316,8 +314,7 @@ let install_barrier t =
            t.env.Env.mprotect ~addr:(Addr.align_down addr) ~len:Addr.page_size
              ~prot:Mv_ros.Mm.prot_rw;
            Bytes.set seg.s_state pr writable;
-           t.st.barrier_faults <- t.st.barrier_faults + 1;
-           t.dirty <- t.dirty + 1
+           t.st.barrier_faults <- t.st.barrier_faults + 1
          end
          else failwith "Sgc: SIGSEGV on unprotected heap page"));
   (* The runtime briefly masks SIGSEGV while installing (glibc does the
@@ -477,7 +474,6 @@ let collect t =
           Tracer.with_span (obs t) ~name:"gc:protect" ~cat:"sgc" (fun () ->
               protect_phase t);
         t.bytes_since_gc <- 0;
-        t.dirty <- 0;
         t.threshold <- max t.base_threshold t.live_bytes);
     t.in_gc <- false
   end
@@ -521,4 +517,3 @@ let alloc t ~tag ~words ~init =
 let stats t = t.st
 let live_bytes t = t.live_bytes
 let mapped_bytes t = List.fold_left (fun acc s -> acc + (s.s_pages * Addr.page_size)) 0 t.segs
-let dirty_pages t = t.dirty

@@ -98,5 +98,3 @@ val live_bytes : t -> int
 (** As of the last collection. *)
 
 val mapped_bytes : t -> int
-val dirty_pages : t -> int
-(** Pages unprotected by the write barrier since the last collection. *)

@@ -3,11 +3,9 @@ type align = Left | Right
 type t = {
   headers : string list;
   mutable rows : string list list;
-  mutable aligns : align list option;
 }
 
-let create ~headers = { headers; rows = []; aligns = None }
-let set_aligns t aligns = t.aligns <- Some aligns
+let create ~headers = { headers; rows = [] }
 let add_row t row = t.rows <- row :: t.rows
 
 let looks_numeric s =
@@ -24,20 +22,17 @@ let pp ppf t =
   in
   measure t.headers;
   List.iter measure rows;
+  (* Per-column alignment, inferred from the data rows. *)
   let aligns =
-    match t.aligns with
-    | Some a -> Array.of_list a
-    | None ->
-        (* Infer per-column alignment from the data rows. *)
-        Array.init ncols (fun i ->
-            let col_numeric =
-              List.for_all (fun row ->
-                  match List.nth_opt row i with
-                  | Some cell -> looks_numeric cell
-                  | None -> true)
-                rows
-            in
-            if col_numeric && rows <> [] then Right else Left)
+    Array.init ncols (fun i ->
+        let col_numeric =
+          List.for_all (fun row ->
+              match List.nth_opt row i with
+              | Some cell -> looks_numeric cell
+              | None -> true)
+            rows
+        in
+        if col_numeric && rows <> [] then Right else Left)
   in
   let pad i cell =
     let w = widths.(i) in

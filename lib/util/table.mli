@@ -1,14 +1,11 @@
 (** ASCII table rendering for benchmark and report output. *)
 
-type align = Left | Right
-
 type t
 
 val create : headers:string list -> t
-(** A table with the given column headers.  Numeric-looking cells are
-    right-aligned by default; override with [set_aligns]. *)
+(** A table with the given column headers.  A column whose data cells all
+    look numeric is right-aligned, any other left-aligned. *)
 
-val set_aligns : t -> align list -> unit
 val add_row : t -> string list -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

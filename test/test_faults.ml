@@ -8,6 +8,7 @@ module Sim = Mv_engine.Sim
 module Trace = Mv_engine.Trace
 module Event_channel = Mv_hvm.Event_channel
 module Fault_plan = Mv_faults.Fault_plan
+module Fabric = Mv_hvm.Fabric
 open Multiverse
 
 let check_int = Alcotest.(check int)
@@ -92,6 +93,72 @@ let test_duplicate_runs_payload_once () =
   check_int "duplicated delivery" 1 (Fault_plan.injected_at faults Fault_plan.Chan_duplicate);
   check_int "payload ran exactly once" 1 !runs
 
+(* One delivery path: every request a [serve_next] server takes pays the
+   delivery latency at the delay site, the ones already queued when it
+   asks included, not only the one it parked for. *)
+let test_every_take_passes_delay_site () =
+  let faults = Fault_plan.create ~seed:3 ~rate:1.0 ~sites:[ Fault_plan.Chan_delay ] () in
+  let machine = Machine.create () in
+  Fault_plan.bind faults machine;
+  let exec = machine.Machine.exec in
+  let ch = Event_channel.create ~faults machine ~kind:Event_channel.Async ~ros_core:0 ~hrt_core:7 in
+  let served = ref 0 in
+  let request kind = { Event_channel.req_kind = kind; req_run = (fun () -> incr served) } in
+  (* Three posts sit queued before the server first asks... *)
+  List.iter (fun kind -> Event_channel.post ch (request kind)) [ "q1"; "q2"; "q3" ];
+  ignore
+    (Exec.spawn exec ~cpu:0 ~name:"server" (fun () ->
+         for _ = 1 to 4 do
+           let req = Event_channel.serve_next ch in
+           req.Event_channel.req_run ();
+           Event_channel.complete ch
+         done));
+  (* ...and a call arrives long after, while it is parked. *)
+  ignore
+    (Exec.spawn exec ~cpu:7 ~name:"caller" (fun () ->
+         Exec.sleep exec 10_000_000;
+         Event_channel.call ch (request "parked")));
+  Sim.run machine.Machine.sim;
+  check_int "every request served" 4 !served;
+  check_int "every take was delayed" 4 (Fault_plan.injected_at faults Fault_plan.Chan_delay)
+
+(* Under total loss a call makes 7 attempts, each timing out after 64
+   round trips of the channel as it is when the attempt starts, with
+   backoffs of 1, 2, ... 32 round trips between them: 7 signals plus
+   (7 * 64 + 63) round trips in all.  A degrade or a re-home before the
+   call changes the round trip every timeout is sized from. *)
+let test_timeouts_follow_current_channel () =
+  let costs = Mv_hw.Costs.default in
+  let time_to_failure ~ros_core adjust =
+    let faults = Fault_plan.create ~seed:1 ~rate:1.0 ~sites:[ Fault_plan.Chan_drop ] () in
+    let machine = Machine.create () in
+    Fault_plan.bind faults machine;
+    let exec = machine.Machine.exec in
+    let ch = Event_channel.create ~faults machine ~kind:Event_channel.Sync ~ros_core ~hrt_core:7 in
+    adjust ch;
+    let took = ref 0 in
+    ignore
+      (Exec.spawn exec ~cpu:7 ~name:"caller" (fun () ->
+           let t0 = Exec.local_now exec in
+           (try
+              Event_channel.call ch { Event_channel.req_kind = "lost"; req_run = (fun () -> ()) };
+              Alcotest.fail "a dropped call completed"
+            with Event_channel.Channel_failure _ -> ());
+           took := Exec.local_now exec - t0));
+    Sim.run machine.Machine.sim;
+    check_int "six retries" 6 (Event_channel.retries ch);
+    !took
+  in
+  let expected ~signal ~rtt = (7 * signal) + (((7 * 64) + 63) * rtt) in
+  check_int "degraded to async: async round trips"
+    (expected ~signal:costs.Mv_hw.Costs.hypercall ~rtt:costs.Mv_hw.Costs.async_channel_rtt)
+    (time_to_failure ~ros_core:0 Event_channel.degrade_to_async);
+  (* Created across sockets from HRT core 7, then moved onto its socket;
+     a sync signal is one shared-memory store (20 cycles). *)
+  check_int "rehomed next to the HRT core: same-socket round trips"
+    (expected ~signal:20 ~rtt:(Mv_hw.Costs.sync_channel_rtt costs ~distance:0))
+    (time_to_failure ~ros_core:0 (fun ch -> Event_channel.rehome ch ~ros_core:4 ()))
+
 (* --- end-to-end workload under injected faults --- *)
 
 (* Enough iterations (and forwarded calls) to span many watchdog
@@ -129,9 +196,9 @@ let run_with ?(sync = false) faults =
   in
   Toolchain.run_multiverse ~trace:true ~options (Toolchain.hybridize work_program)
 
-let runtime_of rs =
+let fabric_of rs =
   match rs.Toolchain.rs_runtime with
-  | Some rt -> rt
+  | Some rt -> Runtime.fabric rt
   | None -> Alcotest.fail "no runtime handle"
 
 let trace_in rs category =
@@ -155,18 +222,19 @@ let test_zero_fault_plan_neutral () =
      errno checks) but never fires: the run must be indistinguishable
      from the fault-free runtime. *)
   let off = run_with Fault_plan.none in
-  let zero = run_with (Fault_plan.create ~seed:99 ~rate:0.0 ()) in
+  let plan = Fault_plan.create ~seed:99 ~rate:0.0 () in
+  let zero = run_with plan in
   check_string "stdout identical" off.Toolchain.rs_stdout zero.Toolchain.rs_stdout;
   check_int "wall cycles identical" off.Toolchain.rs_wall_cycles zero.Toolchain.rs_wall_cycles;
   check_int "syscall totals identical" (Toolchain.total_syscalls off)
     (Toolchain.total_syscalls zero);
   Alcotest.(check (list string))
     "no fault or resilience records" [] (trace_in zero "fault" @ trace_in zero "resilience");
-  let rt = runtime_of zero in
-  check_int "nothing injected" 0 (Runtime.faults_injected rt);
-  check_int "no retries" 0 (Runtime.retries rt);
-  check_int "no fallbacks" 0 (Runtime.fallbacks rt);
-  check_int "no respawns" 0 (Runtime.respawns rt)
+  let fb = fabric_of zero in
+  check_int "nothing injected" 0 (Fault_plan.injected plan);
+  check_int "no retries" 0 (Fabric.retries fb);
+  check_int "no fallbacks" 0 (Fabric.fallbacks fb);
+  check_int "no respawns" 0 (Fabric.respawns fb)
 
 let test_sync_loss_falls_back_to_async () =
   let rs =
@@ -175,18 +243,17 @@ let test_sync_loss_falls_back_to_async () =
   check_string "output correct under heavy loss" (Lazy.force expected_stdout)
     rs.Toolchain.rs_stdout;
   check_int "clean exit" 0 rs.Toolchain.rs_exit_code;
-  let rt = runtime_of rs in
-  check_bool "retried with backoff" true (Runtime.retries rt >= 1);
-  check_bool "fell back sync->async" true (Runtime.fallbacks rt >= 1)
+  let fb = fabric_of rs in
+  check_bool "retried with backoff" true (Fabric.retries fb >= 1);
+  check_bool "fell back sync->async" true (Fabric.fallbacks fb >= 1)
 
 let test_partner_kill_respawns () =
-  let rs = run_with (Fault_plan.create ~seed:11 ~rate:0.5 ~sites:[ Fault_plan.Partner_kill ] ()) in
+  let plan = Fault_plan.create ~seed:11 ~rate:0.5 ~sites:[ Fault_plan.Partner_kill ] () in
+  let rs = run_with plan in
   check_string "output correct across partner deaths" (Lazy.force expected_stdout)
     rs.Toolchain.rs_stdout;
-  let rt = runtime_of rs in
-  check_bool "partner was killed" true
-    (Fault_plan.injected_at (Runtime.fault_plan rt) Fault_plan.Partner_kill >= 1);
-  check_bool "watchdog respawned it" true (Runtime.respawns rt >= 1)
+  check_bool "partner was killed" true (Fault_plan.injected_at plan Fault_plan.Partner_kill >= 1);
+  check_bool "watchdog respawned it" true (Fabric.respawns (fabric_of rs) >= 1)
 
 let test_spurious_errno_retries () =
   let rs =
@@ -197,7 +264,7 @@ let test_spurious_errno_retries () =
   in
   check_string "output correct under spurious errnos" (Lazy.force expected_stdout)
     rs.Toolchain.rs_stdout;
-  check_bool "forwarded syscalls retried" true (Runtime.retries (runtime_of rs) >= 1)
+  check_bool "forwarded syscalls retried" true (Fabric.retries (fabric_of rs) >= 1)
 
 let test_boot_stall () =
   let faults = Fault_plan.create ~seed:2 ~rate:1.0 ~sites:[ Fault_plan.Boot_stall ] () in
@@ -216,6 +283,10 @@ let suite =
       test_channel_failure_after_retries;
     Alcotest.test_case "channel: duplicated delivery runs payload once" `Quick
       test_duplicate_runs_payload_once;
+    Alcotest.test_case "channel: every serve_next take passes the delay site" `Quick
+      test_every_take_passes_delay_site;
+    Alcotest.test_case "channel: timeouts follow the current kind and distance" `Quick
+      test_timeouts_follow_current_channel;
     Alcotest.test_case "e2e: fault trace reproducible from seed" `Quick
       test_fault_trace_deterministic;
     Alcotest.test_case "e2e: zero-fault plan is cycle-neutral" `Quick test_zero_fault_plan_neutral;

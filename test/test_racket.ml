@@ -1005,17 +1005,35 @@ let test_places_parallel_speedup () =
   check_bool "parallel speedup > 1.6x" true
     (float_of_int w_s /. float_of_int w_p > 1.6)
 
+(* What [place-send] of [value] to a fresh place does: "sent", or the
+   Scheme error it raises. *)
+let place_send_outcome value =
+  in_guest (fun env _p ->
+      let engine = Engine.start env in
+      let src =
+        Printf.sprintf {|(define p (place-spawn "(place-receive 0)")) (place-send p %s)|} value
+      in
+      let outcome =
+        match Engine.eval_string engine src with
+        | _ -> "sent"
+        | exception Vm.Scheme_error msg -> msg
+      in
+      Engine.finish engine;
+      outcome)
+
 let test_places_not_transferable () =
-  (* Sending a closure must raise, not corrupt the other heap. *)
-  let raised =
-    match
-      eval_in_guest
-        {|(define p (place-spawn "(place-receive 0)")) (place-send p (lambda (x) x))|}
-    with
-    | _ -> false
-    | exception _ -> true
-  in
-  check_bool "closures are not transferable" true raised
+  (* Sending a closure must raise a Scheme error, not corrupt the other
+     heap. *)
+  check_string "closures are not transferable"
+    "place-send: procedure values are not transferable"
+    (place_send_outcome "(lambda (x) x)")
+
+let test_places_improper_list_not_transferable () =
+  (* A dotted tail has no message form: sending one, bare or nested, is a
+     Scheme error the program sees, not a crash of the VM. *)
+  let refused = "place-send: improper list values are not transferable" in
+  check_string "dotted pair" refused (place_send_outcome "(cons 1 2)");
+  check_string "nested dotted list" refused (place_send_outcome "(vector (list 1 (cons 2 3)))")
 
 (* --- file ports --- *)
 
@@ -1140,6 +1158,7 @@ let suite =
     ("places: bidirectional channel", `Quick, test_places_bidirectional);
     ("places: parallel speedup", `Slow, test_places_parallel_speedup);
     ("places: closures not transferable", `Quick, test_places_not_transferable);
+    ("places: improper lists not transferable", `Quick, test_places_improper_list_not_transferable);
     ("ports: file write/read roundtrip", `Quick, test_ports_write_read_roundtrip);
     ("ports: read-char and EOF", `Quick, test_ports_read_char);
     ("ports: error cases", `Quick, test_ports_errors);
