@@ -1,10 +1,17 @@
 type thread_state = Ready | Running | Blocked of string | Finished
 
+(* What [thread_state] says, minus the block reason: all four are
+   immediates, so blocking stores an int and boxes nothing that would stay
+   live while the thread is parked.  The reason sits in [t_reason], and
+   {!state} rebuilds [Blocked reason] on demand. *)
+type status = S_ready | S_running | S_blocked | S_finished
+
 type thread = {
   t_id : int;
   t_name : string;
   mutable t_cpu : int;  (* home cpu; work stealing may migrate it *)
-  mutable t_state : thread_state;
+  mutable t_status : status;
+  mutable t_reason : string;  (* the last block's reason; read while [S_blocked] *)
   mutable t_seg_start : int;
   mutable t_charge : int;
   mutable t_slice_base : int;  (* charge level at last slice reset *)
@@ -12,9 +19,9 @@ type thread = {
   mutable t_total : int;
   mutable t_vcsw : int;
   mutable t_ivcsw : int;
-  mutable t_resume : (unit -> unit) option;
-      (* initial-segment body, set once by [spawn]; woken blocks resume
-         through [t_resumer] instead *)
+  mutable t_body : unit -> unit;
+      (* the thread's body until its first dispatch starts it ([no_body]
+         afterwards); woken blocks resume through [t_resumer] instead *)
   mutable t_resumer : Obj.t;
       (* the pending ['a Fiber.resumer] while blocked or woken-and-queued;
          [no_resumer] otherwise.  Stored untyped so the record is not
@@ -97,7 +104,7 @@ module Runq = struct
     let cap = Array.length q.buf in
     let found = ref false in
     for i = 0 to q.len - 1 do
-      if (not !found) && q.buf.((q.head + i) mod cap).t_state = Ready then
+      if (not !found) && q.buf.((q.head + i) mod cap).t_status = S_ready then
         found := true
     done;
     !found
@@ -133,8 +140,10 @@ type cpu = {
    is an external and eta-expands to a fresh closure per use site). *)
 let dispatch_fn_unset () = ()
 
-(* Same trick for the per-thread wake callback. *)
+(* Same trick for the per-thread wake callback, and for a thread's body
+   once it has started. *)
 let wake_fn_unset (_ : Obj.t) = ()
+let no_body () = ()
 
 (* [t_resumer] when no registration is pending: an immediate, so the
    presence check is a pointer-vs-int comparison. *)
@@ -275,7 +284,7 @@ and run_one t cpu =
       | None ->
           if not (Runq.is_empty cpu.c_runq) then begin
             let th = Runq.pop_exn cpu.c_runq in
-            if th.t_state <> Ready then dispatch t cpu () else run_segment t cpu th
+            if th.t_status <> S_ready then dispatch t cpu () else run_segment t cpu th
           end
       | Some hook -> (
           (* Schedule-exploration choice point: collect the Ready threads
@@ -285,7 +294,7 @@ and run_one t cpu =
           let cands =
             List.rev
               (Runq.fold
-                 (fun acc th -> if th.t_state = Ready then th :: acc else acc)
+                 (fun acc th -> if th.t_status = S_ready then th :: acc else acc)
                  [] cpu.c_runq)
           in
           Runq.clear cpu.c_runq;
@@ -314,7 +323,7 @@ and try_steal t cpu =
   | Some dom when not (steal_candidates_exist t cpu dom) -> ()
   | Some dom -> (
       let ready_count c =
-        Runq.fold (fun n th -> if th.t_state = Ready then n + 1 else n) 0 c.c_runq
+        Runq.fold (fun n th -> if th.t_status = S_ready then n + 1 else n) 0 c.c_runq
       in
       let cands = ref [] in
       Array.iter
@@ -347,7 +356,7 @@ and try_steal t cpu =
           let taken = ref 0 in
           List.iter
             (fun th ->
-              if th.t_state = Ready && !taken < want then begin
+              if th.t_status = S_ready && !taken < want then begin
                 incr taken;
                 th.t_cpu <- cpu.c_id;
                 Runq.push cpu.c_runq th
@@ -394,7 +403,7 @@ and run_segment t cpu th =
     else 0
   in
   cpu.c_last_tid <- th.t_id;
-  th.t_state <- Running;
+  th.t_status <- S_running;
   th.t_seg_start <- Int.max (Sim.now t.sim) cpu.c_busy_until + switch;
   th.t_charge <- 0;
   th.t_slice_base <- 0;
@@ -407,12 +416,8 @@ and run_segment t cpu th =
      th.t_can_cancel <- false;
      Fiber.resume r v
    end
-   else
-     match th.t_resume with
-     | Some k ->
-         th.t_resume <- None;
-         k ()
-     | None -> failwith "Exec: dispatching thread with no continuation");
+   else if th.t_body != no_body then Fiber.run_with start_current t
+   else failwith "Exec: dispatching thread with no continuation");
   (* The fiber has host-returned: it blocked, yielded, or finished; the
      per-case bookkeeping already ran inside the fiber. *)
   assert (t.current = None)
@@ -432,12 +437,36 @@ and end_segment t =
       request_dispatch t cpu ~at:t_end;
       th
 
+(* A thread's first segment, run as a fiber by [run_segment]: a top-level
+   function of the executor, which reads the thread from [t.current], so
+   spawning allocates no start closure. *)
+and start_current t =
+  let th = match t.current with Some th -> th | None -> assert false in
+  let body = th.t_body in
+  th.t_body <- no_body;
+  match body () with
+  | () -> finish t
+  | exception Fiber.Cancelled ->
+      (* Killed: {!kill} already did the bookkeeping, and the current
+         segment belongs to the killer — do not touch it. *)
+      ()
+
+(* The body returned: end the last segment and run the exit callbacks. *)
+and finish t =
+  let th = end_segment t in
+  let t_end = th.t_block_end in
+  th.t_status <- S_finished;
+  th.t_exit_time <- t_end;
+  let callbacks = List.rev th.t_on_exit in
+  th.t_on_exit <- [];
+  with_ctx_now t t_end (fun () -> List.iter (fun f -> f ()) callbacks)
+
 and make_runnable t th ~at =
-  match th.t_state with
-  | Finished -> ()
-  | Running | Ready -> failwith "Exec: waking a thread that is not blocked"
-  | Blocked _ ->
-      th.t_state <- Ready;
+  match th.t_status with
+  | S_finished -> ()
+  | S_running | S_ready -> failwith "Exec: waking a thread that is not blocked"
+  | S_blocked ->
+      th.t_status <- S_ready;
       enqueue_at t th ~at:(Int.max at th.t_block_end)
 
 (* The run queue must only ever hold threads that are eligible to run {e at
@@ -451,7 +480,7 @@ and enqueue_at t th ~at =
   if th.t_enqueue_fn == dispatch_fn_unset then
     th.t_enqueue_fn <-
       (fun () ->
-        if th.t_state = Ready then begin
+        if th.t_status = S_ready then begin
           let at = Sim.now t.sim in
           let cpu = t.cpus.(th.t_cpu) in
           Runq.push cpu.c_runq th;
@@ -471,7 +500,8 @@ let block (type a) t ~reason (register : now:int -> wake:(a -> unit) -> unit) :
     a =
   let th = self t in
   th.t_vcsw <- th.t_vcsw + 1;
-  th.t_state <- Blocked reason;
+  th.t_status <- S_blocked;
+  th.t_reason <- reason;
   let t_end = (end_segment t).t_block_end in
   Fiber.suspend (fun (resumer : a Fiber.resumer) ->
       th.t_resumer <- Obj.repr resumer;
@@ -479,7 +509,7 @@ let block (type a) t ~reason (register : now:int -> wake:(a -> unit) -> unit) :
       if th.t_wake_fn == wake_fn_unset then
         th.t_wake_fn <-
           (fun v ->
-            if th.t_state <> Finished then begin
+            if th.t_status <> S_finished then begin
               th.t_can_cancel <- false;
               th.t_wake_v <- v;
               make_runnable t th ~at:(local_now t)
@@ -492,19 +522,16 @@ let block (type a) t ~reason (register : now:int -> wake:(a -> unit) -> unit) :
       let wake : a -> unit = Obj.magic th.t_wake_fn in
       with_ctx_now t t_end (fun () -> register ~now:t_end ~wake))
 
-(* Shared state cell for the yield path — [Blocked "yield"] would box a
-   fresh variant per yield. *)
-let blocked_yield = Blocked "yield"
-
 let requeue_self t =
   let th = self t in
-  th.t_state <- blocked_yield;
+  th.t_status <- S_blocked;
+  th.t_reason <- "yield";
   let t_end = (end_segment t).t_block_end in
   Fiber.suspend (fun (resumer : unit Fiber.resumer) ->
       th.t_resumer <- Obj.repr resumer;
       th.t_wake_v <- Obj.repr ();
       th.t_can_cancel <- true;
-      th.t_state <- Ready;
+      th.t_status <- S_ready;
       let cpu = t.cpus.(th.t_cpu) in
       Runq.push cpu.c_runq th;
       request_dispatch t cpu ~at:t_end;
@@ -565,7 +592,8 @@ let spawn t ~cpu ~name body =
       t_id = id;
       t_name = name;
       t_cpu = cpu;
-      t_state = Blocked "spawn";
+      t_status = S_ready;
+      t_reason = "";
       t_seg_start = 0;
       t_charge = 0;
       t_slice_base = 0;
@@ -573,7 +601,7 @@ let spawn t ~cpu ~name body =
       t_total = 0;
       t_vcsw = 0;
       t_ivcsw = 0;
-      t_resume = None;
+      t_body = body;
       t_resumer = no_resumer;
       t_wake_v = no_resumer;
       t_can_cancel = false;
@@ -585,36 +613,16 @@ let spawn t ~cpu ~name body =
     }
   in
   th.t_some <- Some th;
-  let finish () =
-    let th = end_segment t in
-    let t_end = th.t_block_end in
-    th.t_state <- Finished;
-    th.t_exit_time <- t_end;
-    let callbacks = List.rev th.t_on_exit in
-    th.t_on_exit <- [];
-    with_ctx_now t t_end (fun () -> List.iter (fun f -> f ()) callbacks)
-  in
-  th.t_resume <-
-    Some
-      (fun () ->
-        Fiber.run (fun () ->
-            match body () with
-            | () -> finish ()
-            | exception Fiber.Cancelled ->
-                (* Killed: {!kill} already did the bookkeeping, and the
-                   current segment belongs to the killer — do not touch it. *)
-                ()));
-  th.t_state <- Ready;
   t.all_threads_rev <- th :: t.all_threads_rev;
   enqueue_at t th ~at:(local_now t);
   th
 
 let kill t th =
-  match th.t_state with
-  | Finished -> ()
-  | Running -> invalid_arg "Exec.kill: cannot kill the running thread"
-  | Ready | Blocked _ ->
-      th.t_state <- Finished;
+  match th.t_status with
+  | S_finished -> ()
+  | S_running -> invalid_arg "Exec.kill: cannot kill the running thread"
+  | S_ready | S_blocked ->
+      th.t_status <- S_finished;
       th.t_exit_time <- local_now t;
       let callbacks = List.rev th.t_on_exit in
       th.t_on_exit <- [];
@@ -626,7 +634,7 @@ let kill t th =
       th.t_resumer <- no_resumer;
       th.t_wake_v <- no_resumer;
       th.t_can_cancel <- false;
-      th.t_resume <- None;
+      th.t_body <- no_body;
       with_ctx_now t th.t_exit_time (fun () ->
           (if cancelable && resumer != no_resumer then
              Fiber.cancel (Obj.obj resumer : Obj.t Fiber.resumer) Fiber.Cancelled);
@@ -655,7 +663,7 @@ let rehome t ~cpu ~dst =
     let moved = ref 0 in
     List.iter
       (fun th ->
-        if th.t_cpu = cpu && th.t_state <> Finished then begin
+        if th.t_cpu = cpu && th.t_status <> S_finished then begin
           th.t_cpu <- dst;
           incr moved
         end)
@@ -669,22 +677,27 @@ let rehome t ~cpu ~dst =
     !moved
   end
 
-let state _t th = th.t_state
+let state _t th =
+  match th.t_status with
+  | S_ready -> Ready
+  | S_running -> Running
+  | S_blocked -> Blocked th.t_reason
+  | S_finished -> Finished
+
 let name th = th.t_name
 let tid th = th.t_id
 let cpu_of th = th.t_cpu
 
 let join t target =
-  match target.t_state with
-  | Finished when target.t_exit_time <= local_now t -> ()
-  | Finished ->
+  match target.t_status with
+  | S_finished when target.t_exit_time <= local_now t -> ()
+  | S_finished ->
       (* Finished in host order but, virtually, later than now: wait. *)
       block t ~reason:("join " ^ target.t_name) (fun ~now:_ ~wake ->
-          Sim.schedule_at t.sim (Int.max target.t_exit_time (Sim.now t.sim)) (fun () ->
-              wake ()))
-  | Ready | Running | Blocked _ ->
+          Sim.schedule_at t.sim (Int.max target.t_exit_time (Sim.now t.sim)) wake)
+  | S_ready | S_running | S_blocked ->
       block t ~reason:("join " ^ target.t_name) (fun ~now:_ ~wake ->
-          target.t_on_exit <- (fun () -> wake ()) :: target.t_on_exit)
+          target.t_on_exit <- wake :: target.t_on_exit)
 
 let after t delay fn = Sim.schedule_at t.sim (local_now t + delay) fn
 

@@ -98,6 +98,10 @@ val kill : t -> thread -> unit
     thread (self) is not supported — just return from the body. *)
 
 val state : t -> thread -> thread_state
+(** A blocked thread keeps its reason apart from its state, so a parked
+    thread holds no boxed variant; [state] builds [Blocked reason] on each
+    call. *)
+
 val name : thread -> string
 val tid : thread -> int
 val cpu_of : thread -> int

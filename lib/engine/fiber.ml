@@ -1,29 +1,32 @@
 exception Cancelled
 
-(* The resumer holds the captured continuation directly in a mutable slot
-   (consumed on first use) instead of wrapping it in resume/cancel closures
-   with a shared one-shot guard: a suspension then allocates one two-field
-   record plus the [Some], not five closures.  Suspend/resume is the
-   innermost host hot path — every simulated block, sleep, and yield goes
-   through here. *)
-type 'a resumer = { mutable rk : ('a, unit) Effect.Deep.continuation option }
+(* A resumer is the captured continuation itself: suspending allocates no
+   record, no option and no closure around it, and a parked fiber costs the
+   host heap one continuation block (its stack lives outside the heap).
+   The runtime already makes a continuation one-shot; a second use raises
+   [Effect.Continuation_already_resumed], which is reported under this
+   module's own message.  Suspend/resume is the innermost host hot path —
+   every simulated block, sleep, and yield goes through here. *)
+type 'a resumer = ('a, unit) Effect.Deep.continuation
 
 type _ Effect.t += Suspend : ('a resumer -> unit) -> 'a Effect.t
 
 let suspend register = Effect.perform (Suspend register)
+let used_twice () = failwith "Fiber: resumer used twice"
 
-let take r =
-  match r.rk with
-  | None -> failwith "Fiber: resumer used twice"
-  | Some k ->
-      r.rk <- None;
-      k
+let resume k v =
+  match Effect.Deep.continue k v with
+  | () -> ()
+  | exception Effect.Continuation_already_resumed -> used_twice ()
 
-let resume r v = Effect.Deep.continue (take r) v
-let cancel r e = Effect.Deep.discontinue (take r) e
+let cancel k e =
+  match Effect.Deep.discontinue k e with
+  | () -> ()
+  | exception Effect.Continuation_already_resumed -> used_twice ()
 
-(* One handler for every fiber (no captured state), so [run] allocates
-   nothing beyond the effect machinery itself. *)
+(* One handler for every fiber (no captured state), so [run_with] allocates
+   nothing beyond the effect machinery itself: the registration function is
+   handed the continuation directly. *)
 let handler =
   let open Effect.Deep in
   {
@@ -32,9 +35,9 @@ let handler =
     effc =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
-        | Suspend register ->
-            Some (fun (k : (a, unit) continuation) -> register { rk = Some k })
+        | Suspend register -> Some (register : (a, unit) continuation -> unit)
         | _ -> None);
   }
 
-let run body = Effect.Deep.match_with body () handler
+let run_with f x = Effect.Deep.match_with f x handler
+let run body = run_with body ()

@@ -16,17 +16,27 @@ exception Channel_failure of string
 
 type request = { req_kind : string; req_run : unit -> unit }
 
+type outcome = Done | Timeout
+
 (* A message on the channel.  [e_done] is shared by every entry of one
    logical call (retries, injected duplicates): the payload runs exactly
-   once, re-deliveries only re-acknowledge.  [e_complete] wakes the caller
-   attempt that sent this entry; it self-guards so that a completion and a
-   timeout racing for the same attempt consume the waker at most once. *)
+   once, re-deliveries only re-acknowledge.  [e_wake] is the waker of the
+   caller attempt that sent this entry, and [e_live] says that attempt is
+   still waiting: the reply and the timeout both clear it before they
+   wake, so whichever comes first consumes the waker and the other is a
+   no-op.  A parked caller thus holds only its entry — no closure, option
+   box or ref cell; the reply's event closure is built when [complete]
+   schedules it. *)
 type entry = {
   e_req : request;
-  e_complete : (unit -> unit) option;  (* [None] for posted requests *)
+  e_wake : outcome -> unit;  (* [posted] for posted requests *)
+  mutable e_live : bool;
   e_done : bool ref;
   e_corrupt : bool;
 }
+
+(* The waker of a posted request, which nobody waits for. *)
+let posted (_ : outcome) = ()
 
 type t = {
   machine : Machine.t;
@@ -135,87 +145,88 @@ let kick t =
           wake ()
       | None -> ())
 
+(* One attempt of a call, and the retries after it.  A top-level function
+   rather than a closure over the call, so a parked caller's stack refers
+   to the channel, the request and the shared [done_] flag directly. *)
+let rec attempt t req done_ n backoff =
+  Metrics.inc t.c_calls ();
+  Machine.charge t.machine (signal_cost t);
+  let outcome =
+    Exec.block t.machine.Machine.exec
+      ~reason:(Mv_util.Intern.get reason_call req.req_kind)
+      (fun ~now:_ ~wake ->
+        let entry =
+          {
+            e_req = req;
+            e_wake = wake;
+            e_live = true;
+            e_done = done_;
+            e_corrupt = Fault_plan.fire t.faults Fault_plan.Chan_corrupt req.req_kind;
+          }
+        in
+        if not (Fault_plan.fire t.faults Fault_plan.Chan_drop req.req_kind) then begin
+          Queue.add entry t.queue;
+          kick t;
+          if Fault_plan.fire t.faults Fault_plan.Chan_duplicate req.req_kind then begin
+            Queue.add entry t.queue;
+            kick t
+          end
+        end;
+        if t.resilient then
+          Exec.after t.machine.Machine.exec (timeout_rtts * rtt t) (fun () ->
+              if entry.e_live then begin
+                entry.e_live <- false;
+                wake Timeout
+              end))
+  in
+  match outcome with
+  | Done -> ()
+  | Timeout ->
+      Metrics.inc t.c_timeouts ();
+      if n >= max_retries then begin
+        Machine.emit t.machine (Trace.Channel_exhausted { retries = n; kind = req.req_kind });
+        raise (Channel_failure req.req_kind)
+      end
+      else begin
+        Metrics.inc t.c_retries ();
+        Machine.emit t.machine
+          (Trace.Channel_retry { attempt = n + 1; backoff; kind = req.req_kind });
+        (* Exponential backoff, charged to the caller through the
+           ordinary cycle model. *)
+        Machine.charge t.machine backoff;
+        attempt t req done_ (n + 1) (backoff * 2)
+      end
+
 let call t req =
   if t.failed then raise (Channel_failure req.req_kind);
-  let done_ = ref false in
-  let rec attempt n backoff =
-    Metrics.inc t.c_calls ();
-    Machine.charge t.machine (signal_cost t);
-    let outcome =
-      Exec.block t.machine.Machine.exec
-        ~reason:(Mv_util.Intern.get reason_call req.req_kind)
-        (fun ~now:_ ~wake ->
-          let live = ref true in
-          let entry =
-            {
-              e_req = req;
-              e_complete =
-                Some
-                  (fun () ->
-                    if !live then begin
-                      live := false;
-                      wake `Done
-                    end);
-              e_done = done_;
-              e_corrupt = Fault_plan.fire t.faults Fault_plan.Chan_corrupt req.req_kind;
-            }
-          in
-          if not (Fault_plan.fire t.faults Fault_plan.Chan_drop req.req_kind) then begin
-            Queue.add entry t.queue;
-            kick t;
-            if Fault_plan.fire t.faults Fault_plan.Chan_duplicate req.req_kind then begin
-              Queue.add entry t.queue;
-              kick t
-            end
-          end;
-          if t.resilient then
-            Exec.after t.machine.Machine.exec (timeout_rtts * rtt t) (fun () ->
-                if !live then begin
-                  live := false;
-                  wake `Timeout
-                end))
-    in
-    match outcome with
-    | `Done -> ()
-    | `Timeout ->
-        Metrics.inc t.c_timeouts ();
-        if n >= max_retries then begin
-          Machine.emit t.machine (Trace.Channel_exhausted { retries = n; kind = req.req_kind });
-          raise (Channel_failure req.req_kind)
-        end
-        else begin
-          Metrics.inc t.c_retries ();
-          Machine.emit t.machine
-            (Trace.Channel_retry { attempt = n + 1; backoff; kind = req.req_kind });
-          (* Exponential backoff, charged to the caller through the
-             ordinary cycle model. *)
-          Machine.charge t.machine backoff;
-          attempt (n + 1) (backoff * 2)
-        end
-  in
-  attempt 0 (rtt t)
+  attempt t req (ref false) 0 (rtt t)
 
 let post t req =
   (* Posts carry control messages (hrt-exit, shutdown) whose loss is not
      recoverable by a caller-side timeout, so they are never dropped,
      duplicated or corrupted; their delivery may still be delayed. *)
   Metrics.inc t.c_calls ();
-  Queue.add { e_req = req; e_complete = None; e_done = ref false; e_corrupt = false } t.queue;
+  Queue.add
+    { e_req = req; e_wake = posted; e_live = false; e_done = ref false; e_corrupt = false }
+    t.queue;
   kick t
 
 let complete t =
   match t.serving with
   | None -> raise (Protocol_error "Event_channel.complete: nothing being served")
-  | Some e -> (
+  | Some e ->
       t.serving <- None;
       e.e_done := true;
-      match e.e_complete with
-      | None -> ()  (* posted request: fire-and-forget *)
-      | Some fire_wake ->
-          Machine.charge t.machine (signal_cost t);
-          (* The reply leg is the rest of the RTT, so an odd RTT loses no
-             cycle to the halving. *)
-          Exec.after t.machine.Machine.exec (rtt t - one_way t) fire_wake)
+      if e.e_wake != posted then begin
+        Machine.charge t.machine (signal_cost t);
+        (* The reply leg is the rest of the RTT, so an odd RTT loses no
+           cycle to the halving. *)
+        Exec.after t.machine.Machine.exec (rtt t - one_way t) (fun () ->
+            if e.e_live then begin
+              e.e_live <- false;
+              e.e_wake Done
+            end)
+      end
 
 (* The one server-side take: every entry leaves the queue here.  The
    server pays the one-way delivery latency (plus any injected delay) as

@@ -21,11 +21,25 @@ let span_fwd = Mv_util.Intern.create "fwd:"
    runs exactly once. *)
 type slot_state = Slot_pending | Slot_claimed | Slot_taken | Slot_done
 
+type ride_outcome = Acked | Timed_out
+
+(* [sl_wake] is the rider's waker ([no_rider] until it first parks), and
+   [sl_live] says its current registration is still waiting: the ack and
+   the timeout both clear it before they wake, so whichever comes first
+   consumes the registration.  A re-wait after a timeout on a Taken slot
+   re-arms the same flag, which is safe because that timeout was the
+   earlier registration's only pending event — the ack is scheduled after
+   the re-check, by the drain that finishes the slot.  A parked rider thus
+   holds only its slot; the ack's event closure is built by the drain that
+   sends it. *)
 type slot = {
   sl_req : Event_channel.request;
   mutable sl_state : slot_state;
-  mutable sl_wake : (unit -> unit) option;
+  mutable sl_wake : ride_outcome -> unit;
+  mutable sl_live : bool;
 }
+
+let no_rider (_ : ride_outcome) = ()
 
 type endpoint = {
   ep_name : string;
@@ -295,12 +309,14 @@ let drain_ring t ep =
                   slot.sl_state <- Slot_done;
                   ep.ep_npending <- ep.ep_npending - 1;
                   Metrics.inc t.c_drained ();
-                  (* Completion flag store + the rider's poll notice. *)
-                  (match slot.sl_wake with
-                  | Some w ->
-                      slot.sl_wake <- None;
-                      sched_after t (ack_latency t) w
-                  | None -> ()));
+                  (* Completion flag store + the rider's poll notice, for a
+                     rider that has parked on the slot. *)
+                  if slot.sl_wake != no_rider then
+                    sched_after t (ack_latency t) (fun () ->
+                        if slot.sl_live then begin
+                          slot.sl_live <- false;
+                          slot.sl_wake Acked
+                        end));
               go ()
         in
         go ();
@@ -414,7 +430,7 @@ let poller_loop t pg () =
           go ()
       | None ->
           Exec.block exec ~reason:"fabric:poll" (fun ~now:_ ~wake ->
-              Queue.add (me, fun () -> wake ()) pg.pg_parked);
+              Queue.add (me, wake) pg.pg_parked);
           go ()
   in
   go ()
@@ -762,25 +778,31 @@ let rec dispatch t ep (req : Event_channel.request) =
    the payload drain leaves no rider pending. *)
 and lead t ep (req : Event_channel.request) =
   ep.ep_inflight <- true;
-  Fun.protect
-    ~finally:(fun () -> ep.ep_inflight <- false)
-    (fun () ->
+  (* The window closes however the call ends, a kill included; a match
+     rather than [Fun.protect], whose two closures a parked leader would
+     keep. *)
+  match
+    transport t ep
+      {
+        req with
+        Event_channel.req_run =
+          (fun () ->
+            ep.ep_inflight <- false;
+            req.Event_channel.req_run ();
+            drain_ring t ep);
+      };
+    (* Backstop for degraded paths only: an attentive server is already
+       committed to the remaining slots, and on the healthy path the
+       window discipline leaves none pending. *)
+    while ep.ep_npending > 0 && not ep.ep_attentive do
       transport t ep
-        {
-          req with
-          Event_channel.req_run =
-            (fun () ->
-              ep.ep_inflight <- false;
-              req.Event_channel.req_run ();
-              drain_ring t ep);
-        };
-      (* Backstop for degraded paths only: an attentive server is already
-         committed to the remaining slots, and on the healthy path the
-         window discipline leaves none pending. *)
-      while ep.ep_npending > 0 && not ep.ep_attentive do
-        transport t ep
-          { Event_channel.req_kind = "#drain"; req_run = (fun () -> drain_ring t ep) }
-      done)
+        { Event_channel.req_kind = "#drain"; req_run = (fun () -> drain_ring t ep) }
+    done
+  with
+  | () -> ep.ep_inflight <- false
+  | exception e ->
+      ep.ep_inflight <- false;
+      raise e
 
 (* A rider queues into the shared-page ring: no hypercall, no doorbell —
    the in-flight leader's drain services it.  Under a fault plan the ride
@@ -788,58 +810,52 @@ and lead t ep (req : Event_channel.request) =
    (host-atomically, see the slot-state comment) and re-dispatched. *)
 and ride t ep (req : Event_channel.request) =
   Metrics.inc t.c_riders ();
-  let exec = t.fb_machine.Machine.exec in
-  let slot = { sl_req = req; sl_state = Slot_pending; sl_wake = None } in
+  let slot = { sl_req = req; sl_state = Slot_pending; sl_wake = no_rider; sl_live = false } in
   Queue.add slot ep.ep_ring;
   ep.ep_npending <- ep.ep_npending + 1;
   let occupancy = float_of_int ep.ep_npending in
   if occupancy > Metrics.gauge_value t.g_ring_hw then Metrics.set_gauge t.g_ring_hw occupancy;
   (* The ring-slot store into the shared page. *)
   Machine.charge t.fb_machine (ring_cost t);
+  (* Sized once per ride, from the channel as it is now; 0 arms none. *)
   let timeout =
-    if resilient t then Some (Event_channel.timeout_rtts * Event_channel.rtt ep.ep_chan)
-    else None
+    if resilient t then Event_channel.timeout_rtts * Event_channel.rtt ep.ep_chan else 0
   in
-  let rec wait () =
-    let outcome =
-      Exec.block exec
-        ~reason:(Mv_util.Intern.get reason_ride req.Event_channel.req_kind)
-        (fun ~now ~wake ->
-          let live = ref true in
-          slot.sl_wake <-
-            Some
-              (fun () ->
-                if !live then begin
-                  live := false;
-                  wake `Done
-                end);
-          match timeout with
-          | Some cycles ->
-              Sim.schedule_at (Exec.sim exec) (now + cycles) (fun () ->
-                  if !live then begin
-                    live := false;
-                    wake `Timeout
-                  end)
-          | None -> ())
-    in
-    match outcome with
-    | `Done -> ()
-    | `Timeout -> (
-        match slot.sl_state with
-        | Slot_done -> ()  (* the drain won the race *)
-        | Slot_taken -> wait ()  (* server mid-payload: re-arm and keep waiting *)
-        | Slot_pending ->
-            (* Reclaim and escalate: ring our own doorbell after all. *)
-            slot.sl_state <- Slot_claimed;
-            ep.ep_npending <- ep.ep_npending - 1;
-            pump_admission t ep;
-            Metrics.inc t.c_ride_timeouts ();
-            Machine.emit t.fb_machine
-              (Trace.Ride_timeout { kind = req.Event_channel.req_kind });
-            dispatch t ep req
-        | Slot_claimed -> assert false)
+  ride_wait t ep slot timeout
+
+(* Park on the slot until the ack, or until the timeout (under a fault
+   plan), then settle the race with the drain. *)
+and ride_wait t ep slot timeout =
+  let exec = t.fb_machine.Machine.exec in
+  let outcome =
+    Exec.block exec
+      ~reason:(Mv_util.Intern.get reason_ride slot.sl_req.Event_channel.req_kind)
+      (fun ~now ~wake ->
+        slot.sl_wake <- wake;
+        slot.sl_live <- true;
+        if timeout > 0 then
+          Sim.schedule_at (Exec.sim exec) (now + timeout) (fun () ->
+              if slot.sl_live then begin
+                slot.sl_live <- false;
+                wake Timed_out
+              end))
   in
-  wait ()
+  match outcome with
+  | Acked -> ()
+  | Timed_out -> (
+      match slot.sl_state with
+      | Slot_done -> ()  (* the drain won the race *)
+      | Slot_taken -> ride_wait t ep slot timeout  (* server mid-payload: keep waiting *)
+      | Slot_pending ->
+          (* Reclaim and escalate: ring our own doorbell after all. *)
+          slot.sl_state <- Slot_claimed;
+          ep.ep_npending <- ep.ep_npending - 1;
+          pump_admission t ep;
+          Metrics.inc t.c_ride_timeouts ();
+          Machine.emit t.fb_machine
+            (Trace.Ride_timeout { kind = slot.sl_req.Event_channel.req_kind });
+          dispatch t ep slot.sl_req
+      | Slot_claimed -> assert false)
 
 (* --- promotion table (HRT-local fast paths) --- *)
 
@@ -902,66 +918,62 @@ let local_path t ~key ~local_try (req : Event_channel.request) =
    policy parks the caller in the endpoint's FIFO admission queue —
    backpressure on the enqueuing group — falling back to shedding only
    when that queue overflows its explicit capacity. *)
+let enqueue_waiter t ep (req : Event_channel.request) =
+  Metrics.inc t.c_blocked ();
+  Exec.block t.fb_machine.Machine.exec
+    ~reason:(Mv_util.Intern.get reason_admit req.Event_channel.req_kind)
+    (fun ~now:_ ~wake ->
+      ep.ep_nwaiters <- ep.ep_nwaiters + 1;
+      Queue.add wake ep.ep_waiters;
+      (* The pump wakes us via a scheduled event, so kicking it from
+         the registration segment cannot wake a not-yet-parked
+         thread. *)
+      pump_admission t ep);
+  (* The waker consumed a token and reserved our ring slot. *)
+  ep.ep_granted <- ep.ep_granted - 1
+
+(* One gate pass and the shed retries after it; top-level, so a caller
+   sleeping out a backoff keeps no closure over the gate's state. *)
+let rec admit_attempt t ep ad ~patient (req : Event_channel.request) ~sheds ~backoff
+    ~max_backoff =
+  let admissible =
+    if ep.ep_npending + ep.ep_granted >= ad.ad_ring_capacity then false
+    else if ad.ad_policy = Block && ep.ep_nwaiters > 0 then
+      false (* FIFO fairness: nobody overtakes the admission queue *)
+    else Mv_util.Token_bucket.take (bucket_of t ep ad) ~now:(Machine.now t.fb_machine)
+  in
+  if admissible then begin
+    Metrics.inc t.c_admitted ();
+    Ok ()
+  end
+  else if ad.ad_policy = Block && ep.ep_nwaiters < ad.ad_queue_capacity then begin
+    enqueue_waiter t ep req;
+    Metrics.inc t.c_admitted ();
+    Ok ()
+  end
+  else begin
+    if ad.ad_policy = Block then Metrics.inc t.c_queue_rejects ();
+    Metrics.inc t.c_sheds ();
+    Machine.emit t.fb_machine
+      (Trace.Overload_shed { kind = req.Event_channel.req_kind; endpoint = ep.ep_name });
+    if (not patient) && sheds + 1 > ad.ad_shed_retries then
+      Error
+        { ov_kind = req.Event_channel.req_kind; ov_endpoint = ep.ep_name; ov_sheds = sheds + 1 }
+    else begin
+      Metrics.inc t.c_shed_retries ();
+      Exec.sleep t.fb_machine.Machine.exec backoff;
+      admit_attempt t ep ad ~patient req ~sheds:(sheds + 1)
+        ~backoff:(Stdlib.min max_backoff (backoff * 2))
+        ~max_backoff
+    end
+  end
+
 let admission_gate t ep ~patient (req : Event_channel.request) =
   match t.fb_admission with
   | None -> Ok ()
   | Some ad ->
-      let exec = t.fb_machine.Machine.exec in
       let base = Event_channel.rtt ep.ep_chan in
-      let max_backoff = 64 * base in
-      let enqueue_waiter () =
-        Metrics.inc t.c_blocked ();
-        Exec.block exec
-          ~reason:(Mv_util.Intern.get reason_admit req.Event_channel.req_kind)
-          (fun ~now:_ ~wake ->
-            ep.ep_nwaiters <- ep.ep_nwaiters + 1;
-            Queue.add (fun () -> wake ()) ep.ep_waiters;
-            (* The pump wakes us via a scheduled event, so kicking it from
-               the registration segment cannot wake a not-yet-parked
-               thread. *)
-            pump_admission t ep);
-        (* The waker consumed a token and reserved our ring slot. *)
-        ep.ep_granted <- ep.ep_granted - 1
-      in
-      let rec attempt ~sheds ~backoff =
-        let admissible =
-          if ep.ep_npending + ep.ep_granted >= ad.ad_ring_capacity then false
-          else if ad.ad_policy = Block && ep.ep_nwaiters > 0 then
-            false (* FIFO fairness: nobody overtakes the admission queue *)
-          else
-            Mv_util.Token_bucket.take (bucket_of t ep ad)
-              ~now:(Machine.now t.fb_machine)
-        in
-        if admissible then begin
-          Metrics.inc t.c_admitted ();
-          Ok ()
-        end
-        else if ad.ad_policy = Block && ep.ep_nwaiters < ad.ad_queue_capacity then begin
-          enqueue_waiter ();
-          Metrics.inc t.c_admitted ();
-          Ok ()
-        end
-        else begin
-          if ad.ad_policy = Block then Metrics.inc t.c_queue_rejects ();
-          Metrics.inc t.c_sheds ();
-          Machine.emit t.fb_machine
-            (Trace.Overload_shed
-               { kind = req.Event_channel.req_kind; endpoint = ep.ep_name });
-          if (not patient) && sheds + 1 > ad.ad_shed_retries then
-            Error
-              {
-                ov_kind = req.Event_channel.req_kind;
-                ov_endpoint = ep.ep_name;
-                ov_sheds = sheds + 1;
-              }
-          else begin
-            Metrics.inc t.c_shed_retries ();
-            Exec.sleep exec backoff;
-            attempt ~sheds:(sheds + 1) ~backoff:(Stdlib.min max_backoff (backoff * 2))
-          end
-        end
-      in
-      attempt ~sheds:0 ~backoff:base
+      admit_attempt t ep ad ~patient req ~sheds:0 ~backoff:base ~max_backoff:(64 * base)
 
 let admit_patient t ep req =
   match admission_gate t ep ~patient:true req with

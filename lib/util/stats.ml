@@ -1,41 +1,58 @@
+(* The samples sit unboxed in the first [n] slots of a float array that
+   doubles as it fills: a sample costs one or two words, and [add]
+   allocates only when the array doubles.  Their order is free — every
+   consumer reduces (mean, extrema) or sorts (percentiles) — so the
+   percentile queries sort the array in place and remember that it is
+   sorted until the next [add]. *)
 type t = {
-  mutable samples : float list;
+  mutable samples : float array;
   mutable n : int;
   mutable sum : float;
   mutable sum_sq : float;
   mutable lo : float;
   mutable hi : float;
-  mutable sorted : float array option;  (* cache, invalidated by [add] *)
+  mutable is_sorted : bool;
 }
 
 let create () =
   {
-    samples = [];
+    samples = [||];
     n = 0;
     sum = 0.;
     sum_sq = 0.;
     lo = infinity;
     hi = neg_infinity;
-    sorted = None;
+    is_sorted = true;
   }
 
+(* Room for [extra] more samples. *)
+let reserve t extra =
+  let need = t.n + extra in
+  let cap = Array.length t.samples in
+  if need > cap then begin
+    let grown = Array.make (Int.max need (2 * cap)) 0. in
+    Array.blit t.samples 0 grown 0 t.n;
+    t.samples <- grown
+  end
+
 let add t x =
-  t.samples <- x :: t.samples;
+  reserve t 1;
+  t.samples.(t.n) <- x;
   t.n <- t.n + 1;
   t.sum <- t.sum +. x;
   t.sum_sq <- t.sum_sq +. (x *. x);
-  t.sorted <- None;
+  t.is_sorted <- false;
   if x < t.lo then t.lo <- x;
   if x > t.hi then t.hi <- x
 
 let merge_into dst src =
-  (* rev_append keeps this O(|src|); sample order is irrelevant because
-     every consumer reduces (mean/extrema) or sorts (percentiles). *)
-  dst.samples <- List.rev_append src.samples dst.samples;
-  dst.n <- dst.n + src.n;
+  let m = src.n and from = src.samples in
+  reserve dst m;
+  Array.blit from 0 dst.samples dst.n m;
+  dst.n <- dst.n + m;
   dst.sum <- dst.sum +. src.sum;
   dst.sum_sq <- dst.sum_sq +. src.sum_sq;
-  dst.sorted <- None;
+  dst.is_sorted <- dst.is_sorted && m = 0;
   if src.lo < dst.lo then dst.lo <- src.lo;
   if src.hi > dst.hi then dst.hi <- src.hi
 
@@ -53,15 +70,15 @@ let min t = t.lo
 let max t = t.hi
 
 (* Sort once per batch of adds: repeated percentile queries (p50/p95/p99
-   over the same accumulated samples) reuse the cached array. *)
+   over the same accumulated samples) reuse the sorted array.  The array
+   is first trimmed to its [n] samples, so the sort sees exactly them. *)
 let sorted t =
-  match t.sorted with
-  | Some arr -> arr
-  | None ->
-      let arr = Array.of_list t.samples in
-      Array.sort Float.compare arr;
-      t.sorted <- Some arr;
-      arr
+  if not t.is_sorted then begin
+    if Array.length t.samples > t.n then t.samples <- Array.sub t.samples 0 t.n;
+    Array.sort Float.compare t.samples;
+    t.is_sorted <- true
+  end;
+  t.samples
 
 let percentile t p =
   assert (t.n > 0);

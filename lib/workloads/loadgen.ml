@@ -112,6 +112,45 @@ let arrival_schedule cfg rng ~group =
   done;
   arr
 
+(* What every worker of a run shares.  Every call charges the same
+   service, so one request serves them all. *)
+type shared = {
+  sh_exec : Exec.t;
+  sh_fabric : Fabric.t;
+  sh_req : Event_channel.request;
+  sh_sojourn : Metrics.latency;
+  sh_calls : int;  (* calls per group *)
+  sh_stride : int;  (* workers per group *)
+  mutable sh_issued : int;
+  mutable sh_completed : int;
+  mutable sh_dropped : int;
+}
+
+(* What one group's workers share; a worker's closure holds this and its
+   index, nothing else. *)
+type group = { g_shared : shared; g_arrivals : int array; g_ep : Fabric.endpoint }
+
+(* Worker [w] of a group takes arrivals w, w+W, ... of its schedule. *)
+let worker grp w =
+  let sh = grp.g_shared in
+  let exec = sh.sh_exec in
+  let i = ref w in
+  while !i < sh.sh_calls do
+    let at = grp.g_arrivals.(!i) in
+    let now = Exec.local_now exec in
+    if at > now then Exec.sleep exec (at - now);
+    sh.sh_issued <- sh.sh_issued + 1;
+    (match Fabric.offer sh.sh_fabric grp.g_ep sh.sh_req with
+    | Ok () ->
+        sh.sh_completed <- sh.sh_completed + 1;
+        (* Sojourn from the scheduled arrival, not the issue instant:
+           under overload the gap between the two IS the queueing delay
+           an open-loop client observes. *)
+        Metrics.observe sh.sh_sojourn (float_of_int (Exec.local_now exec - at))
+    | Error (_ : Fabric.overload) -> sh.sh_dropped <- sh.sh_dropped + 1);
+    i := !i + sh.sh_stride
+  done
+
 let run cfg =
   if cfg.lg_groups < 1 then invalid_arg "Loadgen.run: lg_groups must be >= 1";
   if not (Float.is_finite cfg.lg_offered_cps && cfg.lg_offered_cps > 0.0) then
@@ -143,9 +182,7 @@ let run cfg =
     | Fabric.Spread -> List.nth ros_cores (g mod nros)
     | Fabric.Affine -> Topology.nearest_ros_core machine.Machine.topo ~rotate:g hrt_core
   in
-  let sojourn = Metrics.latency machine.Machine.metrics ~ns:"loadgen" "sojourn" in
   let master = Rng.create ~seed:cfg.lg_seed in
-  let issued = ref 0 and completed = ref 0 and dropped = ref 0 in
   let makespan = ref Cycles.zero in
   (* [W] concurrent worker fibers per group stride the group's arrival
      schedule (worker w takes arrivals w, w+W, ...), so up to W calls from
@@ -154,6 +191,24 @@ let run cfg =
      a blocked issuer, and the endpoint's batching ring actually fills
      under overload. *)
   let nworkers = min (max 1 cfg.lg_workers_per_group) cfg.lg_calls_per_group in
+  let service = cfg.lg_service_cycles in
+  let sh =
+    {
+      sh_exec = exec;
+      sh_fabric = fabric;
+      sh_req =
+        {
+          Event_channel.req_kind = "loadgen";
+          req_run = (fun () -> Machine.charge machine service);
+        };
+      sh_sojourn = Metrics.latency machine.Machine.metrics ~ns:"loadgen" "sojourn";
+      sh_calls = cfg.lg_calls_per_group;
+      sh_stride = nworkers;
+      sh_issued = 0;
+      sh_completed = 0;
+      sh_dropped = 0;
+    }
+  in
   let workers =
     List.concat
       (List.init cfg.lg_groups (fun g ->
@@ -165,34 +220,11 @@ let run cfg =
                ~name:(Printf.sprintf "grp-%d" g)
                ~ros_core:(ros_core_for g hrt_core) ~hrt_core
            in
+           let grp = { g_shared = sh; g_arrivals = arrivals; g_ep = ep } in
            List.init nworkers (fun w ->
-               Exec.spawn exec
-                 ~cpu:(List.nth hrt_cores (g mod nhrt))
+               Exec.spawn exec ~cpu:hrt_core
                  ~name:(Printf.sprintf "loadgen-%d.%d" g w)
-                 (fun () ->
-                   let i = ref w in
-                   while !i < cfg.lg_calls_per_group do
-                     let at = arrivals.(!i) in
-                     let now = Exec.local_now exec in
-                     if at > now then Exec.sleep exec (at - now);
-                     incr issued;
-                     let req =
-                       {
-                         Event_channel.req_kind = "loadgen";
-                         req_run = (fun () -> Machine.charge machine cfg.lg_service_cycles);
-                       }
-                     in
-                     (match Fabric.offer fabric ep req with
-                     | Ok () ->
-                         incr completed;
-                         (* Sojourn from the scheduled arrival, not the
-                            issue instant: under overload the gap between
-                            the two IS the queueing delay an open-loop
-                            client observes. *)
-                         Metrics.observe sojourn (float_of_int (Exec.local_now exec - at))
-                     | Error (_ : Fabric.overload) -> incr dropped);
-                     i := !i + nworkers
-                   done))))
+                 (fun () -> worker grp w))))
   in
   ignore
     (Exec.spawn exec ~cpu:(List.hd ros_cores) ~name:"loadgen-coordinator" (fun () ->
@@ -201,15 +233,15 @@ let run cfg =
          Fabric.shutdown fabric));
   Sim.run machine.Machine.sim;
   let span = max 1 !makespan in
-  let pct p = Cycles.to_us (int_of_float (Metrics.latency_percentile sojourn p)) in
+  let pct p = Cycles.to_us (int_of_float (Metrics.latency_percentile sh.sh_sojourn p)) in
   {
     r_offered_cps = cfg.lg_offered_cps;
-    r_issued = !issued;
-    r_completed = !completed;
-    r_dropped = !dropped;
+    r_issued = sh.sh_issued;
+    r_completed = sh.sh_completed;
+    r_dropped = sh.sh_dropped;
     r_events = Sim.events_processed machine.Machine.sim;
     r_makespan = span;
-    r_throughput_cps = float_of_int !completed /. Cycles.to_sec span;
+    r_throughput_cps = float_of_int sh.sh_completed /. Cycles.to_sec span;
     r_p50_us = pct 50.0;
     r_p95_us = pct 95.0;
     r_p99_us = pct 99.0;

@@ -22,12 +22,21 @@ This is the way to measure a host-clock claim: two builds run back to
 back (first all of one, then all of the other) drift apart with the
 machine's load, by more than the effects being measured.
 
-Exits 1 if any run is not `correct` or has `failed` > 0, or a run fails;
-2 on bad arguments.  Uses only the Python standard library.
+The header names each executable with its size and SHA-256, and every
+pair re-checks both: a build that rewrites one mid-run (`dune runtest`
+rebuilds _build/default/bench/e2e/run.exe in the dev profile) would
+compare build profiles, not changes.  So pass copies taken out of
+_build, not _build paths.
+
+Exits 1 if any run is not `correct` or has `failed` > 0, a run fails, or
+either executable changes while the pairs run; 2 on bad arguments.  Uses
+only the Python standard library.
 """
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -65,6 +74,15 @@ def claim_rule(parent, change):
     return not misses, "; ".join(misses)
 
 
+def identity(path):
+    """(size in bytes, SHA-256 hex digest) of a file."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return os.path.getsize(path), digest.hexdigest()
+
+
 def run_once(exe, args):
     cmd = [exe, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
@@ -98,7 +116,15 @@ def main():
 
     print(f"ab_pairs: {args.workload}, {args.pairs} pairs, --seconds {args.seconds:g} "
           f"--seed {args.seed}")
-    print(f"  parent: {args.parent}\n  change: {args.change}")
+    ids = {}
+    for side in ("parent", "change"):
+        path = os.path.abspath(getattr(args, side))
+        setattr(args, side, path)
+        try:
+            ids[side] = identity(path)
+        except OSError as e:
+            ap.error(f"cannot read the {side} executable: {e}")
+        print(f"  {side}: {path} ({ids[side][0]} bytes, sha256 {ids[side][1]})")
     header = ["pair", "first"] + [f"{side} {m}" for m in METRICS for side in ("parent", "change")]
     print("  ".join(f"{h:>19}" if i > 1 else f"{h:>6}" for i, h in enumerate(header)))
 
@@ -120,6 +146,12 @@ def main():
         cells = [f"{pair:>6}", f"{order[0]:>6}"]
         cells += [f"{got[side][m]:>19.4f}" for m in METRICS for side in ("parent", "change")]
         print("  ".join(cells))
+        for side in ("parent", "change"):
+            path = getattr(args, side)
+            now = identity(path) if os.path.exists(path) else None
+            if now != ids[side]:
+                sys.exit(f"ab_pairs: the {side} executable {path} changed during pair {pair}; "
+                         "the pairs no longer compare the builds they were given")
 
     for m in METRICS:
         p, c = samples["parent"][m], samples["change"][m]

@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Allocation-regression guard for the host bench.
 
-Compares every `minor_words_per_event` and `minor_collections` cell (the
-engine) and every `minor_words_per_instr` cell (the Racket VM) in a fresh
+Compares every `minor_words_per_event` and `minor_collections` cell and
+the promoted words per event (`promoted_words / events`) of every engine
+cell, and every `minor_words_per_instr` cell (the Racket VM), in a fresh
 BENCH_host.json against the committed baseline
 (bench/host_alloc_baseline.json) and fails if any cell grew more than the
 tolerance.  Wall-clock and events/sec are machine-dependent noise and are
-deliberately not checked; words per event or instruction and the minor
-collection count are deterministic for a fixed workload and build, so a
->20% jump means a real regression on the host hot path, not a slow runner.
-Minor collections catch what words cannot: a pointer stored into an old
-array fills the remembered set and forces a collection at the same
-allocation.  A cell more than 20% below its baseline gets a non-failing
-`stale` note: the baseline then lets the figure drift back up unchecked,
-so re-take it.
+deliberately not checked; words per event or instruction, promoted words
+and the minor collection count are deterministic for a fixed workload and
+build, so a >20% jump means a real regression on the host hot path, not a
+slow runner.  Minor collections catch what words cannot: a pointer stored
+into an old array fills the remembered set and forces a collection at the
+same allocation.  Promoted words catch retention: state kept alive across
+a minor collection, such as a closure or box that a parked simulated
+thread holds, survives into the major heap even when the words allocated
+per event do not move.  A cell more than 20% below its baseline gets a
+non-failing `stale` note: the baseline then lets the figure drift back up
+unchecked, so re-take it.
 
 Usage: check_alloc_regression.py BASELINE.json CURRENT.json
 """
@@ -27,6 +31,7 @@ UNITS = {
     "minor_words_per_instr": "w/instr",
     "minor_collections": "minor GCs",
 }
+PROMOTED = "promoted w/event"
 
 
 def cells(doc, path=""):
@@ -35,6 +40,8 @@ def cells(doc, path=""):
         for key, unit in UNITS.items():
             if key in doc:
                 yield path, unit, float(doc[key])
+        if "promoted_words" in doc and doc.get("events"):
+            yield path, PROMOTED, float(doc["promoted_words"]) / float(doc["events"])
         for key, value in doc.items():
             yield from cells(value, f"{path}/{key}" if path else key)
 
@@ -66,8 +73,9 @@ def main(baseline_path, current_path):
             print(f"ok   {path}: {words:.2f} {unit} (baseline {ref:.2f}, limit {limit:.2f})")
     if failed:
         print(
-            "allocation regression: minor words per event or instruction, or minor "
-            "collections, grew >20% vs the committed baseline; if intentional, regenerate "
+            "allocation regression: minor or promoted words per event, minor words per "
+            "instruction, or minor collections grew >20% vs the committed baseline; if "
+            "intentional, regenerate "
             "bench/host_alloc_baseline.json from a release-profile `bench host --json` run",
             file=sys.stderr,
         )

@@ -303,6 +303,44 @@ let test_exec_kill_blocked () =
   check_bool "victim unwound" true !cleaned;
   check_bool "victim finished" true (Exec.state ex victim = Exec.Finished)
 
+(* --- Host footprint of a parked thread --- *)
+
+(* What 16,000 threads parked in [Exec.sleep] add to the major heap's live
+   words, per thread: each one's record, its continuation and the effect
+   handler's closure that its fiber holds, its wake and wake-enqueue
+   closures, and its share of the run queue, of the event queue holding its
+   wake-up and of the executor's thread list.  The count stays fixed
+   because those queues grow by doubling, so the figure depends on it.
+   It measures 52.1 words in the dev and release profiles; the bound is
+   that plus two words, so one more closure, option box or boxed state
+   kept per parked thread fails it. *)
+let parked_threads = 16_000
+let max_parked_words = 54.1
+
+let test_parked_thread_footprint () =
+  let sim = Sim.create () in
+  let ex = Exec.create sim ~ncpus:1 in
+  let body () = Exec.sleep ex 1_000_000 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  for _ = 1 to parked_threads do
+    ignore (Exec.spawn ex ~cpu:0 ~name:"parked" body)
+  done;
+  Sim.run_until sim 500_000;
+  let after = live_words () in
+  let per_thread = float_of_int (after - before) /. float_of_int parked_threads in
+  check_bool "every thread parked in sleep" true
+    (List.for_all (fun th -> Exec.state ex th = Exec.Blocked "sleep") (Exec.threads ex));
+  if per_thread > max_parked_words then
+    Alcotest.failf "a parked thread holds %.1f live words, over %.1f" per_thread
+      max_parked_words;
+  Sim.run sim;
+  check_bool "every thread finished" true
+    (List.for_all (fun th -> Exec.state ex th = Exec.Finished) (Exec.threads ex))
+
 (* --- Trace retention --- *)
 
 let trace_msgs t = List.map (fun r -> r.Trace.message) (Trace.records t)
@@ -380,6 +418,7 @@ let suite =
     ("exec: switch cost and counts", `Quick, test_exec_switch_cost_and_counts);
     ("exec: slice preemption", `Quick, test_exec_preemption);
     ("exec: kill blocked thread", `Quick, test_exec_kill_blocked);
+    ("exec: a parked thread's host footprint", `Quick, test_parked_thread_footprint);
     ("trace: capacity drops the oldest records", `Quick, test_trace_capacity_drops_oldest);
     ("trace: records memoized until next emit", `Quick, test_trace_records_memoized);
     ("machine: alloc_frame takes the current core's zone", `Quick, test_machine_alloc_frame_local);

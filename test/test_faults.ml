@@ -159,6 +159,166 @@ let test_timeouts_follow_current_channel () =
     (expected ~signal:20 ~rtt:(Mv_hw.Costs.sync_channel_rtt costs ~distance:0))
     (time_to_failure ~ros_core:0 (fun ch -> Event_channel.rehome ch ~ros_core:4 ()))
 
+(* --- who may wake a parked caller --- *)
+
+(* A rate-0 plan arms every timeout and injects nothing, so these runs
+   take the resilient paths on a schedule fixed by the test alone.  After
+   its call returns, each caller naps: a second wake-up from an event of
+   the call it has finished would cut the nap short. *)
+let quiet_plan () = Fault_plan.create ~seed:1 ~rate:0.0 ()
+
+let async_timeout = Event_channel.timeout_rtts * Mv_hw.Costs.default.Mv_hw.Costs.async_channel_rtt
+let nap = 10 * async_timeout
+
+(* Calls [f], naps, and checks the nap was not cut short; returns the
+   local time at which [f] returned. *)
+let call_then_nap exec f =
+  f ();
+  let returned = Exec.local_now exec in
+  Exec.sleep exec nap;
+  check_bool "no stale wake-up cut the nap short" true (Exec.local_now exec - returned >= nap);
+  returned
+
+let counting kind runs = { Event_channel.req_kind = kind; req_run = (fun () -> incr runs) }
+
+let fabric_with_plan () =
+  let faults = quiet_plan () in
+  let machine = Machine.create () in
+  Fault_plan.bind faults machine;
+  let fabric = Fabric.create ~faults machine ~kind:Event_channel.Async in
+  let ep = Fabric.endpoint fabric ~name:"ride" ~ros_core:0 ~hrt_core:7 in
+  (machine, fabric, ep)
+
+let start_pool machine fabric =
+  let exec = machine.Machine.exec in
+  Fabric.start_pool fabric
+    ~spawn:(fun ~name ~core body -> Exec.spawn exec ~cpu:core ~name body)
+    ~cores:[ 0; 1 ] ()
+
+(* Joins [threads], then stops the fabric so the pool watchdog quiesces. *)
+let shut_down_after machine fabric threads =
+  let exec = machine.Machine.exec in
+  ignore
+    (Exec.spawn exec ~cpu:2 ~name:"coordinator" (fun () ->
+         List.iter (Exec.join exec) threads;
+         Fabric.shutdown fabric))
+
+(* Nobody serves the endpoint until 1.5 timeouts in, so the rider's
+   timeout fires while its slot is still Pending: it reclaims the slot and
+   dispatches again, as a rider of the same in-flight leader, and the
+   leader's drain runs its payload once. *)
+let test_pending_ride_timeout_reclaims () =
+  let machine, fabric, ep = fabric_with_plan () in
+  let exec = machine.Machine.exec in
+  let leader_runs = ref 0 and rider_runs = ref 0 in
+  let leader =
+    Exec.spawn exec ~cpu:7 ~name:"leader" (fun () ->
+        ignore
+          (call_then_nap exec (fun () -> Fabric.call fabric ep (counting "lead" leader_runs))))
+  in
+  let rider =
+    Exec.spawn exec ~cpu:7 ~name:"rider" (fun () ->
+        ignore
+          (call_then_nap exec (fun () -> Fabric.call fabric ep (counting "ride" rider_runs))))
+  in
+  ignore
+    (Exec.spawn exec ~cpu:0 ~name:"late-pool" (fun () ->
+         Exec.sleep exec (3 * async_timeout / 2);
+         start_pool machine fabric));
+  shut_down_after machine fabric [ leader; rider ];
+  Mv_engine.Sim.run machine.Machine.sim;
+  check_int "the rider's slot was reclaimed once" 1 (Fabric.ride_timeouts fabric);
+  check_int "and it rode again" 2 (Fabric.riders fabric);
+  check_int "the rider's payload ran once" 1 !rider_runs;
+  check_int "the leader's payload ran once" 1 !leader_runs;
+  check_int "the leader's first attempt timed out" 1
+    (Event_channel.timeouts (Fabric.channel ep));
+  check_bool "both callers finished" true
+    (List.for_all (fun th -> Exec.state exec th = Exec.Finished) [ leader; rider ])
+
+(* The rider's payload sleeps 1.5 timeouts inside the server's drain, so
+   the rider's timeout fires while its slot is Taken: it waits again on
+   the same slot, and the drain's ack, not the re-armed timeout, wakes it,
+   once. *)
+let test_taken_ride_timeout_waits_for_ack () =
+  let machine, fabric, ep = fabric_with_plan () in
+  let exec = machine.Machine.exec in
+  start_pool machine fabric;
+  let leader_runs = ref 0 and rider_runs = ref 0 in
+  let payload_end = ref 0 in
+  let slow =
+    {
+      Event_channel.req_kind = "slow";
+      req_run =
+        (fun () ->
+          Exec.sleep exec (3 * async_timeout / 2);
+          incr rider_runs;
+          payload_end := Exec.local_now exec);
+    }
+  in
+  let leader =
+    Exec.spawn exec ~cpu:7 ~name:"leader" (fun () ->
+        ignore
+          (call_then_nap exec (fun () -> Fabric.call fabric ep (counting "lead" leader_runs))))
+  in
+  let started = ref 0 and returned = ref 0 in
+  let rider =
+    Exec.spawn exec ~cpu:7 ~name:"rider" (fun () ->
+        started := Exec.local_now exec;
+        returned := call_then_nap exec (fun () -> Fabric.call fabric ep slow))
+  in
+  shut_down_after machine fabric [ leader; rider ];
+  Mv_engine.Sim.run machine.Machine.sim;
+  check_int "it rode" 1 (Fabric.riders fabric);
+  check_int "no slot was reclaimed" 0 (Fabric.ride_timeouts fabric);
+  check_int "the rider's payload ran once" 1 !rider_runs;
+  check_int "the leader's payload ran once" 1 !leader_runs;
+  let waited = !returned - !started in
+  check_bool "the rider waited past its first timeout" true (waited > async_timeout);
+  check_bool "and returned before its re-armed timeout" true (waited < 2 * async_timeout);
+  check_int "woken by the ack, one ack latency after the payload" !returned
+    (!payload_end + (Mv_hw.Costs.default.Mv_hw.Costs.sync_channel_same_socket / 2))
+
+(* A caller killed while parked in [Event_channel.call]: the server's
+   reply, sent long after the kill, and the attempt's timeout both find
+   it finished and resume nothing. *)
+let test_killed_caller_not_resumed () =
+  let faults = quiet_plan () in
+  let machine = Machine.create () in
+  Fault_plan.bind faults machine;
+  let exec = machine.Machine.exec in
+  let ch = Event_channel.create ~faults machine ~kind:Event_channel.Async ~ros_core:0 ~hrt_core:7 in
+  let runs = ref 0 and resumed = ref false and cancelled = ref false in
+  let served = ref false in
+  ignore
+    (Exec.spawn exec ~cpu:0 ~name:"server" (fun () ->
+         let req = Event_channel.serve_next ch in
+         Exec.sleep exec (async_timeout / 2);
+         req.Event_channel.req_run ();
+         Event_channel.complete ch;
+         served := true));
+  let caller =
+    Exec.spawn exec ~cpu:7 ~name:"caller" (fun () ->
+        match Event_channel.call ch (counting "late" runs) with
+        | () -> resumed := true
+        | exception Mv_engine.Fiber.Cancelled ->
+            cancelled := true;
+            raise Mv_engine.Fiber.Cancelled)
+  in
+  ignore
+    (Exec.spawn exec ~cpu:1 ~name:"killer" (fun () ->
+         Exec.sleep exec (async_timeout / 4);
+         check_bool "the caller is parked in the call" true
+           (Exec.state exec caller = Exec.Blocked "evtchan:late");
+         Exec.kill exec caller));
+  Mv_engine.Sim.run machine.Machine.sim;
+  check_bool "the server replied" true !served;
+  check_int "the payload ran once" 1 !runs;
+  check_bool "the kill unwound the call" true !cancelled;
+  check_bool "the late reply resumed nothing" false !resumed;
+  check_bool "the caller stays finished" true (Exec.state exec caller = Exec.Finished);
+  check_int "no timeout reached the caller" 0 (Event_channel.timeouts ch)
+
 (* --- end-to-end workload under injected faults --- *)
 
 (* Enough iterations (and forwarded calls) to span many watchdog
@@ -287,6 +447,12 @@ let suite =
       test_every_take_passes_delay_site;
     Alcotest.test_case "channel: timeouts follow the current kind and distance" `Quick
       test_timeouts_follow_current_channel;
+    Alcotest.test_case "ride: a timeout on a pending slot reclaims it once" `Quick
+      test_pending_ride_timeout_reclaims;
+    Alcotest.test_case "ride: a timeout on a taken slot waits for the ack" `Quick
+      test_taken_ride_timeout_waits_for_ack;
+    Alcotest.test_case "channel: a caller killed while parked is never resumed" `Quick
+      test_killed_caller_not_resumed;
     Alcotest.test_case "e2e: fault trace reproducible from seed" `Quick
       test_fault_trace_deterministic;
     Alcotest.test_case "e2e: zero-fault plan is cycle-neutral" `Quick test_zero_fault_plan_neutral;
