@@ -308,10 +308,14 @@ let create_nested t ~name body =
 
 let join_nested t th = Nautilus.join_thread t.the_nk th
 
+(* The process's exit hook.  The HRT-local handlers go with the
+   process's own: its threads are killed next, so nothing can deliver to
+   them, and a handler would keep the guest's runtime alive. *)
 let shutdown t =
   t.shutting_down <- true;
   Hashtbl.iter (fun _ g -> finish_group g) t.groups;
-  Fabric.shutdown t.the_fabric
+  Fabric.shutdown t.the_fabric;
+  Signal.clear_actions t.nk_signals
 
 (* --- the HRT-side guest ABI --- *)
 

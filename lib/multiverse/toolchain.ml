@@ -11,13 +11,12 @@ type hybrid_exe = { hx_program : program; hx_fat : Fat_binary.t }
 (* A deterministic stand-in for the compiled AeroKernel image: header plus
    pseudo-random payload of the requested size. *)
 let make_image ~kb =
-  let b = Buffer.create (kb * 1024) in
-  Buffer.add_string b "NAUTILUS-AEROKERNEL v0.9 multiboot2\000";
-  let rng = Mv_util.Rng.create ~seed:0x6e6b in
-  while Buffer.length b < kb * 1024 do
-    Buffer.add_char b (Char.chr (Mv_util.Rng.int rng 256))
-  done;
-  Buffer.sub b 0 (kb * 1024)
+  let header = "NAUTILUS-AEROKERNEL v0.9 multiboot2\000" in
+  let b = Bytes.create (kb * 1024) in
+  let h = Int.min (Bytes.length b) (String.length header) in
+  Bytes.blit_string header 0 b 0 h;
+  Mv_util.Rng.fill_bytes (Mv_util.Rng.create ~seed:0x6e6b) b ~pos:h ~len:(Bytes.length b - h);
+  Bytes.unsafe_to_string b
 
 (* Each image size is built once, on first use, and shared: the bytes
    never change and building them is most of a [hybridize].  Machines on

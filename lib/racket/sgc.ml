@@ -59,9 +59,6 @@ type t = {
   mutable c1_i : int;
   mutable c1_base : int;
   mutable c1_end : int;
-  mutable spares : seg list;
-      (* Host storage of unmapped [segment_pages]-page segments, for the
-         next maps to reuse. *)
   small_free : (seg * int) list array;  (* block words -> blocks, LIFO *)
   large_free : (int, (seg * int) list ref) Hashtbl.t;  (* [small_sizes] words and up *)
   mutable cur : seg;
@@ -107,22 +104,36 @@ let reindex t =
   t.index <- index;
   clear_cache t
 
-(* The new mapping's host storage: a spare's arrays, cleared to exactly
-   what fresh ones would hold, or fresh ones.  Which arrays back a
-   segment is invisible to the guest. *)
+(* --- the storage pool ---
+
+   The host arrays of default-size segments that no heap maps any more:
+   unmapped by a sweep, or held by a heap whose process has exited.  One
+   pool per domain, keyed by page count.  A machine runs on one domain,
+   so no lock is needed, and every domain of a parallel sweep recycles
+   its own machines' storage. *)
+let pool : (int, seg list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 2)
+
+let pooled_list pages = Option.value (Hashtbl.find_opt (Domain.DLS.get pool) pages) ~default:[]
+let pooled ~pages = List.length (pooled_list pages)
+let pool_give seg = Hashtbl.replace (Domain.DLS.get pool) seg.s_pages (seg :: pooled_list seg.s_pages)
+
+(* The new mapping's host storage: a pooled segment's arrays, cleared to
+   exactly what fresh ones would hold, or fresh ones.  Which arrays back
+   a segment is invisible to the guest. *)
 let map_segment t pages =
   let base = t.env.Env.mmap ~len:(pages * Addr.page_size) ~prot:Mv_ros.Mm.prot_rw ~kind:"gc-heap" in
   let s_end = base + (pages * Addr.page_size) in
   let seg =
-    match t.spares with
-    | spare :: rest when pages = t.segment_pages ->
-        t.spares <- rest;
+    match if pages = t.segment_pages then pooled_list pages else [] with
+    | spare :: rest ->
+        Hashtbl.replace (Domain.DLS.get pool) pages rest;
         Array.fill spare.s_words 0 (Array.length spare.s_words) 0;
         Bytes.fill spare.s_kinds 0 (Bytes.length spare.s_kinds) plain;
         Bytes.fill spare.s_state 0 pages untouched;
         t.st.segments_recycled <- t.st.segments_recycled + 1;
         { spare with s_base = base; s_end; s_bump = 0; s_live_words = 0 }
-    | _ ->
+    | [] ->
         {
           s_base = base;
           s_end;
@@ -141,13 +152,27 @@ let map_segment t pages =
 
 (* Only the sweep unmaps, a segment with no live word that is not [cur],
    after its free blocks have left the free lists; [reindex] drops it
-   from the cache.  So the spare list is its only holder. *)
+   from the cache.  So the pool is its only holder. *)
 let unmap_segment t seg =
   t.env.Env.munmap ~addr:seg.s_base ~len:(seg.s_pages * Addr.page_size);
   t.segs <- List.filter (fun s -> s != seg) t.segs;
   reindex t;
   t.st.segments_unmapped <- t.st.segments_unmapped + 1;
-  if seg.s_pages = t.segment_pages then t.spares <- seg :: t.spares
+  if seg.s_pages = t.segment_pages then pool_give seg
+
+(* The process has exited and its address space is gone: hand the
+   default-size storage to the pool and drop every reference to a
+   segment, so a later access finds no segment and raises, and never
+   reads words another heap now owns.  No [Env] call: this is host
+   bookkeeping, with no simulated effect. *)
+let release t =
+  List.iter (fun seg -> if seg.s_pages = t.segment_pages then pool_give seg) t.segs;
+  t.segs <- [];
+  t.index <- [||];
+  clear_cache t;
+  t.cur <- no_seg;
+  Array.fill t.small_free 0 small_sizes [];
+  Hashtbl.reset t.large_free
 
 (* 512 pages = 2 MiB: exactly one huge-page chunk, so heap segments promote
    to 2M leaves under the transparent-huge-page path in Mm. *)
@@ -176,7 +201,6 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       c1_i = -1;
       c1_base = 0;
       c1_end = 0;
-      spares = [];
       small_free = Array.make small_sizes [];
       large_free = Hashtbl.create 8;
       cur = no_seg;  (* set below *)
@@ -194,6 +218,7 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
   in
   let seg = map_segment t segment_pages in
   t.cur <- seg;
+  Mv_ros.Process.add_exit_hook env.Env.proc (fun _ -> release t);
   t
 
 let set_roots t fn = t.roots <- fn

@@ -18,12 +18,20 @@
     root or payload word that decodes as a pointer to a live object start
     is treated as a reference.
 
-    The host arrays of an unmapped default-size segment are kept and
-    reused, cleared, by the next default-size map, so the heap's host
-    storage follows its high-water mark of mapped segments.  This has no
-    simulated effect: every [mmap], [munmap], [mprotect], touch, store
-    and work charge, and every address the mutator gets, is the same as
-    with fresh arrays per map. *)
+    {b Recycled storage.}  Each OCaml domain keeps one pool of segment
+    host storage, keyed by page count.  A heap puts a default-size
+    ([segment_pages]) segment's arrays there when a sweep unmaps it, and
+    all of its default-size segments' arrays when its process exits
+    (see {!mapped_bytes}); a default-size map takes arrays from the pool
+    and clears them to exactly what fresh ones hold, or allocates fresh
+    ones when the pool has none.  Larger single-object segments are left
+    to the OCaml GC.  So the pool plus the default-size segments that
+    the domain's live heaps map never exceed the most those heaps had
+    mapped at once, and a finished run's storage backs the next run on
+    the same domain.  This has no simulated effect: every [mmap],
+    [munmap], [mprotect], touch, store and work charge, and every
+    address the mutator gets, is the same as with fresh arrays per
+    map. *)
 
 type t
 
@@ -33,8 +41,10 @@ type stats = {
   mutable segments_mapped : int;
   mutable segments_unmapped : int;
   mutable segments_recycled : int;
-      (** Maps whose host storage came from an unmapped segment; the rest
-          of [segments_mapped] allocated fresh arrays. *)
+      (** Maps whose host storage came from the domain's pool, whichever
+          heap unmapped or released it; the rest of [segments_mapped]
+          allocated fresh arrays.  Host bookkeeping only: it depends on
+          what ran on the domain before, so no report prints it. *)
   mutable barrier_faults : int;
   mutable objects_swept : int;
 }
@@ -49,7 +59,8 @@ val create :
 (** Build the collector (maps an initial segment).  [segment_pages]
     defaults to 512 (2 MiB segments — one transparent-huge-page chunk);
     [threshold] is the allocation volume between collections (default
-    4 MiB). *)
+    4 MiB).  The heap hooks its process's exit ({!Mv_ros.Process.add_exit_hook}
+    on [env]'s process) to release its storage. *)
 
 val install_barrier : t -> unit
 (** Register the SIGSEGV write-barrier handler ([rt_sigaction] +
@@ -98,3 +109,16 @@ val live_bytes : t -> int
 (** As of the last collection. *)
 
 val mapped_bytes : t -> int
+(** The bytes of the segments the heap maps.
+
+    When its process exits, the heap releases its storage: its
+    default-size segments' arrays go to the domain's pool, and it forgets
+    every segment and free block, without any [Env] call (the exit has
+    already dropped the address space).  Afterwards [mapped_bytes] is 0,
+    [is_heap_pointer] is false for every word, and every accessor raises
+    [Invalid_argument], so no access reads storage another heap now
+    owns.  [stats] and [live_bytes] keep their values. *)
+
+val pooled : pages:int -> int
+(** How many [pages]-page segments' host storage the calling domain's
+    pool holds. *)

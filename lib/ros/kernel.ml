@@ -187,6 +187,9 @@ let exit_process t p ~code =
             | _ -> Exec.kill t.machine.Machine.exec th))
       p.Process.threads;
     Mm.release p.Process.mm;
+    (* Its threads are gone, so no signal can reach it: a handler would
+       only keep the guest's runtime alive. *)
+    Signal.clear_actions p.Process.signals;
     match self_tid with
     | Some tid when List.exists (fun th -> Exec.tid th = tid) p.Process.threads ->
         raise (Process_killed p.Process.pname)

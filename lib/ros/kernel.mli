@@ -56,9 +56,10 @@ val current : t -> task
 (** @raise Failure outside guest-thread context. *)
 
 val exit_process : t -> Process.t -> code:int -> unit
-(** Run exit hooks, tear down threads and memory, record end time.  If
-    called from one of the process's own threads, raises
-    {!Process_killed} after teardown. *)
+(** Run exit hooks, tear down threads and memory, drop the signal
+    handlers, record end time.  The hooks run before the other threads
+    are discontinued.  If called from one of the process's own threads,
+    raises {!Process_killed} after teardown. *)
 
 (** {1 Accounting} *)
 

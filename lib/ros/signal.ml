@@ -20,6 +20,7 @@ type t = {
 let create () = { actions = Hashtbl.create 8; blocked = [] }
 
 let set_action t signo h = Hashtbl.replace t.actions signo h
+let clear_actions t = Hashtbl.reset t.actions
 
 let action t signo =
   match Hashtbl.find_opt t.actions signo with Some h -> h | None -> Default

@@ -23,6 +23,11 @@ type t
 
 val create : unit -> t
 val set_action : t -> signo -> handler -> unit
+
+val clear_actions : t -> unit
+(** Drop every handler, so the table holds no guest closure: an exited
+    process's. *)
+
 val action : t -> signo -> handler
 val registered : t -> signo -> bool
 (** Is a user handler installed? *)

@@ -27,6 +27,11 @@ val next : t -> int
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
+val fill_bytes : t -> Bytes.t -> pos:int -> len:int -> unit
+(** [fill_bytes t buf ~pos ~len] stores [len] bytes at [pos], each what
+    [int t 256] would return, and leaves [t] where [len] such calls
+    would.  Raises [Invalid_argument] when the range is not in [buf]. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

@@ -1,23 +1,26 @@
 #!/usr/bin/env python3
 """Allocation-regression guard for the host bench.
 
-Compares every `minor_words_per_event` and `minor_collections` cell and
-the promoted words per event (`promoted_words / events`) of every engine
-cell, and every `minor_words_per_instr` cell (the Racket VM), in a fresh
-BENCH_host.json against the committed baseline
-(bench/host_alloc_baseline.json) and fails if any cell grew more than the
-tolerance.  Wall-clock and events/sec are machine-dependent noise and are
-deliberately not checked; words per event or instruction, promoted words
-and the minor collection count are deterministic for a fixed workload and
-build, so a >20% jump means a real regression on the host hot path, not a
-slow runner.  Minor collections catch what words cannot: a pointer stored
-into an old array fills the remembered set and forces a collection at the
-same allocation.  Promoted words catch retention: state kept alive across
-a minor collection, such as a closure or box that a parked simulated
-thread holds, survives into the major heap even when the words allocated
-per event do not move.  A cell more than 20% below its baseline gets a
-non-failing `stale` note: the baseline then lets the figure drift back up
-unchecked, so re-take it.
+Compares every `minor_words_per_event`, `minor_collections` and
+`major_words` cell and the promoted words per event (`promoted_words /
+events`) of every engine cell, and every `minor_words_per_instr` cell
+(the Racket VM), in a fresh BENCH_host.json against the committed
+baseline (bench/host_alloc_baseline.json) and fails if any cell grew more
+than the tolerance.  Wall-clock and events/sec are machine-dependent noise
+and are deliberately not checked; words per event or instruction,
+promoted and major words and the minor collection count are deterministic
+for a fixed workload and build, so a >20% jump means a real regression on
+the host hot path, not a slow runner.  Minor collections catch what words
+cannot: a pointer stored into an old array fills the remembered set and
+forces a collection at the same allocation.  Promoted words catch
+retention: state kept alive across a minor collection, such as a closure
+or box that a parked simulated thread holds, survives into the major heap
+even when the words allocated per event do not move.  Major words catch
+storage that is not recycled: the racket cell runs two programs, and the
+second one's collector heap reuses the first's segment storage, so
+without that reuse the figure about doubles.  A cell more than 20% below
+its baseline gets a non-failing `stale` note: the baseline then lets the
+figure drift back up unchecked, so re-take it.
 
 Usage: check_alloc_regression.py BASELINE.json CURRENT.json
 """
@@ -30,6 +33,7 @@ UNITS = {
     "minor_words_per_event": "w/event",
     "minor_words_per_instr": "w/instr",
     "minor_collections": "minor GCs",
+    "major_words": "major words",
 }
 PROMOTED = "promoted w/event"
 
@@ -74,7 +78,8 @@ def main(baseline_path, current_path):
     if failed:
         print(
             "allocation regression: minor or promoted words per event, minor words per "
-            "instruction, or minor collections grew >20% vs the committed baseline; if "
+            "instruction, major words or minor collections grew >20% vs the committed "
+            "baseline; if "
             "intentional, regenerate "
             "bench/host_alloc_baseline.json from a release-profile `bench host --json` run",
             file=sys.stderr,

@@ -79,6 +79,26 @@ let in_guest ?config f =
   Sim.run machine.Machine.sim;
   match !result with Some r -> r | None -> Alcotest.fail "guest did not run"
 
+(* The storage pool is per domain, so a test that counts pooled storage
+   runs in a fresh domain, where no earlier test has left any. *)
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* A program that runs [src] on the engine and keeps the engine, for its
+   collector's statistics. *)
+let engine_program src =
+  let engine = ref None in
+  ( {
+      Multiverse.Toolchain.prog_name = "engine";
+      prog_main =
+        (fun env ->
+          let e = Engine.start env in
+          engine := Some e;
+          Engine.run_program e src);
+    },
+    engine )
+
+let gc_stats engine = Sgc.stats (Engine.gc (Option.get !engine))
+
 (* --- Value encodings --- *)
 
 let test_value_immediates () =
@@ -274,8 +294,9 @@ let qcheck_sgc_segment_churn =
    storage, and the new mapping behaves as a fresh one: the old mapping's
    addresses are gone, the first write to each of its pages takes a
    demand-paging fault, a page the next collection protects takes one
-   barrier fault, and a new vector reads back its fill. *)
-let test_sgc_recycled_segment () =
+   barrier fault, and a new vector reads back its fill.  The counts hold
+   in a fresh domain, whose pool starts empty. *)
+let recycled_segment () =
   in_guest ~config:no_huge_pages (fun env p ->
       let gc = Sgc.create env ~segment_pages:16 ~threshold:(1 lsl 30) () in
       let st = Sgc.stats gc in
@@ -325,6 +346,8 @@ let test_sgc_recycled_segment () =
       let w = Value.make_vector gc 600 (Value.fixnum 9) in
       check_bool "a new vector reads back its fill" true
         (List.for_all (fun i -> Value.vector_ref gc w i = Value.fixnum 9) (List.init 600 Fun.id)))
+
+let test_sgc_recycled_segment () = in_fresh_domain recycled_segment
 
 let test_sgc_write_barrier () =
   in_guest (fun env p ->
@@ -388,6 +411,109 @@ let test_sgc_free_list_reuse () =
       done;
       check_int "heap did not grow" mapped (Sgc.mapped_bytes gc);
       check_int "keeper intact" 42 (Value.fixnum_val (Value.car gc !root)))
+
+(* --- the storage pool --- *)
+
+(* A heap whose process has exited has handed its storage to the pool:
+   it maps nothing, no word is a heap pointer, and every access raises
+   instead of reading storage another heap may own by then; its
+   statistics keep their values.  The pool keeps page counts apart: the
+   next process's heaps each take storage of their own size, and a
+   16-page heap still holds 16 pages per segment. *)
+let test_sgc_no_access_after_exit () =
+  in_fresh_domain (fun () ->
+      let gc, v =
+        in_guest (fun env _p ->
+            let gc = Sgc.create env ~threshold:(1 lsl 30) () in
+            ignore (Sgc.create env ~segment_pages:16 ());
+            Value.register_scannable gc;
+            (gc, Value.cons gc (Value.fixnum 1) Value.nil))
+      in
+      let outside = Invalid_argument (Printf.sprintf "Sgc: address %x outside heap" v) in
+      check_int "nothing mapped" 0 (Sgc.mapped_bytes gc);
+      check_bool "no heap pointer" false (Sgc.is_heap_pointer gc v);
+      Alcotest.check_raises "read" outside (fun () -> ignore (Sgc.read_word gc v));
+      Alcotest.check_raises "write" outside (fun () -> Sgc.write_word gc v 0);
+      Alcotest.check_raises "header" outside (fun () -> ignore (Sgc.header gc v));
+      check_int "stats kept" 1 (Sgc.stats gc).Sgc.segments_mapped;
+      check_int "512-page storage pooled" 1 (Sgc.pooled ~pages:512);
+      check_int "16-page storage pooled" 1 (Sgc.pooled ~pages:16);
+      in_guest (fun env _p ->
+          let small = Sgc.create env ~segment_pages:16 ~threshold:(1 lsl 30) () in
+          let big = Sgc.create env () in
+          check_int "16-page storage reused" 1 (Sgc.stats small).Sgc.segments_recycled;
+          check_int "512-page storage reused" 1 (Sgc.stats big).Sgc.segments_recycled;
+          (* 511 payload words and the header fill one page. *)
+          for _ = 1 to 17 do
+            ignore (Value.make_vector small 511 (Value.fixnum 0))
+          done;
+          check_int "the 17th page maps a second segment" 2 (Sgc.stats small).Sgc.segments_mapped);
+      check_int "both 16-page storages pooled" 2 (Sgc.pooled ~pages:16);
+      check_int "the 512-page storage pooled" 1 (Sgc.pooled ~pages:512))
+
+let native p = Multiverse.Toolchain.run_native p
+let multiverse p = Multiverse.Toolchain.(run_multiverse (hybridize p))
+
+(* The storage a finished run left in the pool backs the next run's
+   heap, and the guest cannot tell: binary-tree-2 at test size, native
+   then multiverse and multiverse then native.  Every default-size map
+   of the second run is served from the pool, and its stdout, exit
+   code, syscall histogram, rusage and wall cycles equal those of the
+   same run alone in another fresh domain. *)
+let test_sgc_pool_reuse_invisible () =
+  let b = Mv_workloads.Benchmarks.find "binary-tree-2" in
+  let src = b.Mv_workloads.Benchmarks.b_source b.Mv_workloads.Benchmarks.b_test_n in
+  let run mode =
+    let prog, engine = engine_program src in
+    let rs = mode prog in
+    (rs, gc_stats engine)
+  in
+  List.iter
+    (fun (name, first, second) ->
+      let (rs, st), pooled =
+        in_fresh_domain (fun () ->
+            ignore (run first);
+            let pooled = Sgc.pooled ~pages:512 in
+            (run second, pooled))
+      in
+      let alone, _ = in_fresh_domain (fun () -> run second) in
+      let open Multiverse.Toolchain in
+      check_bool (name ^ ": the first run pooled storage") true (pooled > 0);
+      check_int (name ^ ": every map served from the pool") st.Sgc.segments_mapped
+        st.Sgc.segments_recycled;
+      check_string (name ^ ": stdout") alone.rs_stdout rs.rs_stdout;
+      check_int (name ^ ": exit code") alone.rs_exit_code rs.rs_exit_code;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": syscalls")
+        (Mv_util.Histogram.to_sorted_list alone.rs_syscalls)
+        (Mv_util.Histogram.to_sorted_list rs.rs_syscalls);
+      check_bool (name ^ ": rusage") true (alone.rs_rusage = rs.rs_rusage);
+      check_int (name ^ ": wall cycles") alone.rs_wall_cycles rs.rs_wall_cycles)
+    [ ("native, multiverse", native, multiverse); ("multiverse, native", multiverse, native) ]
+
+(* A place still parked in place-receive when main returns (main waits
+   for its first message, so the place has its heap): the exit hooks
+   release both heaps before the place's thread unwinds, and the
+   unwinding touches neither.  The process exits cleanly, and the pool
+   then holds exactly the storage the two heaps released: the main
+   heap's fresh storage and the place's one segment. *)
+let test_sgc_exit_with_parked_place () =
+  let src =
+    {|(define p (place-spawn "(place-send 0 'ready) (place-receive 0)"))
+      (display (place-receive p))|}
+  in
+  List.iter
+    (fun (name, mode) ->
+      in_fresh_domain (fun () ->
+          let prog, engine = engine_program src in
+          let rs = mode prog in
+          let st = gc_stats engine in
+          check_int (name ^ ": exit code") 0 rs.Multiverse.Toolchain.rs_exit_code;
+          check_string (name ^ ": stdout") "ready" rs.Multiverse.Toolchain.rs_stdout;
+          check_int (name ^ ": pooled")
+            (st.Sgc.segments_mapped - st.Sgc.segments_recycled + 1)
+            (Sgc.pooled ~pages:512)))
+    [ ("native", native); ("multiverse", multiverse) ]
 
 (* --- compiler + VM --- *)
 
@@ -1125,6 +1251,9 @@ let suite =
     ("sgc: mprotect write barrier", `Quick, test_sgc_write_barrier);
     ("sgc: empty segments munmapped", `Quick, test_sgc_segments_unmapped);
     ("sgc: free-list reuse, no growth", `Quick, test_sgc_free_list_reuse);
+    ("sgc: no access after the process exits", `Quick, test_sgc_no_access_after_exit);
+    ("sgc: pooled storage is invisible to the next run", `Quick, test_sgc_pool_reuse_invisible);
+    ("sgc: exit with a parked place", `Quick, test_sgc_exit_with_parked_place);
     ("eval: arithmetic and conditionals", `Quick, test_eval_basics);
     ("eval: bindings", `Quick, test_eval_bindings);
     ("eval: closures", `Quick, test_eval_closures);

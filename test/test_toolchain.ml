@@ -230,6 +230,67 @@ let test_run_modes_build_from_config () =
       ("accelerator", Toolchain.run_accelerator ~machine ~name:"cfg" (fun ~ros_env:_ ~rt:_ -> ()));
     ]
 
+(* --- hybridize's AeroKernel image --- *)
+
+(* The image as it was first defined, one [Rng.int rng 256] draw per
+   payload byte: the reference [hybridize]'s image must equal byte for
+   byte. *)
+let reference_image ~kb =
+  let b = Buffer.create (kb * 1024) in
+  Buffer.add_string b "NAUTILUS-AEROKERNEL v0.9 multiboot2\000";
+  let rng = Mv_util.Rng.create ~seed:0x6e6b in
+  while Buffer.length b < kb * 1024 do
+    Buffer.add_char b (Char.chr (Mv_util.Rng.int rng 256))
+  done;
+  Buffer.sub b 0 (kb * 1024)
+
+let test_image_bytes () =
+  let prog = { Toolchain.prog_name = "image"; prog_main = (fun _env -> ()) } in
+  List.iter
+    (fun kb ->
+      let hx = Toolchain.hybridize ~image_kb:kb prog in
+      match Fat_binary.section hx.Toolchain.hx_fat Fat_binary.sec_hrt_image with
+      | Some img ->
+          check_int (Printf.sprintf "%d KiB: size" kb) (kb * 1024) (String.length img);
+          check_bool (Printf.sprintf "%d KiB: bytes" kb) true (img = reference_image ~kb)
+      | None -> Alcotest.fail "no image section")
+    [ 0; 1; 64; 640 ]
+
+(* --- run modes --- *)
+
+(* A finished run's statistics pin none of its guest runtime: with the
+   run_stats held, a full major collection frees the engine's collector
+   and VM in every mode.  The process's SIGSEGV handler (the write
+   barrier) and, under full porting, the HRT-local copy of it used to
+   keep both alive. *)
+let test_finished_run_pins_no_runtime () =
+  let full = { Toolchain.default_mv_options with mv_porting = Runtime.full_porting } in
+  List.iter
+    (fun (mode, run) ->
+      let gc = Weak.create 1 and vm = Weak.create 1 in
+      let prog =
+        {
+          Toolchain.prog_name = "pin";
+          prog_main =
+            (fun env ->
+              let e = Mv_racket.Engine.start env in
+              Weak.set gc 0 (Some (Mv_racket.Engine.gc e));
+              Weak.set vm 0 (Some (Mv_racket.Engine.vm e));
+              Mv_racket.Engine.run_program e "(display 42)");
+        }
+      in
+      let rs = run prog in
+      Gc.full_major ();
+      check_bool (mode ^ ": collector freed") false (Weak.check gc 0);
+      check_bool (mode ^ ": VM freed") false (Weak.check vm 0);
+      check_string (mode ^ ": the stats stay readable") "42" rs.Toolchain.rs_stdout)
+    [
+      ("native", fun p -> Toolchain.run_native p);
+      ("virtual", fun p -> Toolchain.run_virtual p);
+      ("multiverse", fun p -> Toolchain.run_multiverse (Toolchain.hybridize p));
+      ("full porting", fun p -> Toolchain.run_multiverse ~options:full (Toolchain.hybridize p));
+    ]
+
 let suite =
   [
     ("fat binary: roundtrip", `Quick, test_fat_roundtrip);
@@ -244,4 +305,6 @@ let suite =
     ("hybridize: embeds image + overrides", `Quick, test_hybridize_embeds_everything);
     ("hybridize: embedded overrides take effect", `Quick, test_embedded_overrides_take_effect);
     ("run modes: each builds its machine from the given config", `Quick, test_run_modes_build_from_config);
+    ("hybridize: the image matches its byte-at-a-time definition", `Quick, test_image_bytes);
+    ("run modes: a finished run pins no guest runtime", `Quick, test_finished_run_pins_no_runtime);
   ]

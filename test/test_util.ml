@@ -46,6 +46,25 @@ let qcheck_rng_bounds =
       let v = Rng.int rng bound in
       v >= 0 && v < bound)
 
+(* [fill_bytes] stores what [int t 256] draws would, where it is told,
+   and leaves the stream where those draws would. *)
+let test_rng_fill_bytes () =
+  List.iter
+    (fun (pos, len) ->
+      let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
+      let buf = Bytes.make (pos + len + 3) '*' in
+      Rng.fill_bytes a buf ~pos ~len;
+      let drawn = String.init len (fun _ -> Char.chr (Rng.int b 256)) in
+      let name = Printf.sprintf "pos %d len %d" pos len in
+      Alcotest.(check string) (name ^ ": bytes") drawn (Bytes.sub_string buf pos len);
+      Alcotest.(check string)
+        (name ^ ": the rest untouched") (String.make pos '*' ^ "***")
+        (Bytes.sub_string buf 0 pos ^ Bytes.sub_string buf (pos + len) 3);
+      Alcotest.(check int) (name ^ ": stream position") (Rng.next b) (Rng.next a))
+    [ (0, 0); (0, 1); (5, 17); (36, 4096) ];
+  Alcotest.check_raises "range outside the buffer" (Invalid_argument "Rng.fill_bytes") (fun () ->
+      Rng.fill_bytes (Rng.create ~seed:1) (Bytes.create 4) ~pos:2 ~len:3)
+
 let test_stats_basic () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 1.; 2.; 3.; 4.; 5. ];
@@ -192,6 +211,7 @@ let suite =
     ("rng: deterministic", `Quick, test_rng_deterministic);
     ("rng: split independence", `Quick, test_rng_split_independent);
     QCheck_alcotest.to_alcotest qcheck_rng_bounds;
+    ("rng: fill_bytes is draws of int 256", `Quick, test_rng_fill_bytes);
     ("stats: basic moments", `Quick, test_stats_basic);
     ("stats: percentiles, interp + cache invalidation", `Quick, test_stats_percentiles);
     ("stats: summary", `Quick, test_stats_summary);
